@@ -214,7 +214,9 @@ def _add_test_parser(sub) -> None:
     q.add_argument("--out", required=True)
     q.add_argument("--format", choices=("json", "csv"), default="json")
     q.add_argument("--interval-c", type=float, default=5.0, help="half-width multiplier of the integration interval")
-    q.add_argument("--quad-tol", type=float, default=1e-9, help="relative quadrature tolerance")
+    q.add_argument("--quad-tol", type=float, default=1e-9,
+                   help="relative tolerance to which the two Gauss-Legendre resolutions must "
+                        "agree; also that of the adaptive quadrature a disagreement falls back to")
     q.add_argument("--pretty", action="store_true", help="also print a human-readable table")
 
 

@@ -15,21 +15,17 @@ the quadrature never overflows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
-from .exceptions import NoConvergenceError, NotPositiveDefiniteError
-from .hypotheses import (
-    ConstrainedFit,
-    EqualDistributions,
-    SpecifiedMeanCov,
-    is_degenerate,
-)
-from .linalg import log_det_spd, symmetrize
+from .exceptions import NoConvergenceError
+from .hypotheses import ConstrainedFit, is_degenerate
+from .linalg import log_det_spd, spd_cholesky, symmetrize
 
 __all__ = [
     "DirectionalDiagnostics",
@@ -46,28 +42,66 @@ __all__ = [
 ENDPOINT_DROP = 40.0
 # Drop used to truncate an infinite upper limit.
 TRUNCATION_DROP = 60.0
-_BISECT_REL = 1e-10
 _TSUP_HUGE = 1e8
+# Gauss-Legendre nodes per panel, and panels per side of t = 1 in the
+# coarser of the two compared resolutions (the finer one doubles them).
+_GL_NODES = 24
+_GL_PANELS = 2
 
 
-def _chol_logdet(m: np.ndarray) -> float:
-    """Cholesky log-determinant, ``-inf`` when not positive definite."""
-    try:
-        ell = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return -math.inf
-    return float(2.0 * np.sum(np.log(np.diag(ell))))
+def _rank_one_margin(t: float, mu: np.ndarray, c2: np.ndarray) -> float:
+    """Smallest rank-one factor ``1 - t**2 sum c_j**2 / f_j`` over the groups
+    at ``t``; ``-1`` once a linear factor ``f_j = 1 - t + t mu_j`` is not
+    positive."""
+    f = 1.0 - t + t * mu
+    if np.any(f <= 0.0):
+        return -1.0
+    return float(np.min(1.0 - t * t * np.sum(c2 / f, axis=1)))
+
+
+def _feasible_sup(mu: np.ndarray, c2: np.ndarray) -> float:
+    """End of the positive definite range of the path with pencil
+    eigenvalues ``mu`` (k, p) and squared rank-one coordinates ``c2``."""
+    nu_min = float(mu.min())
+    t_lin = 1.0 / (1.0 - nu_min) if nu_min < 1.0 - 1e-12 else math.inf
+    if not np.any(c2 > 0.0):
+        return t_lin
+    # On (0, t_lin) every f_j is positive and t**2 / f_j increases, so each
+    # rank-one factor decreases from 1: the range ends at the first root of
+    # the smallest one.
+    hi = t_lin
+    if not math.isfinite(hi):
+        hi = 2.0
+        while _rank_one_margin(hi, mu, c2) > 0.0:
+            hi *= 2.0
+            if hi > _TSUP_HUGE:
+                return math.inf
+    elif _rank_one_margin(hi, mu, c2) > 0.0:
+        return hi
+    # brentq keeps its function in a reference cycle; a bound method there
+    # would pin the evaluator and its fit until the garbage collector runs
+    return brentq(_rank_one_margin, 0.0, hi, args=(mu, c2), xtol=1e-14,
+                  rtol=4 * np.finfo(float).eps)
 
 
 class DirectionalEvaluator:
     """Single-instance evaluator of the log-integrand and its curvature.
 
-    Case dispatch happens once at construction.  For the cases whose tilted
-    covariance is linear in ``t`` the per-evaluation cost is O(p) using the
-    precomputed pencil eigenvalues; the quadratic-path cases (specified
-    mean/covariance, equality of distributions) factorize the tilted
-    covariance at each ``t``.  Instances are immutable after construction
-    and safe to share across workers.
+    Every case shares one representation.  Group ``g``'s tilted covariance
+    is ``(1 - t) A + t M_g - t**2 b_g b_g'`` with ``A`` the constrained
+    covariance, ``b_g`` the observed group mean minus its constrained mean
+    and ``M_g`` the group's covariance plus ``b_g b_g'``.  Construction
+    factors each group once: ``mu`` are the eigenvalues of the ``(A, M_g)``
+    pencil and ``c = Q' L^-1 b_g``, with ``A = L L'`` and ``Q`` the
+    eigenvectors of ``L^-1 M_g L^-T``.  The matrix determinant lemma gives
+
+        ``log det = log det A + sum log f_j + log(1 - t**2 sum c_j**2 / f_j)``
+
+    with ``f_j = 1 - t + t mu_j``, so each evaluation costs O(k p) and
+    takes whole arrays of ``t``.  When every ``b_g`` is zero (the cases
+    whose path is linear in ``t``) the fit's ``pencil_eigs`` are used.
+    Instances are immutable after construction and safe to share across
+    workers.
     """
 
     def __init__(self, fit: ConstrainedFit):
@@ -75,71 +109,30 @@ class DirectionalEvaluator:
         self.d = fit.d
         p = fit.p
         self._weights = np.array([0.5 * (s.n - p - 2) for s in fit.summaries])
+        # Linear term of the exponent: 0.5 sum_g n_g (p - tr(A^-1 M_g)).  It
+        # vanishes wherever the null estimates the scale (the score equation
+        # of the fit), which every linear-path null does; there it is taken
+        # as exactly 0 rather than as the residual of an iterative fit.
+        self._slope = 0.0
         if fit.pencil_eigs is not None:
-            self._kind = "linear"
-            self._eigs = np.asarray(fit.pencil_eigs)  # (k, p)
-            # log det of each tilted covariance splits into the constrained
-            # log det plus a sum over pencil eigenvalue factors
-            self._offset = float(self._weights.sum()) * log_det_spd(fit.lambda0_inv)
-            nu_min = float(self._eigs.min())
-            if nu_min < 1.0 - 1e-12:
-                self.t_sup = 1.0 / (1.0 - nu_min)
-            else:
-                self.t_sup = math.inf
-        elif isinstance(fit.hypothesis, SpecifiedMeanCov):
-            self._kind = "meancov"
-            s = fit.summaries[0]
-            self._v = s.mle_cov
-            self._ybar = s.ybar
-            self._outer = np.outer(s.ybar, s.ybar)
-            # Slope of the exponent's linear term in t.
-            self._slope = 0.5 * s.n * (p - float(np.trace(s.second_moment)))
-            self.t_sup = self._bisect_t_sup()
-        elif isinstance(fit.hypothesis, EqualDistributions):
-            self._kind = "pooled"
-            ybar = fit.mu0[0]
-            self._v0 = fit.lambda0_inv
-            self._vs = [s.mle_cov for s in fit.summaries]
-            self._outers = [np.outer(s.ybar - ybar, s.ybar - ybar) for s in fit.summaries]
-            self.t_sup = self._bisect_t_sup()
-        else:  # pragma: no cover - every hypothesis maps to a kind above
-            raise TypeError(f"unsupported hypothesis {fit.hypothesis!r}")
-
-    # -- path matrices (quadratic-path cases) --------------------------------
-
-    def _path_mats(self, t: float) -> list[np.ndarray]:
-        if self._kind == "meancov":
-            p = self.fit.p
-            return [(1.0 - t) * np.eye(p) + t * self._v + t * (1.0 - t) * self._outer]
-        return [
-            (1.0 - t) * self._v0 + t * v + t * (1.0 - t) * b
-            for v, b in zip(self._vs, self._outers)
-        ]
-
-    def _path_pd(self, t: float) -> bool:
-        for m in self._path_mats(t):
-            try:
-                np.linalg.cholesky(symmetrize(m))
-            except np.linalg.LinAlgError:
-                return False
-        return True
-
-    def _bisect_t_sup(self) -> float:
-        # The path is positive definite on [0, 1]; expand past the first
-        # failure then bisect on Cholesky success.
-        lo, hi = 1.0, 2.0
-        while self._path_pd(hi):
-            lo = hi
-            hi *= 2.0
-            if hi > _TSUP_HUGE:
-                return math.inf
-        while hi - lo > _BISECT_REL * hi:
-            mid = 0.5 * (lo + hi)
-            if self._path_pd(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+            self._mu = np.asarray(fit.pencil_eigs)  # (k, p)
+            self._c2 = np.zeros_like(self._mu)
+        else:
+            ell = spd_cholesky(fit.lambda0_inv)
+            mus, cs = [], []
+            for s, mu0 in zip(fit.summaries, fit.mu0):
+                b = s.ybar - mu0
+                half = np.linalg.solve(ell, np.column_stack([s.mle_cov + np.outer(b, b), b]))
+                mu, q = np.linalg.eigh(symmetrize(np.linalg.solve(ell, half[:, :p].T)))
+                mus.append(mu)
+                cs.append(q.T @ half[:, p])
+            self._mu = np.array(mus)
+            self._c2 = np.array(cs) ** 2
+            self._slope = 0.5 * sum(
+                s.n * (p - float(np.sum(mu))) for s, mu in zip(fit.summaries, self._mu)
+            )
+        self._offset = float(self._weights.sum()) * log_det_spd(fit.lambda0_inv)
+        self.t_sup = _feasible_sup(self._mu, self._c2)
 
     # -- log-integrand and curvature -----------------------------------------
 
@@ -150,67 +143,34 @@ class DirectionalEvaluator:
         outside the positive definite range.
         """
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        tv = np.atleast_1d(t_arr)
-        out = np.full(tv.shape, -math.inf)
-        pos = tv > 0.0
-        if self.d == 1:
-            pos = tv >= 0.0
-        if self._kind == "linear":
-            factors = 1.0 - tv[pos, None, None] + tv[pos, None, None] * self._eigs[None, :, :]
-            ok = np.all(factors > 0.0, axis=(1, 2))
-            vals = np.full(pos.sum(), -math.inf)
-            if ok.any():
-                logs = np.sum(np.log(factors[ok]), axis=2)  # (m, k)
-                vals[ok] = logs @ self._weights + self._offset
-            out[pos] = vals
-        else:
-            w = self._weights
-            vals = np.empty(pos.sum())
-            for i, ti in enumerate(tv[pos]):
-                acc = 0.0
-                for wg, m in zip(w, self._path_mats(float(ti))):
-                    ld = _chol_logdet(symmetrize(m))
-                    if ld == -math.inf:
-                        acc = -math.inf
-                        break
-                    acc += wg * ld
-                if acc != -math.inf and self._kind == "meancov":
-                    acc += self._slope * float(ti)
-                vals[i] = acc
-            out[pos] = vals
+        tv = t_arr.reshape(-1)
+        f = 1.0 - tv[:, None, None] + tv[:, None, None] * self._mu  # (m, k, p)
         with np.errstate(divide="ignore", invalid="ignore"):
-            jac = (self.d - 1) * np.log(tv, where=tv > 0, out=np.full(tv.shape, -math.inf))
-        if self.d == 1:
-            jac = np.zeros(tv.shape)
-        out = out + jac
-        return float(out[0]) if scalar else out.reshape(t_arr.shape)
+            r = 1.0 - tv[:, None] ** 2 * np.sum(self._c2 / f, axis=2)  # (m, k)
+            logs = np.sum(np.log(f), axis=2) + np.log(r)
+            vals = logs @ self._weights + self._offset + self._slope * tv
+            if self.d > 1:
+                vals += (self.d - 1) * np.log(tv)
+        ok = tv >= 0.0 if self.d == 1 else tv > 0.0
+        ok &= np.all(f > 0.0, axis=(1, 2)) & np.all(r > 0.0, axis=1)
+        out = np.where(ok, vals, -math.inf)
+        return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
     def curvature(self, t: float) -> float:
-        """Closed-form second derivative of ``log_gbar`` at ``t``."""
+        """Closed-form second derivative of ``log_gbar`` at ``t``.
+
+        With ``s = t**2 sum c_j**2 / f_j`` the rank-one factor is
+        ``1 - s``, ``s' = t sum c_j**2 (1 + f_j) / f_j**2`` and
+        ``s'' = 2 sum c_j**2 / f_j**3``.
+        """
         t = float(t)
-        total = -(self.d - 1) / t**2
-        if self._kind == "linear":
-            factors = 1.0 - t + t * self._eigs
-            terms = np.sum((1.0 - self._eigs) ** 2 / factors**2, axis=1)
-            return float(total - self._weights @ terms)
-        mats = self._path_mats(t)
-        if self._kind == "meancov":
-            derivs = [self._v - np.eye(self.fit.p) + (1.0 - 2.0 * t) * self._outer]
-            outers = [self._outer]
-        else:
-            derivs = [
-                v - self._v0 + (1.0 - 2.0 * t) * b for v, b in zip(self._vs, self._outers)
-            ]
-            outers = self._outers
-        for wg, m, dm, b in zip(self._weights, mats, derivs, outers):
-            try:
-                lam = np.linalg.inv(symmetrize(m))
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefiniteError(str(exc)) from exc
-            ld = lam @ dm
-            total -= wg * (float(np.sum(ld * ld.T)) + 2.0 * float(np.sum(lam * b)))
-        return float(total)
+        f = 1.0 - t + t * self._mu
+        linear = np.sum((1.0 - self._mu) ** 2 / f**2, axis=1)
+        r = 1.0 - t * t * np.sum(self._c2 / f, axis=1)
+        s1 = t * np.sum(self._c2 * (1.0 + f) / f**2, axis=1)
+        s2 = 2.0 * np.sum(self._c2 / f**3, axis=1)
+        rank_one = s2 / r + (s1 / r) ** 2
+        return float(-(self.d - 1) / t**2 - self._weights @ (linear + rank_one))
 
     # -- maximization and integration support ---------------------------------
 
@@ -282,6 +242,8 @@ class DirectionalDiagnostics:
     denominator: float
     p_value: float
     degenerate: bool = False
+    n_evals: int = 0  # integrand points of the quadrature, escalations included
+    quad_escalations: int = 0  # sides of t = 1 handed to adaptive quadrature (0-2)
 
 
 def t_sup(fit: ConstrainedFit) -> float:
@@ -351,27 +313,31 @@ def integration_interval(
     return t_min, t_max
 
 
-def _adaptive(f, a: float, b: float, pts, rel_tol: float, abs_tol: float) -> float:
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``panels`` equal ``_GL_NODES``-point panels on
+    ``[0, 1]``, read-only."""
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    start = np.arange(panels)[:, None] / panels
+    nodes = (start + 0.5 * (x + 1.0) / panels).ravel()
+    weights = np.tile(0.5 * w / panels, panels)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _adaptive(f, a: float, b: float, pts, rel_tol: float, abs_tol: float) -> tuple[float, int]:
+    """Adaptive quadrature of ``f`` on ``[a, b]``: ``(value, evaluations)``."""
     if b <= a:
-        return 0.0
+        return 0.0, 0
     inner = [x for x in pts if a < x < b]
+    evals = 0
     for limit in (200, 800):
         out = quad(f, a, b, points=inner or None, epsabs=abs_tol, epsrel=rel_tol,
                    limit=limit, full_output=1)
+        evals += int(out[2]["neval"])
         if len(out) < 4:  # no warning appended: converged
-            return float(out[0])
+            return float(out[0]), evals
     raise NoConvergenceError(f"quadrature failed on [{a}, {b}]: {out[3]}")
-
-
-def _simpson(f, a: float, b: float, nodes: int) -> float:
-    if b <= a:
-        return 0.0
-    if nodes % 2 == 0:
-        nodes += 1
-    xs = np.linspace(a, b, nodes)
-    ys = f(xs)
-    h = (b - a) / (nodes - 1)
-    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
 
 
 def directional_pvalue(
@@ -380,15 +346,18 @@ def directional_pvalue(
     halfwidth: float = 5.0,
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-14,
-    fixed_nodes: int | None = None,
 ) -> tuple[float, DirectionalDiagnostics]:
     """Directional p-value of the fitted hypothesis.
 
-    Integrates ``exp(log_gbar(t) - log_gbar(t_hat))`` adaptively over the
-    narrowed interval; the numerator runs from the observed point ``t = 1``
-    and the denominator from ``t_min``, sharing the upper piece so the
-    ratio lies in [0, 1] by construction.  ``fixed_nodes`` switches to a
-    fixed composite-Simpson rule for reproducibility studies.
+    Integrates ``exp(log_gbar(t) - log_gbar(t_hat))`` over the narrowed
+    interval; the numerator runs from the observed point ``t = 1`` and the
+    denominator from ``t_min``, sharing the upper piece so the ratio lies
+    in [0, 1] by construction.  Each side of ``t = 1`` is integrated by
+    composite Gauss-Legendre at two resolutions, all nodes evaluated in one
+    vectorized ``log_gbar`` call.  The finer value is kept when the two
+    agree to ``rel_tol`` (or ``abs_tol``); otherwise that side is
+    recomputed by adaptive quadrature at the same tolerances, which
+    ``diagnostics.quad_escalations`` counts.
 
     Returns ``(p_value, diagnostics)``.  A degenerate fit (observed data
     exactly at the null expectation) reports ``p = 1`` with the flag set.
@@ -412,12 +381,22 @@ def directional_pvalue(
     def f(t):
         return np.exp(ev.log_gbar(t) - g_hat)
 
-    if fixed_nodes is not None:
-        upper = _simpson(f, 1.0, t_max, fixed_nodes)
-        lower = _simpson(f, t_min, 1.0, fixed_nodes)
-    else:
-        upper = _adaptive(f, 1.0, t_max, (t_hat,), rel_tol, abs_tol)
-        lower = _adaptive(f, t_min, 1.0, (t_hat,), rel_tol, abs_tol)
+    sides = ((t_min, 1.0), (1.0, t_max))
+    x_c, w_c = _gauss_legendre(_GL_PANELS)
+    x_f, w_f = _gauss_legendre(2 * _GL_PANELS)
+    ts = np.concatenate([a + (b - a) * x for a, b in sides for x in (x_c, x_f)])
+    n_evals = ts.size
+    escalations = 0
+    integrals = []
+    for (a, b), v in zip(sides, f(ts).reshape(2, -1)):
+        coarse = (b - a) * float(v[:x_c.size] @ w_c)
+        fine = (b - a) * float(v[x_c.size:] @ w_f)
+        if abs(fine - coarse) > max(abs_tol, rel_tol * abs(fine)):
+            fine, evals = _adaptive(f, a, b, (t_hat,), rel_tol, abs_tol)
+            n_evals += evals
+            escalations += 1
+        integrals.append(fine)
+    lower, upper = integrals
     denominator = lower + upper
     if not (denominator > 0.0) or not math.isfinite(denominator):
         raise NoConvergenceError("directional integrals are degenerate")
@@ -425,6 +404,6 @@ def directional_pvalue(
     diag = DirectionalDiagnostics(
         t_sup=ev.t_sup, t_cap=t_cap, t_hat=t_hat, curvature_at_t_hat=curv,
         t_min=t_min, t_max=t_max, numerator=upper, denominator=denominator,
-        p_value=p, degenerate=False,
+        p_value=p, degenerate=False, n_evals=n_evals, quad_escalations=escalations,
     )
     return p, diag

@@ -12,6 +12,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from dirnormal.directional import DirectionalEvaluator
+from dirnormal.exceptions import NotPositiveDefiniteError
+from dirnormal.hypotheses import path_estimates
 from dirnormal.linalg import duplication_matrix, inv_spd, vech
 
 try:
@@ -157,10 +159,41 @@ def dense_log_gbar(fit, ts: np.ndarray, chunk: int = 100_000) -> np.ndarray:
     return out
 
 
+def path_feasible(fit, t: float) -> bool:
+    """Whether every tilted covariance at ``t`` has a Cholesky factor."""
+    try:
+        path_estimates(fit, t)
+    except NotPositiveDefiniteError:
+        return False
+    return True
+
+
+def feasible_sup_scan(fit, top: float, step: float = 1e-6) -> float:
+    """Largest ``t`` of a ``step``-spaced grid from 1 to ``top`` with a
+    Cholesky-feasible path.
+
+    A scan at spacing 1e-3 over the whole range must find the feasible
+    points to be a prefix of the grid; the scan at ``step`` then covers the
+    coarse cell after the last feasible point.
+    """
+    coarse = np.arange(1.0, top, 1e-3)
+    ok = np.array([path_feasible(fit, t) for t in coarse])
+    last = int(np.nonzero(ok)[0][-1])
+    assert ok[:last + 1].all() and not ok[last + 1:].any(), "feasible set is not an interval"
+    fine = coarse[last] + step * np.arange(int(round(1e-3 / step)) + 1)
+    ok = np.array([path_feasible(fit, t) for t in fine])
+    return float(fine[np.nonzero(ok)[0][-1]])
+
+
 def trapezoid_pvalue(fit, nodes: int = 1_000_001) -> float:
-    """Dense-trapezoid directional p-value over the full feasible range."""
+    """Dense-trapezoid directional p-value over the full feasible range.
+
+    The last node sits 1e-9 inside the cap: at ``n = p + 2`` the integrand
+    does not vanish at ``t_sup``, and its value there is the limit from
+    inside, which a determinant at the boundary itself cannot give.
+    """
     ev = DirectionalEvaluator(fit)
-    cap = ev.integration_cap()
+    cap = ev.integration_cap() * (1.0 - 1e-9)
     ts_den = np.linspace(0.0, cap, nodes)
     g_den = dense_log_gbar(fit, ts_den)
     g_max = float(np.max(g_den))

@@ -1,10 +1,13 @@
 """The directional engine: feasible range, integrand, maximizer, intervals,
 quadrature, and the exactness of the resulting p-value."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from dirnormal.core import sample_mvn
 from dirnormal.exceptions import NotPositiveDefiniteError
@@ -32,7 +35,7 @@ from dirnormal.hypotheses import (
 from dirnormal.linalg import is_positive_definite, log_det_spd
 from dirnormal.simulation import ks_uniformity
 
-from _oracles import trapezoid_pvalue
+from _oracles import feasible_sup_scan, trapezoid_pvalue
 from test_hypotheses import make_summary
 
 
@@ -82,20 +85,43 @@ class TestTSup:
         fit = _sampled_fit(SpecifiedMeanCov(np.zeros(3), np.eye(3)), 14, 3, seed=62, shift=0.4)
         boundary = t_sup(fit)
         # dense scan oracle: largest grid t with a positive definite path
-        grid = np.arange(1.0, boundary + 0.5, 1e-6)
-        ev = DirectionalEvaluator(fit)
-        feasible = np.array([ev._path_pd(float(t)) for t in grid])
-        largest = grid[np.where(feasible)[0][-1]]
-        assert boundary == pytest.approx(largest, abs=2e-6)
+        assert boundary == pytest.approx(feasible_sup_scan(fit, boundary + 0.5), abs=2e-6)
 
     def test_boundary_brackets_cholesky_feasibility(self):
         for hyp, n, p in [(ProportionalIdentity(), 20, 4), (EqualCovariances(), (15, 18), 3)]:
-            fit = _sampled_fit(hyp, n, p, seed=63)
-            boundary = t_sup(fit)
-            inside = path_estimates(fit, boundary * (1 - 1e-6))
-            assert all(is_positive_definite(m) for m in inside.lambda_t_inv)
-            with pytest.raises(NotPositiveDefiniteError):
-                path_estimates(fit, boundary * (1 + 1e-6))
+            _assert_brackets_feasibility(_sampled_fit(hyp, n, p, seed=63))
+
+    @pytest.mark.parametrize("p, n", [(1, 3), (3, 5), (4, 12), (8, 10)])
+    def test_quadratic_boundary_brackets_cholesky_feasibility(self, p, n):
+        # n = p + 2 in the first, second and last rows
+        for seed in range(100):
+            mean_cov = _sampled_fit(SpecifiedMeanCov(np.zeros(p), np.eye(p)), n, p, seed=seed)
+            pooled = _sampled_fit(EqualDistributions(), (n, n + 1, n), p, seed=seed)
+            for fit in (mean_cov, pooled):
+                assert math.isfinite(t_sup(fit))
+                _assert_brackets_feasibility(fit)
+
+    def test_root_search_leaves_no_reference_cycle(self):
+        # a cycle through the evaluator would keep its fit's arrays alive
+        # until the garbage collector runs
+        fit = _sampled_fit(SpecifiedMeanCov(np.zeros(4), np.eye(4)), 20, 4, seed=82)
+        gc.disable()
+        try:
+            ev = DirectionalEvaluator(fit)
+            assert math.isfinite(ev.t_sup)
+            ref = weakref.ref(ev)
+            del ev
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def _assert_brackets_feasibility(fit):
+    boundary = t_sup(fit)
+    inside = path_estimates(fit, boundary * (1 - 1e-6))
+    assert all(is_positive_definite(m) for m in inside.lambda_t_inv)
+    with pytest.raises(NotPositiveDefiniteError):
+        path_estimates(fit, boundary * (1 + 1e-6))
 
 
 class TestLogGbar:
@@ -124,6 +150,27 @@ class TestLogGbar:
             shortcut = ld0 + float(np.sum(np.log(1 - t + t * fit.pencil_eigs[0])))
             assert shortcut == pytest.approx(direct, abs=1e-10)
             expected = (fit.d - 1) * np.log(t) + 0.5 * (s.n - fit.p - 2) * direct
+            assert ev.log_gbar(t) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("hyp, n, p", [
+        (SpecifiedMeanCov(np.zeros(5), np.eye(5)), 25, 5),
+        (EqualDistributions(), (12, 15, 20), 4),
+    ])
+    def test_rank_one_form_matches_direct_determinant(self, hyp, n, p):
+        # determinant-lemma evaluation against a per-t factorization of the
+        # quadratic path
+        fit = _sampled_fit(hyp, n, p, seed=80, shift=0.3)
+        ev = DirectionalEvaluator(fit)
+        slope = 0.0
+        if isinstance(hyp, SpecifiedMeanCov):
+            s = fit.summaries[0]
+            slope = 0.5 * s.n * (p - np.trace(s.second_moment))
+        rng = np.random.default_rng(81)
+        for t in rng.uniform(0.0, ev.t_sup * 0.999, size=50):
+            direct = path_estimates(fit, t).lambda_t_inv
+            expected = (fit.d - 1) * np.log(t) + slope * t + sum(
+                0.5 * (s.n - p - 2) * log_det_spd(m) for s, m in zip(fit.summaries, direct)
+            )
             assert ev.log_gbar(t) == pytest.approx(expected, abs=1e-9)
 
     def test_identical_groups_symmetric_contributions(self):
@@ -254,6 +301,17 @@ class TestDirectionalPvalue:
         assert p == pytest.approx(trapezoid_pvalue(fit), abs=1e-6)
         assert diag.numerator / diag.denominator == pytest.approx(p, rel=1e-12)
 
+    @pytest.mark.parametrize("hyp, n, p", [
+        (CompleteIndependence(), 4, 2),  # d = 1
+        (SpecifiedMeanCov(np.zeros(3), np.eye(3)), 5, 3),
+        (EqualDistributions(), (5, 5), 3),
+    ])
+    def test_matches_dense_trapezoid_at_smallest_n(self, hyp, n, p):
+        # n = p + 2: zero weights, so the integrand does not vanish at t_sup
+        fit = _sampled_fit(hyp, n, p, seed=75)
+        p_val, _ = directional_pvalue(fit)
+        assert p_val == pytest.approx(trapezoid_pvalue(fit), abs=1e-6)
+
     def test_constant_shift_invariance(self, monkeypatch):
         fit = _sampled_fit(CompleteIndependence(), 20, 3, seed=76)
         p_base, _ = directional_pvalue(fit)
@@ -279,9 +337,39 @@ class TestDirectionalPvalue:
 
     def test_fixed_grid_matches_adaptive(self):
         fit = _sampled_fit(EqualDistributions(), (15, 18), 3, seed=78)
-        p_adaptive, _ = directional_pvalue(fit)
-        p_fixed, _ = directional_pvalue(fit, fixed_nodes=20001)
-        assert p_fixed == pytest.approx(p_adaptive, abs=1e-7)
+        p_engine, _ = directional_pvalue(fit)
+        assert p_engine == pytest.approx(trapezoid_pvalue(fit), abs=1e-7)
+
+    def test_disagreeing_resolutions_escalate_to_adaptive(self, monkeypatch):
+        # a bump on the upper side too narrow for either Gauss-Legendre
+        # resolution sends that side, and only that side, to quad
+        fit = _sampled_fit(CompleteIndependence(), 20, 3, seed=76)
+        _, base = directional_pvalue(fit)
+        assert base.quad_escalations == 0 and base.n_evals > 0
+        centre = 0.5 * (1.0 + base.t_max)
+        width = 0.003 * (base.t_max - 1.0)
+        g_peak = DirectionalEvaluator(fit).log_gbar(base.t_hat)
+        original = DirectionalEvaluator.log_gbar
+
+        def bumped(self, t):
+            bump = math.log(0.01) + g_peak - 0.5 * ((np.asarray(t) - centre) / width) ** 2
+            return np.logaddexp(original(self, t), bump)
+
+        monkeypatch.setattr(DirectionalEvaluator, "log_gbar", bumped)
+        p_val, diag = directional_pvalue(fit)
+        assert diag.quad_escalations == 1
+        assert diag.n_evals > base.n_evals
+        ev = DirectionalEvaluator(fit)
+        g_hat = ev.log_gbar(diag.t_hat)
+
+        def f(t):
+            return math.exp(ev.log_gbar(t) - g_hat)
+
+        assert 1.0 < diag.t_hat < diag.t_max
+        upper = quad(f, 1.0, diag.t_max, points=[centre, diag.t_hat], epsabs=1e-15,
+                     epsrel=1e-13, limit=500)[0]
+        lower = quad(f, diag.t_min, 1.0, epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+        assert p_val == pytest.approx(upper / (upper + lower), abs=1e-12)
 
     def test_uniform_under_null_small_study(self):
         pvals = []
