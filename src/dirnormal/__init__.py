@@ -15,13 +15,10 @@ from .classical import (
     bartlett_rescale,
     chisq_upper_tail,
     classical_report,
-    lrt,
-    skovgaard_gamma,
     skovgaard_log_gamma,
     skovgaard_stats,
 )
 from .core import (
-    CanonicalPoint,
     SampleSummary,
     check_estimate_exists,
     info_log_det,
@@ -31,12 +28,8 @@ from .core import (
 from .directional import (
     DirectionalDiagnostics,
     DirectionalEvaluator,
-    curvature,
     directional_pvalue,
     integration_interval,
-    log_gbar,
-    maximize_gbar,
-    t_sup,
 )
 from .exceptions import (
     DegenerateNullError,
@@ -49,6 +42,7 @@ from .exceptions import (
     ParseError,
 )
 from .hypotheses import (
+    HYPOTHESES,
     BlockIndependence,
     CompleteIndependence,
     ConstrainedFit,
@@ -60,14 +54,13 @@ from .hypotheses import (
     SufficientShift,
     ZeroPattern,
     constrained_mle,
-    degrees_of_freedom,
     expected_s_psi,
     fit_hypothesis,
     fit_zero_pattern,
     path_estimates,
     standardize,
 )
-from .linalg import duplication_matrix, eig_pencil, log_det_spd
+from .linalg import eig_pencil, log_det_spd
 from .simulation import (
     Extreme,
     Local,

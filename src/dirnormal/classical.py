@@ -1,8 +1,8 @@
 """Classical and higher-order reference tests.
 
-Provides the likelihood ratio statistic ``W`` (with the modified pooled
-variant for the equal-covariances case), a parametric-bootstrap Bartlett
-rescaling ``W_BC = d W / E(W)``, and the two large-deviation modifications
+Each hypothesis gives its likelihood ratio statistic ``W``
+(``Hypothesis.lrt``).  This module provides a parametric-bootstrap Bartlett
+rescaling ``W_BC = d W / E(W)`` and the two large-deviation modifications
 
     ``W*  = W (1 - log(gamma) / W)**2``    and    ``W** = W - 2 log(gamma)``
 
@@ -23,22 +23,14 @@ from scipy.special import gammaincc
 
 from .core import sample_mvn, summarize
 from .exceptions import DegenerateNullError
-from .hypotheses import (
-    ConstrainedFit,
-    EqualCovariances,
-    EqualDistributions,
-    SpecifiedMeanCov,
-    constrained_mle,
-)
-from .linalg import inv_spd, log_det_spd
+from .hypotheses import ConstrainedFit, constrained_mle, is_degenerate
+from .linalg import inv_and_log_det_spd
 
 __all__ = [
     "ClassicalReport",
     "DEGENERATE_W",
     "chisq_upper_tail",
-    "lrt",
     "skovgaard_log_gamma",
-    "skovgaard_gamma",
     "skovgaard_stats",
     "bartlett_rescale",
     "bartlett_bootstrap",
@@ -57,7 +49,6 @@ class ClassicalReport:
     w: float  # headline likelihood ratio statistic
     d: int  # degrees of freedom
     log_gamma: float | None = None
-    gamma: float | None = None  # exp(log_gamma); inf when it overflows
     w_star: float | None = None
     w_star2: float | None = None
     w_bc: float | None = None
@@ -77,52 +68,6 @@ def chisq_upper_tail(x: float, d: int) -> float:
     return float(gammaincc(0.5 * d, 0.5 * x))
 
 
-def lrt(fit: ConstrainedFit) -> float:
-    """Likelihood ratio statistic of the fitted hypothesis.
-
-    For the equal-covariances case this is the pooled variant built from
-    the bias-adjusted estimates (divisors ``n_i - 1`` and ``n - k``), which
-    is the form whose chi-square approximation is customarily reported; all
-    other cases use the plain maximum likelihood estimates.
-    """
-    hyp = fit.hypothesis
-    if isinstance(hyp, EqualCovariances):
-        k = fit.k
-        n = fit.n_total
-        pooled = sum(s.centered_ssq for s in fit.summaries) / (n - k)
-        ld0 = log_det_spd(pooled)
-        return float(
-            sum(
-                (s.n - 1) * (ld0 - log_det_spd(s.centered_ssq / (s.n - 1)))
-                for s in fit.summaries
-            )
-        )
-    if isinstance(hyp, EqualDistributions):
-        ld0 = log_det_spd(fit.lambda0_inv)
-        return float(
-            fit.n_total * ld0 - sum(s.n * log_det_spd(s.mle_cov) for s in fit.summaries)
-        )
-    if isinstance(hyp, SpecifiedMeanCov):
-        s = fit.summaries[0]
-        n, p = s.n, s.p
-        return float(-(n - 1) * log_det_spd(s.mle_cov) + n * np.trace(s.second_moment) - n * p)
-    # Concentration-pattern cases: W depends on the data only through the
-    # pencil eigenvalues.
-    nu = fit.pencil_eigs[0]
-    return float(-fit.summaries[0].n * np.sum(np.log(nu)))
-
-
-def _plain_w(fit: ConstrainedFit) -> float:
-    """Twice the log-likelihood drop of the constrained fit, no adjustment."""
-    hyp = fit.hypothesis
-    if isinstance(hyp, EqualCovariances):
-        return float(-sum(s.n * np.sum(np.log(nu)) for s, nu in zip(fit.summaries, fit.pencil_eigs)))
-    if isinstance(hyp, SpecifiedMeanCov):
-        s = fit.summaries[0]
-        return float(-s.n * log_det_spd(s.mle_cov) + s.n * np.trace(s.second_moment) - s.n * s.p)
-    return lrt(fit)
-
-
 def skovgaard_log_gamma(fit: ConstrainedFit) -> float:
     """Log of the correction factor for the modified likelihood statistics.
 
@@ -132,85 +77,41 @@ def skovgaard_log_gamma(fit: ConstrainedFit) -> float:
         When the unadjusted statistic is (numerically) zero, in which case
         the factor is undefined and callers should report p-values of 1.
     """
-    w = _plain_w(fit)
+    w = fit.hypothesis.plain_w(fit)
     if w <= DEGENERATE_W:
         raise DegenerateNullError("likelihood ratio statistic is zero; correction factor undefined")
-    hyp = fit.hypothesis
     p = fit.p
-    d = fit.d
-
+    quad = inner = logdet_ratio = 0.0
     if fit.pencil_eigs is not None:
-        # One-sample pattern cases and equal covariances share one formula:
-        # everything is a spectral function of the per-group pencils.
-        quad = 0.0
-        inner = 0.0
-        logdet_ratio = 0.0
+        # Where the mean is free everything is a spectral function of the
+        # per-group pencils.
         for s, nu in zip(fit.summaries, fit.pencil_eigs):
             quad += 0.5 * s.n * (float(np.sum(nu**2)) - p)
             inner += 0.5 * s.n * (float(np.sum(1.0 / nu)) - p)
             logdet_ratio += -0.5 * (p + 2) * float(np.sum(np.log(nu)))
-        if quad <= 0.0 or inner <= 0.0:
-            raise DegenerateNullError("degenerate correction factor")
-        return 0.5 * d * math.log(quad) - (0.5 * d - 1.0) * math.log(w) - math.log(inner) + logdet_ratio
-
-    if isinstance(hyp, SpecifiedMeanCov):
-        s = fit.summaries[0]
-        n = s.n
-        m = s.second_moment
-        lam_hat = inv_spd(s.mle_cov)
-        quad = 0.5 * n * float(np.sum(m * m)) - n * float(np.trace(s.mle_cov)) + 0.5 * n * p
-        inner = 0.5 * n * (
-            float(s.ybar @ lam_hat @ s.ybar)
-            + float(np.trace(lam_hat))
-            + float(np.trace(m))
-            - 2.0 * p
-        )
-        if quad <= 0.0 or inner <= 0.0:
-            raise DegenerateNullError("degenerate correction factor")
-        log_det_ratio = -0.5 * (p + 2) * log_det_spd(s.mle_cov)
-        return 0.5 * d * math.log(quad) - (0.5 * d - 1.0) * math.log(w) - math.log(inner) + log_det_ratio
-
-    if isinstance(hyp, EqualDistributions):
-        # The quadratic form splits per group via the block structure of the
-        # information: n_i b' L0 b + (n_i/2) tr(G L0 G L0) with
-        # G = M_i - inv(L0) - ybar_i ybar' - ybar ybar_i' + ybar ybar'
-        # (verified against the assembled-matrix oracle in the test suite).
-        ybar = fit.mu0[0]
-        lam0 = inv_spd(fit.lambda0_inv)
-        inner = 0.0
-        quad = 0.0
-        for s in fit.summaries:
-            b = s.ybar - ybar
-            lam_i = inv_spd(s.mle_cov)
-            inner += 0.5 * s.n * float(b @ lam_i @ b) + 0.5 * s.n * float(np.sum(lam_i * fit.lambda0_inv))
-            g = (
-                s.second_moment
-                - fit.lambda0_inv
-                - np.outer(s.ybar, ybar)
-                - np.outer(ybar, s.ybar)
-                + np.outer(ybar, ybar)
-            )
-            gl = g @ lam0
-            quad += s.n * float(b @ lam0 @ b) + 0.5 * s.n * float(np.sum(gl * gl.T))
-        inner -= 0.5 * fit.n_total * p
-        if quad <= 0.0 or inner <= 0.0:
-            raise DegenerateNullError("degenerate correction factor")
-        log_det_ratio = 0.5 * (p + 2) * (
-            fit.k * log_det_spd(fit.lambda0_inv)
-            - sum(log_det_spd(s.mle_cov) for s in fit.summaries)
-        )
-        return 0.5 * d * math.log(quad) - (0.5 * d - 1.0) * math.log(w) - math.log(inner) + log_det_ratio
-
-    raise TypeError(f"unknown hypothesis {hyp!r}")
-
-
-def skovgaard_gamma(fit: ConstrainedFit) -> float:
-    """The correction factor itself; overflows to ``inf`` for large ``d``."""
-    lg = skovgaard_log_gamma(fit)
-    try:
-        return math.exp(lg)
-    except OverflowError:
-        return math.inf
+    else:
+        # The quadratic form and the inner product split per group through
+        # the block structure of the information.  With b = ybar_g - mu0_g,
+        # V the group's covariance and G = V + b b' - A, group g adds
+        # n b'A^-1 b + n/2 tr((G A^-1)^2) to the quadratic form and
+        # n/2 (b'V^-1 b + b'A^-1 b + tr(V^-1 A) + tr(A^-1 V) - 2p) to the
+        # inner product (checked against the assembled-matrix oracle in
+        # the test suite).
+        a = fit.lambda0_inv
+        a_inv, ld_a = inv_and_log_det_spd(a)
+        for s, mu in zip(fit.summaries, fit.mu0):
+            b = s.ybar - mu
+            lam_hat, ld_v = inv_and_log_det_spd(s.mle_cov)
+            ga = (s.mle_cov + np.outer(b, b) - a) @ a_inv
+            b_a = float(b @ a_inv @ b)
+            quad += s.n * b_a + 0.5 * s.n * float(np.sum(ga * ga.T))
+            traces = float(np.sum(lam_hat * a)) + float(np.sum(a_inv * s.mle_cov))
+            inner += 0.5 * s.n * (float(b @ lam_hat @ b) + b_a + traces - 2 * p)
+            logdet_ratio += 0.5 * (p + 2) * (ld_a - ld_v)
+    if quad <= 0.0 or inner <= 0.0:
+        raise DegenerateNullError("degenerate correction factor")
+    d = fit.d
+    return 0.5 * d * math.log(quad) - (0.5 * d - 1.0) * math.log(w) - math.log(inner) + logdet_ratio
 
 
 def skovgaard_stats(
@@ -243,14 +144,6 @@ def bartlett_rescale(w: float, d: int, e_w_hat: float) -> tuple[float, float]:
     return w_bc, chisq_upper_tail(w_bc, d)
 
 
-def _refit_hypothesis(fit: ConstrainedFit):
-    # Resampled data are already on the standardized scale for the fully
-    # specified case.
-    if isinstance(fit.hypothesis, SpecifiedMeanCov):
-        return SpecifiedMeanCov(np.zeros(fit.p), np.eye(fit.p))
-    return fit.hypothesis
-
-
 def bartlett_bootstrap(
     fit: ConstrainedFit, b_reps: int = 500, seed: int = 0
 ) -> tuple[float, float, float]:
@@ -264,15 +157,15 @@ def bartlett_bootstrap(
     """
     if b_reps < 50:
         raise ValueError("need at least 50 bootstrap replications")
-    hyp = _refit_hypothesis(fit)
-    w_obs = lrt(fit)
+    hyp = fit.hypothesis
+    w_obs = hyp.lrt(fit)
     total = 0.0
     for b in range(b_reps):
         sums = []
         for i, (s, mu) in enumerate(zip(fit.summaries, fit.mu0)):
             y = sample_mvn(mu, fit.lambda0_inv, s.n, np.random.SeedSequence((seed, 710, b, i)))
             sums.append(summarize(y))
-        total += lrt(constrained_mle(hyp, sums))
+        total += hyp.lrt(constrained_mle(hyp, sums))
     e_w_hat = total / b_reps
     w_bc, p_bc = bartlett_rescale(w_obs, fit.d, e_w_hat)
     return e_w_hat, w_bc, p_bc
@@ -289,27 +182,24 @@ def classical_report(
     """Evaluate the requested classical tests on one fitted data set.
 
     ``methods`` is a subset of ``{"lrt", "bc", "sko1", "sko2"}``.  When the
-    observed statistic is numerically zero the data sit exactly at the null
-    expectation and every requested p-value is reported as 1.  For ``bc``,
-    a precomputed ``e_w_hat`` (e.g. calibrated once per simulation cell)
-    bypasses the per-call bootstrap.
+    observed statistic is numerically zero, or the data sit at the null
+    expectation by the rule the directional test uses (``is_degenerate``),
+    every requested p-value is reported as 1.  For ``bc``, a precomputed
+    ``e_w_hat`` (e.g. calibrated once per simulation cell) bypasses the
+    per-call bootstrap.
     """
-    w = lrt(fit)
-    pvalues: dict[str, float] = {}
-    if w <= DEGENERATE_W:
-        for m in methods:
-            pvalues[m] = 1.0
-        return ClassicalReport(w=w, d=fit.d, pvalues=pvalues, degenerate=True)
+    w = fit.hypothesis.lrt(fit)
+    if w <= DEGENERATE_W or is_degenerate(fit):
+        return ClassicalReport(w=w, d=fit.d, pvalues=dict.fromkeys(methods, 1.0), degenerate=True)
 
+    pvalues: dict[str, float] = {}
     log_gamma = None
-    gamma = None
     w_star = w_star2 = None
     w_bc = None
     if "lrt" in methods:
         pvalues["lrt"] = chisq_upper_tail(w, fit.d)
     if "sko1" in methods or "sko2" in methods:
         log_gamma = skovgaard_log_gamma(fit)
-        gamma = math.exp(log_gamma) if log_gamma < 700.0 else math.inf
         w_star, w_star2, p_star, p_star2 = skovgaard_stats(w, d=fit.d, log_gamma=log_gamma)
         if "sko1" in methods:
             pvalues["sko1"] = p_star
@@ -326,7 +216,6 @@ def classical_report(
         w=w,
         d=fit.d,
         log_gamma=log_gamma,
-        gamma=gamma,
         w_star=w_star,
         w_star2=w_star2,
         w_bc=w_bc,

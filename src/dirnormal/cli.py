@@ -18,25 +18,13 @@ from . import report as report_io
 from .classical import classical_report
 from .directional import directional_pvalue
 from .exceptions import DegenerateNullError, DirnormalError
-from .hypotheses import (
-    BlockIndependence,
-    CompleteIndependence,
-    EqualCovariances,
-    EqualDistributions,
-    ProportionalIdentity,
-    SpecifiedMeanCov,
-    ZeroPattern,
-    fit_hypothesis,
-)
-from .simulation import Extreme, Local, Null, ScenarioSpec, Setting1, run_study
-
-_CASES = ("c1", "c2", "c3", "c4", "c5", "c6", "pattern")
-_GROUP_CASES = ("c3", "c4")
+from .hypotheses import HYPOTHESES, BlockIndependence, SpecifiedMeanCov, ZeroPattern, fit_hypothesis
+from .simulation import METHODS, Extreme, Local, Null, ScenarioSpec, Setting1, run_study
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
     methods = tuple(m.strip().lower() for m in text.split(",") if m.strip())
-    bad = set(methods) - {"dt", "lrt", "bc", "sko1", "sko2"}
+    bad = set(methods) - set(METHODS)
     if bad:
         raise DirnormalError(f"unknown methods: {', '.join(sorted(bad))}")
     if not methods:
@@ -73,19 +61,13 @@ def _load_groups(args) -> tuple[list[np.ndarray], list[str] | None]:
     return groups, [names[j] for j in keep]
 
 
-def _build_hypothesis(args, p: int):
+def _build_hypothesis(args):
     case = args.case
-    if case == "c1":
-        return ProportionalIdentity()
     if case == "c2":
         if not args.blocks:
             raise DirnormalError("case c2 requires --blocks p1,p2,...")
         sizes = tuple(int(s) for s in args.blocks.split(","))
         return BlockIndependence(sizes)
-    if case == "c3":
-        return EqualDistributions()
-    if case == "c4":
-        return EqualCovariances()
     if case == "c5":
         if not (args.mu0 and args.lambda0):
             raise DirnormalError("case c5 requires --mu0 FILE and --lambda0 FILE")
@@ -93,11 +75,11 @@ def _build_hypothesis(args, p: int):
             report_io.read_vector_csv(args.mu0),
             report_io.read_matrix_csv(args.lambda0),
         )
-    if case == "c6":
-        return CompleteIndependence()
-    if not args.pattern:
-        raise DirnormalError("case pattern requires --pattern FILE with 1-based 'i,j' zero pairs")
-    return ZeroPattern(report_io.read_pattern_csv(args.pattern))
+    if case == "pattern":
+        if not args.pattern:
+            raise DirnormalError("case pattern requires --pattern FILE with 1-based 'i,j' zero pairs")
+        return ZeroPattern(report_io.read_pattern_csv(args.pattern))
+    return HYPOTHESES[case]()
 
 
 def run_test_command(args) -> int:
@@ -105,7 +87,7 @@ def run_test_command(args) -> int:
     if args.interval_c <= 0 or args.quad_tol <= 0 or args.bc_reps <= 0:
         raise DirnormalError("numeric options must be positive")
     groups, column_names = _load_groups(args)
-    if args.case in _GROUP_CASES:
+    if HYPOTHESES[args.case].grouped:
         if len(groups) < 2:
             raise DirnormalError(f"case {args.case} needs at least two groups")
         data = groups
@@ -114,8 +96,7 @@ def run_test_command(args) -> int:
             raise DirnormalError(f"case {args.case} takes a single data file")
         data = groups[0]
     p = groups[0].shape[1]
-    hypothesis = _build_hypothesis(args, p)
-    fit = fit_hypothesis(hypothesis, data)
+    fit = fit_hypothesis(_build_hypothesis(args), data)
 
     method_entries: dict[str, dict] = {}
     diagnostics = None
@@ -164,7 +145,7 @@ def run_test_command(args) -> int:
 def run_simulate_command(args) -> int:
     methods = _parse_methods(args.methods)
     sizes = tuple(int(s) for s in args.n.split(","))
-    n = sizes if args.case in _GROUP_CASES else sizes[0]
+    n = sizes if HYPOTHESES[args.case].grouped else sizes[0]
     if args.case == "pattern":
         raise DirnormalError("simulate supports the six named cases (c1..c6)")
     if args.alt == "null":
@@ -201,7 +182,7 @@ def run_simulate_command(args) -> int:
 
 def _add_test_parser(sub) -> None:
     q = sub.add_parser("test", help="run the tests on data files")
-    q.add_argument("--case", required=True, choices=_CASES)
+    q.add_argument("--case", required=True, choices=tuple(HYPOTHESES))
     q.add_argument("--data", action="append", required=True, help="CSV data file (repeat for groups)")
     q.add_argument("--group-col", default=None, help="column holding group labels")
     q.add_argument("--blocks", default=None, help="comma-separated block sizes (case c2)")
@@ -222,7 +203,7 @@ def _add_test_parser(sub) -> None:
 
 def _add_simulate_parser(sub) -> None:
     q = sub.add_parser("simulate", help="run a Monte Carlo study")
-    q.add_argument("--case", required=True, choices=_CASES)
+    q.add_argument("--case", required=True, choices=tuple(HYPOTHESES))
     q.add_argument("--n", required=True, help="sample size, or comma-separated group sizes")
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--reps", type=int, required=True)

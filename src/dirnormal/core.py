@@ -18,7 +18,6 @@ from .linalg import log_det_spd, spd_cholesky, symmetrize
 
 __all__ = [
     "SampleSummary",
-    "CanonicalPoint",
     "validate_data",
     "check_estimate_exists",
     "summarize",
@@ -52,26 +51,6 @@ class SampleSummary:
     second_moment: np.ndarray
     mle_cov: np.ndarray
     centered_ssq: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class CanonicalPoint:
-    """A value of the canonical parameter ``(xi, Lambda)``."""
-
-    xi: np.ndarray
-    concentration: np.ndarray
-
-    @classmethod
-    def from_moments(cls, mu: np.ndarray, cov: np.ndarray) -> "CanonicalPoint":
-        """Build from the moment parameterization ``(mu, inv(Lambda))``."""
-        ell = spd_cholesky(cov)
-        concentration = np.linalg.solve(ell.T, np.linalg.solve(ell, np.eye(len(mu))))
-        concentration = symmetrize(concentration)
-        return cls(xi=concentration @ np.asarray(mu, dtype=float), concentration=concentration)
-
-    def mean(self) -> np.ndarray:
-        """The mean vector ``inv(Lambda) @ xi``."""
-        return np.linalg.solve(self.concentration, self.xi)
 
 
 def validate_data(data: np.ndarray, min_rows: int = 2) -> np.ndarray:

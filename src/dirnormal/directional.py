@@ -30,10 +30,6 @@ from .linalg import log_det_spd, spd_cholesky, symmetrize
 __all__ = [
     "DirectionalDiagnostics",
     "DirectionalEvaluator",
-    "t_sup",
-    "log_gbar",
-    "curvature",
-    "maximize_gbar",
     "integration_interval",
     "directional_pvalue",
 ]
@@ -194,15 +190,13 @@ class DirectionalEvaluator:
             t *= 2.0
         raise NoConvergenceError("could not truncate an unbounded integration range")
 
-    def maximize(self, t_cap: float | None = None) -> float:
+    def maximize(self, t_cap: float) -> float:
         """Maximizer of ``log_gbar`` on ``(0, t_cap)``.
 
         Derivative-free bounded search; if a coarse probe beats the located
         maximum (non-unimodal pathology) a 1024-point grid scan is run and
         polished.
         """
-        if t_cap is None:
-            t_cap = self.integration_cap()
         lo = 1e-9
         hi = t_cap * (1.0 - 1e-9)
         res = minimize_scalar(
@@ -246,27 +240,6 @@ class DirectionalDiagnostics:
     quad_escalations: int = 0  # sides of t = 1 handed to adaptive quadrature (0-2)
 
 
-def t_sup(fit: ConstrainedFit) -> float:
-    """Largest ``t`` for which all tilted covariance estimates stay positive
-    definite (``inf`` when the path never leaves the cone)."""
-    return DirectionalEvaluator(fit).t_sup
-
-
-def log_gbar(fit: ConstrainedFit, t):
-    """Log radial integrand at ``t`` (scalar or array), up to a constant."""
-    return DirectionalEvaluator(fit).log_gbar(t)
-
-
-def curvature(fit: ConstrainedFit, t: float) -> float:
-    """Second derivative of the log integrand at ``t``."""
-    return DirectionalEvaluator(fit).curvature(t)
-
-
-def maximize_gbar(fit: ConstrainedFit) -> float:
-    """Maximizer of the log integrand over the feasible range."""
-    return DirectionalEvaluator(fit).maximize()
-
-
 def _widen(ev: DirectionalEvaluator, t_hat: float, g_hat: float, start: float,
            lower: bool, bound: float) -> float:
     half = start
@@ -279,11 +252,11 @@ def _widen(ev: DirectionalEvaluator, t_hat: float, g_hat: float, start: float,
 
 
 def integration_interval(
-    fit_or_evaluator,
-    t_hat: float | None = None,
-    curvature_at_t_hat: float | None = None,
-    halfwidth: float = 5.0,
-    t_cap: float | None = None,
+    ev: DirectionalEvaluator,
+    t_hat: float,
+    curvature_at_t_hat: float,
+    halfwidth: float,
+    t_cap: float,
 ) -> tuple[float, float]:
     """Narrowed integration interval around the integrand peak.
 
@@ -295,13 +268,6 @@ def integration_interval(
     excluded.  Falls back to the full range when the curvature is not
     usable.
     """
-    ev = fit_or_evaluator if isinstance(fit_or_evaluator, DirectionalEvaluator) else DirectionalEvaluator(fit_or_evaluator)
-    if t_cap is None:
-        t_cap = ev.integration_cap()
-    if t_hat is None:
-        t_hat = ev.maximize(t_cap)
-    if curvature_at_t_hat is None:
-        curvature_at_t_hat = ev.curvature(t_hat)
     if not (curvature_at_t_hat < 0.0) or not math.isfinite(curvature_at_t_hat):
         return 0.0, t_cap
     g_hat = ev.log_gbar(t_hat)

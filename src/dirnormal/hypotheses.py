@@ -12,6 +12,13 @@ Six null hypotheses are supported:
 plus the general :class:`ZeroPattern` (prescribed zero entries of the
 concentration matrix, fitted by iterative proportional scaling).
 
+Each class is the one place that states how its null differs from the
+others: its degrees of freedom, its constrained estimates, whether it
+compares groups, whether the mean is free, and its likelihood ratio
+statistic.  :data:`HYPOTHESES` maps each case tag to its class.  The
+sufficient shift and the tilted path are computed once for every null from
+the constrained fit.
+
 A :class:`ConstrainedFit` bundles the per-group sufficient statistics with
 the constrained estimates, the degrees of freedom ``d`` and, for the cases
 whose tilted path is linear in ``t``, the eigenvalues of the constrained-vs-
@@ -21,7 +28,7 @@ unconstrained covariance pencil that drive all downstream formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +42,7 @@ from .linalg import (
     eig_pencil,
     inv_spd,
     is_positive_definite,
+    log_det_spd,
     spd_cholesky,
     symmetrize,
     vech,
@@ -49,10 +57,10 @@ __all__ = [
     "CompleteIndependence",
     "ZeroPattern",
     "Hypothesis",
+    "HYPOTHESES",
     "ConstrainedFit",
     "PathPoint",
     "SufficientShift",
-    "degrees_of_freedom",
     "constrained_mle",
     "fit_hypothesis",
     "fit_zero_pattern",
@@ -62,15 +70,74 @@ __all__ = [
 ]
 
 
+class Hypothesis:
+    """A null hypothesis: what this null states that the others do not.
+
+    A subclass gives its degrees of freedom and its constrained estimates;
+    the class attributes and the remaining methods hold the defaults of the
+    one-sample covariance-pattern nulls, which a subclass overrides where
+    it differs.  A new null is one more subclass, entered in
+    :data:`HYPOTHESES`.
+    """
+
+    grouped = False  # compares two or more groups (c3, c4)
+    # The constrained mean of each group is its sample mean, so the tilted
+    # covariance path is linear in t and the fit keeps the pencil
+    # eigenvalues (every null but c3 and c5).
+    free_mean = True
+
+    def degrees_of_freedom(self, p: int, k: int = 1) -> int:
+        """Number of constraints the hypothesis imposes on the free parameters."""
+        raise NotImplementedError
+
+    def estimates(self, summaries) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Constrained covariance ``A``, shared by the groups, and the
+        constrained mean of each group.
+
+        One-sample nulls keep the sample mean and constrain the sample
+        covariance by their ``covariance`` method.
+        """
+        (s,) = summaries
+        return self.covariance(s.mle_cov), (s.ybar,)
+
+    def prepare(self, y: np.ndarray) -> np.ndarray:
+        """One group's data on the scale the fit works on (unchanged but
+        for the fully specified null)."""
+        return y
+
+    def plain_w(self, fit: ConstrainedFit) -> float:
+        """Twice the log-likelihood drop of the constrained fit, with no
+        adjustment: ``-sum_g n_g sum log nu_g`` over the pencil
+        eigenvalues ``nu_g`` where the mean is free."""
+        return float(-sum(s.n * np.sum(np.log(nu)) for s, nu in zip(fit.summaries, fit.pencil_eigs)))
+
+    def lrt(self, fit: ConstrainedFit) -> float:
+        """Likelihood ratio statistic reported for the hypothesis.
+
+        This is :meth:`plain_w` except for two nulls: equal covariances
+        (c4) report the pooled variant built from bias-adjusted estimates,
+        and the fully specified null (c5) weights ``log det V`` by
+        ``n - 1`` instead of ``n``.
+        """
+        return self.plain_w(fit)
+
+
 @dataclass(frozen=True)
-class ProportionalIdentity:
+class ProportionalIdentity(Hypothesis):
     """Covariance equal to an unspecified scalar times the identity."""
 
     tag = "c1"
 
+    def degrees_of_freedom(self, p: int, k: int = 1) -> int:
+        return p * (p + 1) // 2 - 1
+
+    def covariance(self, v: np.ndarray) -> np.ndarray:
+        p = v.shape[0]
+        return (np.trace(v) / p) * np.eye(p)
+
 
 @dataclass(frozen=True)
-class BlockIndependence:
+class BlockIndependence(Hypothesis):
     """Independence between blocks of variables of the given sizes."""
 
     block_sizes: tuple[int, ...]
@@ -82,23 +149,70 @@ class BlockIndependence:
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise DimensionError("need at least two blocks, each of size >= 1")
 
+    def degrees_of_freedom(self, p: int, k: int = 1) -> int:
+        sizes = self.block_sizes
+        if sum(sizes) != p:
+            raise DimensionError(f"block sizes {sizes} do not sum to p={p}")
+        return p * (p + 1) // 2 - sum(s * (s + 1) // 2 for s in sizes)
+
+    def covariance(self, v: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(v)
+        start = 0
+        for s in self.block_sizes:
+            sl = slice(start, start + s)
+            out[sl, sl] = v[sl, sl]
+            start += s
+        return out
+
 
 @dataclass(frozen=True)
-class EqualDistributions:
+class EqualDistributions(Hypothesis):
     """Identical mean and concentration across independent groups."""
 
     tag = "c3"
+    grouped = True
+    free_mean = False
+
+    def degrees_of_freedom(self, p: int, k: int = 1) -> int:
+        return p * (p + 3) * (k - 1) // 2
+
+    def estimates(self, summaries):
+        n = sum(s.n for s in summaries)
+        ybar = sum(s.n * s.ybar for s in summaries) / n
+        pooled_second = sum(s.n * s.second_moment for s in summaries) / n
+        return symmetrize(pooled_second - np.outer(ybar, ybar)), tuple(ybar for _ in summaries)
+
+    def plain_w(self, fit: ConstrainedFit) -> float:
+        ld0 = log_det_spd(fit.lambda0_inv)
+        return float(fit.n_total * ld0 - sum(s.n * log_det_spd(s.mle_cov) for s in fit.summaries))
 
 
 @dataclass(frozen=True)
-class EqualCovariances:
+class EqualCovariances(Hypothesis):
     """Common concentration across independent groups, means free."""
 
     tag = "c4"
+    grouped = True
+
+    def degrees_of_freedom(self, p: int, k: int = 1) -> int:
+        return p * (p + 1) * (k - 1) // 2
+
+    def estimates(self, summaries):
+        n = sum(s.n for s in summaries)
+        return symmetrize(sum(s.centered_ssq for s in summaries) / n), tuple(s.ybar for s in summaries)
+
+    def lrt(self, fit: ConstrainedFit) -> float:
+        """Pooled variant with divisors ``n_g - 1`` and ``n - k``, the form
+        whose chi-square approximation is customarily reported."""
+        pooled = sum(s.centered_ssq for s in fit.summaries) / (fit.n_total - fit.k)
+        ld0 = log_det_spd(pooled)
+        return float(
+            sum((s.n - 1) * (ld0 - log_det_spd(s.centered_ssq / (s.n - 1))) for s in fit.summaries)
+        )
 
 
 @dataclass(frozen=True, eq=False)
-class SpecifiedMeanCov:
+class SpecifiedMeanCov(Hypothesis):
     """Fully specified mean vector and concentration matrix.
 
     Data are standardized internally to the equivalent hypothesis with zero
@@ -109,6 +223,7 @@ class SpecifiedMeanCov:
     mu0: np.ndarray
     lambda0: np.ndarray
     tag = "c5"
+    free_mean = False
 
     def __post_init__(self):
         mu0 = np.atleast_1d(np.asarray(self.mu0, dtype=float))
@@ -118,16 +233,52 @@ class SpecifiedMeanCov:
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "lambda0", symmetrize(lambda0))
 
+    def degrees_of_freedom(self, p: int, k: int = 1) -> int:
+        return p * (p + 3) // 2
+
+    def estimates(self, summaries):
+        (s,) = summaries
+        return np.eye(s.p), (np.zeros(s.p),)
+
+    def prepare(self, y: np.ndarray) -> np.ndarray:
+        if self.mu0.shape[0] != y.shape[1]:
+            raise DimensionError(f"hypothesis is {self.mu0.shape[0]}-dimensional, data has p={y.shape[1]}")
+        return standardize(y, self.mu0, self.lambda0)
+
+    def plain_w(self, fit: ConstrainedFit) -> float:
+        return self._w(fit, fit.summaries[0].n)
+
+    def lrt(self, fit: ConstrainedFit) -> float:
+        """``-(n - 1) log det V + n tr(M) - n p`` on the standardized data,
+        with ``V`` the covariance and ``M`` the second moment.
+
+        Unlike :meth:`plain_w` it weights ``log det V`` by ``n - 1``, so it
+        can be negative: at ``n = p + 2`` and ``p = 1`` it is for about 7%
+        of null samples.  Such a fit is reported as degenerate.
+        """
+        return self._w(fit, fit.summaries[0].n - 1)
+
+    @staticmethod
+    def _w(fit: ConstrainedFit, weight: int) -> float:
+        s = fit.summaries[0]
+        return float(-weight * log_det_spd(s.mle_cov) + s.n * np.trace(s.second_moment) - s.n * s.p)
+
 
 @dataclass(frozen=True)
-class CompleteIndependence:
+class CompleteIndependence(Hypothesis):
     """Diagonal concentration (all correlations zero)."""
 
     tag = "c6"
 
+    def degrees_of_freedom(self, p: int, k: int = 1) -> int:
+        return p * (p - 1) // 2
+
+    def covariance(self, v: np.ndarray) -> np.ndarray:
+        return np.diag(np.diag(v))
+
 
 @dataclass(frozen=True)
-class ZeroPattern:
+class ZeroPattern(Hypothesis):
     """Prescribed zero entries of the concentration matrix.
 
     ``zero_pairs`` holds 0-based off-diagonal index pairs ``(i, j)`` with
@@ -156,26 +307,27 @@ class ZeroPattern:
             m[i, j] = m[j, i] = True
         return m
 
+    def degrees_of_freedom(self, p: int, k: int = 1) -> int:
+        self.mask(p)  # range check
+        return len(self.zero_pairs)
 
-Hypothesis = Union[
-    ProportionalIdentity,
-    BlockIndependence,
-    EqualDistributions,
-    EqualCovariances,
-    SpecifiedMeanCov,
-    CompleteIndependence,
-    ZeroPattern,
-]
+    def covariance(self, v: np.ndarray) -> np.ndarray:
+        return fit_zero_pattern(v, self.zero_pairs)
 
-_GROUP_CASES = (EqualDistributions, EqualCovariances)
-# Cases whose tilted covariance path is a convex combination, linear in t.
-_LINEAR_CASES = (
-    ProportionalIdentity,
-    BlockIndependence,
-    CompleteIndependence,
-    ZeroPattern,
-    EqualCovariances,
-)
+
+# Every null, keyed by its case tag.
+HYPOTHESES = {
+    cls.tag: cls
+    for cls in (
+        ProportionalIdentity,
+        BlockIndependence,
+        EqualDistributions,
+        EqualCovariances,
+        SpecifiedMeanCov,
+        CompleteIndependence,
+        ZeroPattern,
+    )
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +337,7 @@ class ConstrainedFit:
     Attributes
     ----------
     hypothesis : Hypothesis
-        The null being fitted (post-standardization form for the fully
-        specified case).
+        The null being fitted.
     summaries : tuple of SampleSummary
         Per-group sufficient statistics (length 1 for one-sample cases).
     lambda0_inv : ndarray
@@ -197,9 +348,7 @@ class ConstrainedFit:
         Degrees of freedom of the hypothesis.
     pencil_eigs : tuple of ndarray or None
         Per-group eigenvalues of the constrained-vs-unconstrained pencil,
-        present exactly for the linear-path cases.
-    standardized : bool
-        True when the data were transformed to the zero-mean/identity form.
+        present exactly for the nulls whose mean is free.
     """
 
     hypothesis: Hypothesis
@@ -208,7 +357,6 @@ class ConstrainedFit:
     mu0: tuple[np.ndarray, ...]
     d: int
     pencil_eigs: tuple[np.ndarray, ...] | None
-    standardized: bool = False
 
     @property
     def k(self) -> int:
@@ -252,30 +400,6 @@ class SufficientShift:
         )
 
 
-def degrees_of_freedom(hypothesis: Hypothesis, p: int, k: int = 1) -> int:
-    """Number of constraints the hypothesis imposes on the free parameters."""
-    full_cov = p * (p + 1) // 2
-    if isinstance(hypothesis, ProportionalIdentity):
-        return full_cov - 1
-    if isinstance(hypothesis, BlockIndependence):
-        sizes = hypothesis.block_sizes
-        if sum(sizes) != p:
-            raise DimensionError(f"block sizes {sizes} do not sum to p={p}")
-        return full_cov - sum(s * (s + 1) // 2 for s in sizes)
-    if isinstance(hypothesis, EqualDistributions):
-        return p * (p + 3) * (k - 1) // 2
-    if isinstance(hypothesis, EqualCovariances):
-        return p * (p + 1) * (k - 1) // 2
-    if isinstance(hypothesis, SpecifiedMeanCov):
-        return p * (p + 3) // 2
-    if isinstance(hypothesis, CompleteIndependence):
-        return p * (p - 1) // 2
-    if isinstance(hypothesis, ZeroPattern):
-        hypothesis.mask(p)  # range check
-        return len(hypothesis.zero_pairs)
-    raise TypeError(f"unknown hypothesis {hypothesis!r}")
-
-
 def standardize(data: np.ndarray, mu0: np.ndarray, lambda0: np.ndarray) -> np.ndarray:
     """Transform data so a specified-mean/concentration null becomes
     zero-mean/identity.
@@ -288,16 +412,6 @@ def standardize(data: np.ndarray, mu0: np.ndarray, lambda0: np.ndarray) -> np.nd
     mu0 = np.asarray(mu0, dtype=float)
     ell = spd_cholesky(symmetrize(np.asarray(lambda0, dtype=float)))
     return (y - mu0) @ ell
-
-
-def _block_diagonal_of(v: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    out = np.zeros_like(v)
-    start = 0
-    for s in sizes:
-        sl = slice(start, start + s)
-        out[sl, sl] = v[sl, sl]
-        start += s
-    return out
 
 
 def fit_zero_pattern(
@@ -377,54 +491,20 @@ def constrained_mle(hypothesis: Hypothesis, summaries: Sequence[SampleSummary]) 
     if any(s.p != p for s in summaries):
         raise DimensionError("all groups must share the same number of variables")
     k = len(summaries)
-    if isinstance(hypothesis, _GROUP_CASES):
+    if hypothesis.grouped:
         if k < 2:
             raise DimensionError(f"{type(hypothesis).__name__} requires at least two groups")
     elif k != 1:
         raise DimensionError(f"{type(hypothesis).__name__} is a one-sample hypothesis")
 
-    d = degrees_of_freedom(hypothesis, p, k)
-    standardized = False
-
-    if isinstance(hypothesis, ProportionalIdentity):
-        v = summaries[0].mle_cov
-        lambda0_inv = (np.trace(v) / p) * np.eye(p)
-        mu0 = (summaries[0].ybar,)
-    elif isinstance(hypothesis, BlockIndependence):
-        if sum(hypothesis.block_sizes) != p:
-            raise DimensionError(f"block sizes {hypothesis.block_sizes} do not sum to p={p}")
-        lambda0_inv = _block_diagonal_of(summaries[0].mle_cov, hypothesis.block_sizes)
-        mu0 = (summaries[0].ybar,)
-    elif isinstance(hypothesis, CompleteIndependence):
-        lambda0_inv = np.diag(np.diag(summaries[0].mle_cov))
-        mu0 = (summaries[0].ybar,)
-    elif isinstance(hypothesis, ZeroPattern):
-        lambda0_inv = fit_zero_pattern(summaries[0].mle_cov, hypothesis.zero_pairs)
-        mu0 = (summaries[0].ybar,)
-    elif isinstance(hypothesis, SpecifiedMeanCov):
-        lambda0_inv = np.eye(p)
-        mu0 = (np.zeros(p),)
-        standardized = True
-    elif isinstance(hypothesis, EqualCovariances):
-        n = sum(s.n for s in summaries)
-        lambda0_inv = symmetrize(sum(s.centered_ssq for s in summaries) / n)
-        mu0 = tuple(s.ybar for s in summaries)
-    elif isinstance(hypothesis, EqualDistributions):
-        n = sum(s.n for s in summaries)
-        ybar = sum(s.n * s.ybar for s in summaries) / n
-        pooled_second = sum(s.n * s.second_moment for s in summaries) / n
-        lambda0_inv = symmetrize(pooled_second - np.outer(ybar, ybar))
-        mu0 = tuple(ybar for _ in summaries)
-    else:
-        raise TypeError(f"unknown hypothesis {hypothesis!r}")
-
+    d = hypothesis.degrees_of_freedom(p, k)
+    lambda0_inv, mu0 = hypothesis.estimates(summaries)
     if not is_positive_definite(lambda0_inv):
         raise NotPositiveDefiniteError("constrained covariance estimate is not positive definite")
 
     pencil = None
-    if isinstance(hypothesis, _LINEAR_CASES):
+    if hypothesis.free_mean:
         pencil = tuple(eig_pencil(lambda0_inv, s.mle_cov) for s in summaries)
-
     return ConstrainedFit(
         hypothesis=hypothesis,
         summaries=summaries,
@@ -432,7 +512,6 @@ def constrained_mle(hypothesis: Hypothesis, summaries: Sequence[SampleSummary]) 
         mu0=mu0,
         d=d,
         pencil_eigs=pencil,
-        standardized=standardized,
     )
 
 
@@ -444,7 +523,7 @@ def fit_hypothesis(hypothesis: Hypothesis, data) -> ConstrainedFit:
     Each group must satisfy ``n >= p + 2``.  Data for the fully specified
     case are standardized here before summarizing.
     """
-    if isinstance(hypothesis, _GROUP_CASES):
+    if hypothesis.grouped:
         groups = [validate_data(g) for g in data]
         if len(groups) < 2:
             raise DimensionError("group hypotheses need at least two groups")
@@ -455,42 +534,24 @@ def fit_hypothesis(hypothesis: Hypothesis, data) -> ConstrainedFit:
         raise DimensionError("all groups must share the same number of variables")
     for g in groups:
         check_estimate_exists(g.shape[0], p)
-    if isinstance(hypothesis, SpecifiedMeanCov):
-        if hypothesis.mu0.shape[0] != p:
-            raise DimensionError(f"hypothesis is {hypothesis.mu0.shape[0]}-dimensional, data has p={p}")
-        groups = [standardize(groups[0], hypothesis.mu0, hypothesis.lambda0)]
-    return constrained_mle(hypothesis, [summarize(g) for g in groups])
+    return constrained_mle(hypothesis, [summarize(hypothesis.prepare(g)) for g in groups])
 
 
 def expected_s_psi(fit: ConstrainedFit) -> SufficientShift:
     """Expected centered sufficient statistic under the constrained fit.
 
-    A shift of exactly zero means the observed data sit at the null
-    expectation; the tilted line then degenerates to a point.
+    Group ``g`` contributes the mean block ``-n_g (ybar_g - mu0_g)`` and the
+    ``vech`` block ``-n_g/2 vech(A + mu0_g mu0_g' - M_g)``, with ``A`` the
+    constrained covariance and ``M_g`` the second moment.  A shift of
+    exactly zero means the observed data sit at the null expectation; the
+    tilted line then degenerates to a point.
     """
-    hyp = fit.hypothesis
-    means: list[np.ndarray] = []
-    vechs: list[np.ndarray] = []
-    if isinstance(hyp, (ProportionalIdentity, BlockIndependence, CompleteIndependence, ZeroPattern)):
-        s = fit.summaries[0]
-        means.append(np.zeros(fit.p))
-        vechs.append(-0.5 * s.n * vech(fit.lambda0_inv - s.mle_cov))
-    elif isinstance(hyp, SpecifiedMeanCov):
-        s = fit.summaries[0]
-        means.append(-s.n * s.ybar)
-        vechs.append(-0.5 * s.n * vech(np.eye(fit.p) - s.second_moment))
-    elif isinstance(hyp, EqualCovariances):
-        for s in fit.summaries:
-            means.append(np.zeros(fit.p))
-            vechs.append(-0.5 * s.n * vech(fit.lambda0_inv - s.mle_cov))
-    elif isinstance(hyp, EqualDistributions):
-        ybar = fit.mu0[0]
-        for s in fit.summaries:
-            means.append(-s.n * (s.ybar - ybar))
-            vechs.append(-0.5 * s.n * vech(fit.lambda0_inv - s.second_moment + np.outer(ybar, ybar)))
-    else:
-        raise TypeError(f"unknown hypothesis {hyp!r}")
-    return SufficientShift(mean_blocks=tuple(means), vech_blocks=tuple(vechs))
+    means = tuple(-s.n * (s.ybar - mu) for s, mu in zip(fit.summaries, fit.mu0))
+    vechs = tuple(
+        -0.5 * s.n * vech(fit.lambda0_inv + np.outer(mu, mu) - s.second_moment)
+        for s, mu in zip(fit.summaries, fit.mu0)
+    )
+    return SufficientShift(mean_blocks=means, vech_blocks=vechs)
 
 
 def is_degenerate(fit: ConstrainedFit) -> bool:
@@ -502,35 +563,21 @@ def is_degenerate(fit: ConstrainedFit) -> bool:
 def path_estimates(fit: ConstrainedFit, t: float) -> PathPoint:
     """Tilted estimates at position ``t`` along the line.
 
-    ``t = 0`` gives the constrained estimates and ``t = 1`` the observed
-    per-group estimates.  Raises ``NotPositiveDefiniteError`` if ``t`` lies
-    outside the interval on which the tilted covariance stays positive
-    definite.
+    With ``b_g = ybar_g - mu0_g``, group ``g`` has covariance
+    ``(1 - t) A + t (V_g + b_g b_g') - t**2 b_g b_g'`` and mean
+    ``mu0_g + t b_g``: ``t = 0`` gives the constrained estimates and
+    ``t = 1`` the observed per-group estimates.  Raises
+    ``NotPositiveDefiniteError`` if ``t`` lies outside the interval on
+    which the tilted covariance stays positive definite.
     """
-    hyp = fit.hypothesis
     t = float(t)
     covs: list[np.ndarray] = []
     mus: list[np.ndarray] = []
-    if isinstance(hyp, (ProportionalIdentity, BlockIndependence, CompleteIndependence, ZeroPattern, EqualCovariances)):
-        for s, mu in zip(fit.summaries, fit.mu0):
-            covs.append((1.0 - t) * fit.lambda0_inv + t * s.mle_cov)
-            mus.append(mu)
-    elif isinstance(hyp, SpecifiedMeanCov):
-        s = fit.summaries[0]
-        covs.append(
-            (1.0 - t) * np.eye(fit.p)
-            + t * s.mle_cov
-            + t * (1.0 - t) * np.outer(s.ybar, s.ybar)
-        )
-        mus.append(t * s.ybar)
-    elif isinstance(hyp, EqualDistributions):
-        ybar = fit.mu0[0]
-        for s in fit.summaries:
-            b = s.ybar - ybar
-            covs.append((1.0 - t) * fit.lambda0_inv + t * s.mle_cov + t * (1.0 - t) * np.outer(b, b))
-            mus.append((1.0 - t) * ybar + t * s.ybar)
-    else:
-        raise TypeError(f"unknown hypothesis {hyp!r}")
-    for c in covs:
-        spd_cholesky(symmetrize(c))
-    return PathPoint(t=t, lambda_t_inv=tuple(symmetrize(c) for c in covs), mu_t=tuple(mus))
+    for s, mu in zip(fit.summaries, fit.mu0):
+        b = s.ybar - mu
+        bb = np.outer(b, b)
+        cov = symmetrize((1.0 - t) * fit.lambda0_inv + t * (s.mle_cov + bb) - t * t * bb)
+        spd_cholesky(cov)
+        covs.append(cov)
+        mus.append(mu + t * b)
+    return PathPoint(t=t, lambda_t_inv=tuple(covs), mu_t=tuple(mus))

@@ -23,16 +23,7 @@ from scipy.special import kolmogorov
 from .classical import classical_report
 from .directional import directional_pvalue
 from .exceptions import DimensionError, DirnormalError, InvalidScenarioError
-from .hypotheses import (
-    BlockIndependence,
-    CompleteIndependence,
-    EqualCovariances,
-    EqualDistributions,
-    Hypothesis,
-    ProportionalIdentity,
-    SpecifiedMeanCov,
-    fit_hypothesis,
-)
+from .hypotheses import HYPOTHESES, BlockIndependence, Hypothesis, SpecifiedMeanCov, fit_hypothesis
 from .linalg import spd_cholesky
 
 __all__ = [
@@ -53,7 +44,6 @@ __all__ = [
 
 METHODS = ("dt", "lrt", "bc", "sko1", "sko2")
 _CASE_IDS = {"c1": 1, "c2": 2, "c3": 3, "c4": 4, "c5": 5, "c6": 6}
-_GROUP_TAGS = ("c3", "c4")
 # Stream ids: 0 main run, 1 cutoff-calibration null run, 2 Bartlett calibration.
 _STREAM_MAIN, _STREAM_NULLCAL, _STREAM_BC = 0, 1, 2
 
@@ -110,7 +100,7 @@ class ScenarioSpec:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise InvalidScenarioError(f"unknown methods {sorted(unknown)}")
-        if self.case in _GROUP_TAGS:
+        if HYPOTHESES[self.case].grouped:
             if not isinstance(self.n, tuple):
                 object.__setattr__(self, "n", tuple(self.n))
             if len(self.n) < 2:
@@ -147,17 +137,11 @@ def default_blocks(p: int) -> tuple[int, int, int]:
 
 def hypothesis_for(spec: ScenarioSpec) -> Hypothesis:
     """The null hypothesis object a scenario is testing."""
-    if spec.case == "c1":
-        return ProportionalIdentity()
     if spec.case == "c2":
         return BlockIndependence(default_blocks(spec.p))
-    if spec.case == "c3":
-        return EqualDistributions()
-    if spec.case == "c4":
-        return EqualCovariances()
     if spec.case == "c5":
         return SpecifiedMeanCov(np.zeros(spec.p), np.eye(spec.p))
-    return CompleteIndependence()
+    return HYPOTHESES[spec.case]()
 
 
 def _banded(p: int, value: float) -> np.ndarray:
@@ -302,7 +286,7 @@ def generate_scenario(spec: ScenarioSpec, rep_index: int, stream: int = _STREAM_
     for (mu, cov), n_i in zip(params, spec.group_sizes):
         z = rng.standard_normal((n_i, spec.p))
         groups.append(mu + z @ spd_cholesky(cov).T)
-    return groups if spec.case in _GROUP_TAGS else groups[0]
+    return groups if HYPOTHESES[spec.case].grouped else groups[0]
 
 
 def _replicate(spec: ScenarioSpec, rep_index: int, stream: int, e_w_hat: float | None) -> dict[str, float]:
@@ -412,15 +396,13 @@ def calibrate_bartlett_expectation(spec: ScenarioSpec, reps: int | None = None) 
     so one calibration serves every replication and the Bartlett statistic
     becomes ``d * W / e_w_hat``.
     """
-    from .classical import lrt
-
     reps = spec.bootstrap_reps if reps is None else reps
     null_spec = replace(spec, alternative=Null())
     hyp = hypothesis_for(null_spec)
     total = 0.0
     for b in range(reps):
         data = generate_scenario(null_spec, b, _STREAM_BC)
-        total += lrt(fit_hypothesis(hyp, data))
+        total += hyp.lrt(fit_hypothesis(hyp, data))
     return total / reps
 
 

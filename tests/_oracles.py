@@ -14,12 +14,27 @@ from scipy.optimize import minimize
 from dirnormal.directional import DirectionalEvaluator
 from dirnormal.exceptions import NotPositiveDefiniteError
 from dirnormal.hypotheses import path_estimates
-from dirnormal.linalg import duplication_matrix, inv_spd, vech
+from dirnormal.linalg import inv_spd, vech, vech_indices
 
 try:
     trapezoid = np.trapezoid
 except AttributeError:  # numpy < 2
     trapezoid = np.trapz
+
+
+def duplication_matrix(p: int) -> np.ndarray:
+    """The ``p**2 x p(p+1)/2`` matrix ``D`` with ``D @ vech(M) = vec(M)``.
+
+    ``vec`` stacks columns; ``M`` must be symmetric for the identity to hold.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    rows, cols = vech_indices(p)
+    dup = np.zeros((p * p, p * (p + 1) // 2))
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        dup[i + j * p, k] = 1.0
+        dup[j + i * p, k] = 1.0
+    return dup
 
 
 def naive_det(m: np.ndarray) -> float:
@@ -76,8 +91,6 @@ def brute_log_gamma(fit) -> float:
     statistic shift, the parameter-estimate difference, and the full
     block-diagonal information matrices at both estimates.
     """
-    from dirnormal.classical import _plain_w
-
     blocks_v, blocks_dphi, js_psi, js_hat = [], [], [], []
     for s, mu0 in zip(fit.summaries, fit.mu0):
         n = s.n
@@ -104,7 +117,7 @@ def brute_log_gamma(fit) -> float:
         j_hat[off:off + m, off:off + m] = jh
         off += m
 
-    w = _plain_w(fit)
+    w = fit.hypothesis.plain_w(fit)
     quad = float(v @ np.linalg.solve(j_psi, v))
     inner = float(dphi @ v)
     ld_psi = np.linalg.slogdet(j_psi)[1]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dirnormal.core import info_log_det
-from dirnormal.directional import DirectionalEvaluator, directional_pvalue, t_sup
+from dirnormal.directional import DirectionalEvaluator, directional_pvalue
 from dirnormal.hypotheses import (
     BlockIndependence,
     CompleteIndependence,
@@ -171,7 +171,7 @@ def test_criterion_08_feasibility_boundary():
             ),
         ]
         for fit in fits:
-            boundary = t_sup(fit)
+            boundary = DirectionalEvaluator(fit).t_sup
             inside = path_estimates(fit, boundary * (1 - 1e-6))
             if not all(is_positive_definite(m) for m in inside.lambda_t_inv):
                 bad += 1

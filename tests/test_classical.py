@@ -7,12 +7,11 @@ import pytest
 from scipy.integrate import quad
 
 from dirnormal.classical import (
+    DEGENERATE_W,
     bartlett_bootstrap,
     bartlett_rescale,
     chisq_upper_tail,
     classical_report,
-    lrt,
-    skovgaard_gamma,
     skovgaard_log_gamma,
     skovgaard_stats,
 )
@@ -60,12 +59,12 @@ class TestChisqUpperTail:
 class TestLrt:
     def test_zero_when_already_proportional(self):
         fit = constrained_mle(ProportionalIdentity(), [make_summary(1.7 * np.eye(3))])
-        assert lrt(fit) == pytest.approx(0.0, abs=1e-12)
+        assert fit.hypothesis.lrt(fit) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_at_exact_null_specified_case(self):
         y = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]) * np.sqrt(2)
         fit = fit_hypothesis(SpecifiedMeanCov(np.zeros(2), np.eye(2)), y)
-        assert lrt(fit) == pytest.approx(0.0, abs=1e-10)
+        assert fit.hypothesis.lrt(fit) == pytest.approx(0.0, abs=1e-10)
 
     def test_complete_independence_matches_optimizer_oracle(self):
         rng = np.random.default_rng(40)
@@ -74,7 +73,7 @@ class TestLrt:
         s = fit.summaries[0]
         full = maximize_loglik_moment(s)
         constrained = maximize_loglik_moment(s, constrain_diag=True)
-        assert lrt(fit) == pytest.approx(2.0 * (full - constrained), abs=1e-6)
+        assert fit.hypothesis.lrt(fit) == pytest.approx(2.0 * (full - constrained), abs=1e-6)
 
     @pytest.mark.parametrize(
         "hyp",
@@ -94,21 +93,22 @@ class TestLrt:
         lam0 = inv_spd(fit.lambda0_inv)
         at_hat = canonical_loglik(lam_hat @ s.ybar, lam_hat, s)
         at_null = canonical_loglik(lam0 @ s.ybar, lam0, s)
-        assert lrt(fit) == pytest.approx(2.0 * (at_hat - at_null), rel=1e-8)
+        assert fit.hypothesis.lrt(fit) == pytest.approx(2.0 * (at_hat - at_null), rel=1e-8)
 
     def test_scale_invariance_proportional_case(self):
         rng = np.random.default_rng(42)
         y = rng.standard_normal((30, 4))
-        w1 = lrt(fit_hypothesis(ProportionalIdentity(), y))
-        w2 = lrt(fit_hypothesis(ProportionalIdentity(), 3.7 * y))
+        hyp = ProportionalIdentity()
+        w1 = hyp.lrt(fit_hypothesis(hyp, y))
+        w2 = hyp.lrt(fit_hypothesis(hyp, 3.7 * y))
         assert w1 == pytest.approx(w2, abs=1e-10)
 
     def test_block_permutation_invariance(self):
         rng = np.random.default_rng(43)
         y = rng.standard_normal((25, 4))
         hyp = BlockIndependence((2, 2))
-        base = lrt(fit_hypothesis(hyp, y))
-        permuted = lrt(fit_hypothesis(hyp, y[:, [1, 0, 3, 2]]))
+        base = hyp.lrt(fit_hypothesis(hyp, y))
+        permuted = hyp.lrt(fit_hypothesis(hyp, y[:, [1, 0, 3, 2]]))
         assert base == pytest.approx(permuted, rel=1e-10)
 
     def test_equal_covariances_uses_pooled_adjusted_estimates(self):
@@ -121,7 +121,22 @@ class TestLrt:
             (n_i - 1) * (np.linalg.slogdet(pooled)[1] - np.linalg.slogdet(a_i / (n_i - 1))[1])
             for n_i, a_i in zip((12, 16), a)
         )
-        assert lrt(fit) == pytest.approx(expected, rel=1e-12)
+        assert fit.hypothesis.lrt(fit) == pytest.approx(expected, rel=1e-12)
+
+    def test_specified_mean_cov_weights_log_det_by_n_minus_one(self):
+        # standardized covariance L' V L has log det = log det V + log det lambda0,
+        # and n tr(M) of the standardized data is tr(lambda0 D'D), D = y - mu0
+        rng = np.random.default_rng(52)
+        mu0 = np.array([0.2, -0.1, 0.4])
+        lam0 = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]])
+        y = rng.standard_normal((15, 3)) * 1.3 + 0.5
+        n, p = y.shape
+        ld_v = np.linalg.slogdet(np.cov(y.T, bias=True))[1] + np.linalg.slogdet(lam0)[1]
+        assert abs(ld_v) > 0.1
+        dev = y - mu0
+        expected = -(n - 1) * ld_v + np.trace(lam0 @ dev.T @ dev) - n * p
+        fit = fit_hypothesis(SpecifiedMeanCov(mu0, lam0), y)
+        assert fit.hypothesis.lrt(fit) == pytest.approx(expected, rel=1e-10)
 
 
 class TestSkovgaardGamma:
@@ -133,6 +148,8 @@ class TestSkovgaardGamma:
             (BlockIndependence((2, 1)), (25, 3)),
             (ZeroPattern(((0, 2),)), (25, 3)),
             (SpecifiedMeanCov(np.zeros(3), np.eye(3)), (25, 3)),
+            (SpecifiedMeanCov(np.zeros(1), np.eye(1)), (20, 1)),  # p = 1
+            (SpecifiedMeanCov(np.zeros(3), np.eye(3)), (5, 3)),  # n = p + 2
         ],
     )
     def test_one_sample_matches_first_principles(self, hyp, shape):
@@ -151,6 +168,12 @@ class TestSkovgaardGamma:
                  rng.standard_normal((40, 3))]
         fit = fit_hypothesis(EqualDistributions(), three)
         assert skovgaard_log_gamma(fit) == pytest.approx(brute_log_gamma(fit), abs=1e-9)
+        # p = 1, and n = p + 2 in every group
+        for shapes in (((20, 1), (25, 1)), ((5, 3), (5, 3), (5, 3))):
+            groups = [rng.standard_normal(shape) * (1.0 + 0.2 * i) + 0.1 * i
+                      for i, shape in enumerate(shapes)]
+            fit = fit_hypothesis(EqualDistributions(), groups)
+            assert skovgaard_log_gamma(fit) == pytest.approx(brute_log_gamma(fit), abs=1e-9)
 
     def test_degenerate_rejected(self):
         summaries = [make_summary(np.eye(2), n=10), make_summary(np.eye(2), n=10)]
@@ -163,7 +186,7 @@ class TestSkovgaardGamma:
         for p in (2, 5, 10):
             y = rng.standard_normal((30, p))
             fit = fit_hypothesis(CompleteIndependence(), y)
-            assert skovgaard_gamma(fit) > 0.0
+            assert skovgaard_log_gamma(fit) > -math.inf
 
 
 class TestSkovgaardStats:
@@ -206,7 +229,7 @@ class TestBartlett:
         fit = fit_hypothesis(ProportionalIdentity(), y)
         e_w_hat, w_bc, _ = bartlett_bootstrap(fit, b_reps=120, seed=6)
         assert e_w_hat / fit.d > 1.05
-        assert w_bc < lrt(fit)
+        assert w_bc < fit.hypothesis.lrt(fit)
 
     def test_bootstrap_expectation_near_d_when_n_large(self):
         rng = np.random.default_rng(50)
@@ -219,6 +242,16 @@ class TestBartlett:
 class TestClassicalReport:
     def test_degenerate_reports_unit_pvalues(self):
         fit = constrained_mle(ProportionalIdentity(), [make_summary(2.0 * np.eye(3))])
+        rep = classical_report(fit, ("lrt", "sko1", "sko2"))
+        assert rep.degenerate
+        assert rep.pvalues == {"lrt": 1.0, "sko1": 1.0, "sko2": 1.0}
+
+    def test_degenerate_by_the_directional_rule(self):
+        # equal sample covariances and unequal sizes: the pooled statistic
+        # is positive, but the data sit at the null expectation
+        y = np.random.default_rng(93).standard_normal((10, 2))
+        fit = fit_hypothesis(EqualCovariances(), [y, np.vstack([y, y])])
+        assert fit.hypothesis.lrt(fit) > DEGENERATE_W
         rep = classical_report(fit, ("lrt", "sko1", "sko2"))
         assert rep.degenerate
         assert rep.pvalues == {"lrt": 1.0, "sko1": 1.0, "sko2": 1.0}

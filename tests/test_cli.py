@@ -1,6 +1,7 @@
 """Command-line interface: ingestion, report serialization, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from dirnormal.cli import main
 from dirnormal.core import sample_mvn
 from dirnormal.directional import directional_pvalue
-from dirnormal.exceptions import ParseError
-from dirnormal.hypotheses import CompleteIndependence, fit_hypothesis
+from dirnormal.exceptions import InvalidScenarioError, ParseError
+from dirnormal.hypotheses import HYPOTHESES, CompleteIndependence, fit_hypothesis
 from dirnormal.report import (
     read_data_csv,
     read_matrix_csv,
@@ -18,8 +19,11 @@ from dirnormal.report import (
     read_vector_csv,
     write_data_csv,
 )
+from dirnormal.simulation import ScenarioSpec
 
 from _oracles import trapezoid_pvalue
+
+SCHEMA = Path(__file__).resolve().parents[1] / "src" / "dirnormal" / "schemas" / "report-v1.json"
 
 
 class TestReadDataCsv:
@@ -113,9 +117,7 @@ class TestTestCommand:
         assert main(["test", "--case", "c6", "--data", str(f),
                      "--methods", "dt,lrt,bc,sko1,sko2", "--bc-reps", "60",
                      "--out", str(out)]) == 0
-        schema = json.loads(
-            (Path(__file__).resolve().parents[1] / "src" / "dirnormal" / "schemas" / "report-v1.json").read_text()
-        )
+        schema = json.loads(SCHEMA.read_text())
         jsonschema.validate(json.loads(out.read_text()), schema)
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
@@ -132,19 +134,27 @@ class TestTestCommand:
         assert code == 1
         assert "p + 2" in capsys.readouterr().err
 
-    def test_degenerate_exits_two(self, tmp_path):
-        # data whose covariance is exactly diagonal: the null fit equals the
-        # unconstrained fit
-        y = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
-        f = tmp_path / "d.csv"
-        write_data_csv(f, y)
+    @pytest.mark.parametrize("case", ["c6", "c4"])
+    def test_degenerate_exits_two(self, tmp_path, case):
+        if case == "c6":
+            # data whose covariance is exactly diagonal: the null fit equals
+            # the unconstrained fit
+            groups = [np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])]
+        else:
+            # equal sample covariances and unequal sizes
+            y = np.random.default_rng(93).standard_normal((10, 2))
+            groups = [y, np.vstack([y, y])]
         out = tmp_path / "r.json"
-        code = main(["test", "--case", "c6", "--data", str(f),
-                     "--methods", "dt,lrt", "--out", str(out)])
-        assert code == 2
+        argv = ["test", "--case", case, "--methods", "dt,lrt,sko1,sko2", "--out", str(out)]
+        for g, y in enumerate(groups):
+            f = tmp_path / f"d{g}.csv"
+            write_data_csv(f, y)
+            argv += ["--data", str(f)]
+        assert main(argv) == 2
         report = json.loads(out.read_text())
         assert report["degenerate"] is True
-        assert report["methods"]["dt"]["p_value"] == 1.0
+        assert {m: e["p_value"] for m, e in report["methods"].items()} == dict.fromkeys(
+            ("dt", "lrt", "sko1", "sko2"), 1.0)
 
     def test_group_column_splitting(self, tmp_path):
         rng = np.random.default_rng(91)
@@ -188,6 +198,29 @@ class TestTestCommand:
         text = out.read_text()
         assert text.startswith("key,value")
         assert "methods.lrt.p_value" in text
+
+
+class TestCaseTable:
+    def test_one_set_of_tags(self, capsys):
+        tags = set(HYPOTHESES)
+        assert {cls.tag for cls in HYPOTHESES.values()} == tags
+        assert set(json.loads(SCHEMA.read_text())["properties"]["case"]["enum"]) == tags
+        for command in ("test", "simulate"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            choices = re.search(r"--case \{([^}]*)\}", capsys.readouterr().out).group(1)
+            assert set(choices.split(",")) == tags
+
+    @pytest.mark.parametrize("tag", ["c1", "c2", "c3", "c4", "c5", "c6"])
+    def test_grouped_tags_take_group_sizes(self, tag):
+        if HYPOTHESES[tag].grouped:
+            assert ScenarioSpec(case=tag, n=(20, 20), p=3).group_sizes == (20, 20)
+            with pytest.raises((InvalidScenarioError, TypeError)):
+                ScenarioSpec(case=tag, n=20, p=3)
+        else:
+            assert ScenarioSpec(case=tag, n=20, p=3).group_sizes == (20,)
+            with pytest.raises(InvalidScenarioError):
+                ScenarioSpec(case=tag, n=(20, 20), p=3)
 
 
 class TestSimulateCommand:

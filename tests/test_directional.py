@@ -11,15 +11,7 @@ from scipy.integrate import quad
 
 from dirnormal.core import sample_mvn
 from dirnormal.exceptions import NotPositiveDefiniteError
-from dirnormal.directional import (
-    DirectionalEvaluator,
-    curvature,
-    directional_pvalue,
-    integration_interval,
-    log_gbar,
-    maximize_gbar,
-    t_sup,
-)
+from dirnormal.directional import DirectionalEvaluator, directional_pvalue, integration_interval
 from dirnormal.hypotheses import (
     BlockIndependence,
     CompleteIndependence,
@@ -48,6 +40,11 @@ def _sampled_fit(hyp, n, p, seed, scale=1.0, shift=0.0):
     return fit_hypothesis(hyp, scale * rng.standard_normal((n, p)) + shift)
 
 
+def _peak(fit):
+    ev = DirectionalEvaluator(fit)
+    return ev.maximize(ev.integration_cap())
+
+
 ALL_CASES = [
     (ProportionalIdentity(), 20, 4),
     (BlockIndependence((2, 2)), 20, 4),
@@ -63,27 +60,27 @@ class TestTSup:
     def test_closed_form_from_smallest_eigenvalue(self):
         fit = _sampled_fit(ProportionalIdentity(), 25, 4, seed=60)
         nu_min = float(fit.pencil_eigs[0][0])
-        assert t_sup(fit) == pytest.approx(1.0 / (1.0 - nu_min), rel=1e-14)
+        assert DirectionalEvaluator(fit).t_sup == pytest.approx(1.0 / (1.0 - nu_min), rel=1e-14)
 
     def test_half_eigenvalue_gives_two(self):
         # pencil eigenvalues (0.5, 1.5) sum to p and give t_sup = 2
         s = make_summary(np.diag([0.5, 1.5]), n=12)
         fit = constrained_mle(ProportionalIdentity(), [s])
         np.testing.assert_allclose(fit.pencil_eigs[0], [0.5, 1.5], atol=1e-12)
-        assert t_sup(fit) == pytest.approx(2.0, rel=1e-12)
+        assert DirectionalEvaluator(fit).t_sup == pytest.approx(2.0, rel=1e-12)
 
     def test_degenerate_path_is_unbounded(self):
         fit = constrained_mle(ProportionalIdentity(), [make_summary(2.0 * np.eye(3))])
-        assert t_sup(fit) == math.inf
+        assert DirectionalEvaluator(fit).t_sup == math.inf
 
     def test_group_case_uses_worst_group(self):
         fit = _sampled_fit(EqualCovariances(), (15, 20), 3, seed=61)
         nu_min = min(float(nu[0]) for nu in fit.pencil_eigs)
-        assert t_sup(fit) == pytest.approx(1.0 / (1.0 - nu_min), rel=1e-14)
+        assert DirectionalEvaluator(fit).t_sup == pytest.approx(1.0 / (1.0 - nu_min), rel=1e-14)
 
     def test_bisection_matches_grid_scan(self):
         fit = _sampled_fit(SpecifiedMeanCov(np.zeros(3), np.eye(3)), 14, 3, seed=62, shift=0.4)
-        boundary = t_sup(fit)
+        boundary = DirectionalEvaluator(fit).t_sup
         # dense scan oracle: largest grid t with a positive definite path
         assert boundary == pytest.approx(feasible_sup_scan(fit, boundary + 0.5), abs=2e-6)
 
@@ -98,7 +95,7 @@ class TestTSup:
             mean_cov = _sampled_fit(SpecifiedMeanCov(np.zeros(p), np.eye(p)), n, p, seed=seed)
             pooled = _sampled_fit(EqualDistributions(), (n, n + 1, n), p, seed=seed)
             for fit in (mean_cov, pooled):
-                assert math.isfinite(t_sup(fit))
+                assert math.isfinite(DirectionalEvaluator(fit).t_sup)
                 _assert_brackets_feasibility(fit)
 
     def test_root_search_leaves_no_reference_cycle(self):
@@ -117,7 +114,7 @@ class TestTSup:
 
 
 def _assert_brackets_feasibility(fit):
-    boundary = t_sup(fit)
+    boundary = DirectionalEvaluator(fit).t_sup
     inside = path_estimates(fit, boundary * (1 - 1e-6))
     assert all(is_positive_definite(m) for m in inside.lambda_t_inv)
     with pytest.raises(NotPositiveDefiniteError):
@@ -128,7 +125,7 @@ class TestLogGbar:
     def test_finite_at_observed_point(self):
         for hyp, n, p in ALL_CASES:
             fit = _sampled_fit(hyp, n, p, seed=64)
-            val = log_gbar(fit, 1.0)
+            val = DirectionalEvaluator(fit).log_gbar(1.0)
             expected = sum(
                 0.5 * (s.n - p - 2) * log_det_spd(s.mle_cov) for s in fit.summaries
             )
@@ -189,9 +186,9 @@ class TestLogGbar:
 
     def test_returns_neg_inf_outside_range(self):
         fit = _sampled_fit(CompleteIndependence(), 20, 3, seed=68)
-        boundary = t_sup(fit)
-        assert log_gbar(fit, boundary * 1.01) == -math.inf
-        assert log_gbar(fit, -0.5) == -math.inf
+        ev = DirectionalEvaluator(fit)
+        assert ev.log_gbar(ev.t_sup * 1.01) == -math.inf
+        assert ev.log_gbar(-0.5) == -math.inf
 
 
 class TestMaximize:
@@ -207,10 +204,10 @@ class TestMaximize:
         hits_wide = hits_tight = 0
         for seed in range(40):
             y5 = sample_mvn(np.zeros(5), np.eye(5), 500, seed=seed)
-            if 0.5 < maximize_gbar(fit_hypothesis(ProportionalIdentity(), y5)) < 1.6:
+            if 0.5 < _peak(fit_hypothesis(ProportionalIdentity(), y5)) < 1.6:
                 hits_wide += 1
             y15 = sample_mvn(np.zeros(15), np.eye(15), 500, seed=seed)
-            if 0.8 < maximize_gbar(fit_hypothesis(ProportionalIdentity(), y15)) < 1.2:
+            if 0.8 < _peak(fit_hypothesis(ProportionalIdentity(), y15)) < 1.2:
                 hits_tight += 1
         assert hits_wide >= 38
         assert hits_tight >= 38

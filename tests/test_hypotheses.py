@@ -15,7 +15,6 @@ from dirnormal.hypotheses import (
     SpecifiedMeanCov,
     ZeroPattern,
     constrained_mle,
-    degrees_of_freedom,
     expected_s_psi,
     fit_hypothesis,
     fit_zero_pattern,
@@ -45,30 +44,30 @@ def make_summary(mle_cov, n=30, ybar=None):
 
 class TestDegreesOfFreedom:
     def test_specified_mean_cov_p4(self):
-        assert degrees_of_freedom(SpecifiedMeanCov(np.zeros(4), np.eye(4)), 4) == 14
+        assert SpecifiedMeanCov(np.zeros(4), np.eye(4)).degrees_of_freedom(4) == 14
 
     def test_equal_covariances_p3_k3(self):
-        assert degrees_of_freedom(EqualCovariances(), 3, k=3) == 12
+        assert EqualCovariances().degrees_of_freedom(3, k=3) == 12
 
     def test_complete_independence_p2(self):
-        assert degrees_of_freedom(CompleteIndependence(), 2) == 1
+        assert CompleteIndependence().degrees_of_freedom(2) == 1
 
     def test_proportional_identity(self):
-        assert degrees_of_freedom(ProportionalIdentity(), 5) == 14  # 15 - 1
+        assert ProportionalIdentity().degrees_of_freedom(5) == 14  # 15 - 1
 
     def test_equal_distributions(self):
-        assert degrees_of_freedom(EqualDistributions(), 2, k=3) == 10  # p(p+3)(k-1)/2
+        assert EqualDistributions().degrees_of_freedom(2, k=3) == 10  # p(p+3)(k-1)/2
 
     def test_block_bookkeeping_identity(self):
         # constrained dof + free block dofs = total covariance dofs
         p = 7
         hyp = BlockIndependence((3, 2, 2))
-        d = degrees_of_freedom(hyp, p)
+        d = hyp.degrees_of_freedom(p)
         free = sum(s * (s + 1) // 2 for s in hyp.block_sizes)
         assert d + free == p * (p + 1) // 2
 
     def test_zero_pattern_counts_pairs(self):
-        assert degrees_of_freedom(ZeroPattern(((0, 1), (2, 3))), 4) == 2
+        assert ZeroPattern(((0, 1), (2, 3))).degrees_of_freedom(4) == 2
 
 
 class TestConstrainedMle:

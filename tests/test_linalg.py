@@ -5,7 +5,6 @@ import pytest
 
 from dirnormal.exceptions import NotPositiveDefiniteError
 from dirnormal.linalg import (
-    duplication_matrix,
     eig_pencil,
     inv_spd,
     log_det_spd,
@@ -13,7 +12,7 @@ from dirnormal.linalg import (
     vech,
 )
 
-from _oracles import naive_det
+from _oracles import duplication_matrix, naive_det
 
 
 def random_spd(rng, p, jitter=0.5):
