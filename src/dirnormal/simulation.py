@@ -5,13 +5,21 @@ Replications are independent work items.  Every random stream is keyed by
 ``(master seed, case id, stream id, replication index)`` through a
 counter-based generator, so results are bit-identical under any execution
 order or degree of parallelism.  The worker count is capped by the
-``DIRNORMAL_THREADS`` environment variable.
+``DIRNORMAL_THREADS`` environment variable (default: ``os.cpu_count()``).
+
+At a cap of one, every replication and Bartlett calibration draw runs in
+the calling process.  Above one, they run on one process pool shared by
+the whole process: it is forked the first time a study needs it, reused
+by every later pass and study, replaced when the cap changes or a worker
+has died, and shut down at interpreter exit.  Workers are forked once, so
+they do not see functions patched in the parent after that.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -101,8 +109,10 @@ class ScenarioSpec:
         if unknown:
             raise InvalidScenarioError(f"unknown methods {sorted(unknown)}")
         if HYPOTHESES[self.case].grouped:
-            if not isinstance(self.n, tuple):
+            try:
                 object.__setattr__(self, "n", tuple(self.n))
+            except TypeError:
+                raise InvalidScenarioError(f"case {self.case} takes a sequence of group sizes") from None
             if len(self.n) < 2:
                 raise InvalidScenarioError(f"case {self.case} needs at least two groups")
             sizes = self.n
@@ -306,37 +316,50 @@ def _worker(args):
     spec, rep_index, stream, e_w_hat = args
     try:
         return rep_index, _replicate(spec, rep_index, stream, e_w_hat), None
-    except DirnormalError as exc:
-        return rep_index, None, f"rep {rep_index}: {exc}"
+    except Exception as exc:  # one bad replication is recorded, never fatal to the study
+        return rep_index, None, f"rep {rep_index}: {type(exc).__name__}: {exc}"
 
 
-def _worker_count(reps: int) -> int:
+def _worker_cap() -> int:
     cap = os.environ.get("DIRNORMAL_THREADS")
     workers = os.cpu_count() or 1
     if cap:
         workers = min(workers, max(1, int(cap)))
-    return max(1, min(workers, reps))
+    return workers
+
+
+_pool: ProcessPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _map(fn, items: list):
+    """``map(fn, items)``, in order: in this process at one worker, else on
+    the process-wide pool.  The pool is replaced when the worker cap has
+    changed or one of its workers has died."""
+    global _pool
+    cap = _worker_cap()
+    workers = min(cap, len(items))
+    if workers <= 1:
+        return map(fn, items)
+    with _pool_lock:
+        # The executor sets _broken once one of its workers has died.
+        if _pool is not None and (_pool._max_workers != cap or _pool._broken):
+            _pool.shutdown(wait=True, cancel_futures=True)
+            _pool = None
+        if _pool is None:
+            _pool = ProcessPoolExecutor(max_workers=cap)
+        return _pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8)))
 
 
 def _run_pass(spec: ScenarioSpec, stream: int, e_w_hat: float | None):
-    args = ((spec, i, stream, e_w_hat) for i in range(spec.reps))
     pvals = {m: np.full(spec.reps, np.nan) for m in spec.methods}
     errors: list[str] = []
-    workers = _worker_count(spec.reps)
-
-    def collect(results) -> None:
-        for idx, row, err in results:
-            if err is not None:
-                errors.append(err)
-                continue
-            for m, v in row.items():
-                pvals[m][idx] = v
-
-    if workers == 1:
-        collect(map(_worker, args))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            collect(pool.map(_worker, args, chunksize=max(1, spec.reps // (workers * 8))))
+    for idx, row, err in _map(_worker, [(spec, i, stream, e_w_hat) for i in range(spec.reps)]):
+        if err is not None:
+            errors.append(err)
+            continue
+        for m, v in row.items():
+            pvals[m][idx] = v
     return pvals, errors
 
 
@@ -400,10 +423,15 @@ def calibrate_bartlett_expectation(spec: ScenarioSpec, reps: int | None = None) 
     null_spec = replace(spec, alternative=Null())
     hyp = hypothesis_for(null_spec)
     total = 0.0
-    for b in range(reps):
-        data = generate_scenario(null_spec, b, _STREAM_BC)
-        total += hyp.lrt(fit_hypothesis(hyp, data))
+    # Summed in draw order, so the estimate is the same at any worker count.
+    for w in _map(_calibration_draw, [(null_spec, hyp, b) for b in range(reps)]):
+        total += w
     return total / reps
+
+
+def _calibration_draw(args) -> float:
+    spec, hyp, b = args
+    return hyp.lrt(fit_hypothesis(hyp, generate_scenario(spec, b, _STREAM_BC)))
 
 
 def run_study(spec: ScenarioSpec) -> StudyResult:

@@ -1,6 +1,13 @@
 """Scenario generators, study runner, cutoffs and uniformity diagnostics."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,12 +157,21 @@ class TestRunStudy:
         assert 0.0 < res.corrected_cutoffs["dt"] < 0.2
 
     def test_worker_partition_independence(self, monkeypatch):
-        spec = ScenarioSpec(case="c1", n=20, p=3, reps=60, seed=9, methods=("dt",))
-        monkeypatch.setenv("DIRNORMAL_THREADS", "1")
-        serial = run_study(spec)
-        monkeypatch.setenv("DIRNORMAL_THREADS", "2")
-        parallel = run_study(spec)
-        np.testing.assert_array_equal(serial.pvalues["dt"], parallel.pvalues["dt"])
+        specs = [
+            ScenarioSpec(case="c1", n=20, p=3, reps=60, seed=9, methods=("dt",)),
+            # the Bartlett calibration runs on the workers too
+            ScenarioSpec(case="c4", n=(12, 12, 12), p=3, reps=30, seed=9, methods=("bc",),
+                         bootstrap_reps=40),
+            # a power cell adds the null-calibration pass
+            ScenarioSpec(case="c1", n=20, p=3, reps=30, seed=9, methods=("dt",),
+                         alternative=Extreme(1.0)),
+        ]
+        for spec in specs:
+            monkeypatch.setenv("DIRNORMAL_THREADS", "1")
+            serial = run_study(spec)
+            monkeypatch.setenv("DIRNORMAL_THREADS", "2")
+            parallel = run_study(spec)
+            _assert_same_numbers(serial, parallel)
 
     def test_corrected_type1_matches_alpha_by_construction(self):
         spec = ScenarioSpec(case="c1", n=25, p=3, reps=150, seed=4, methods=("lrt",))
@@ -202,12 +218,104 @@ class TestRunStudy:
         assert np.isnan(res.pvalues["dt"][3])
         assert np.sum(np.isnan(res.pvalues["dt"])) == 1
 
+    def test_any_exception_recorded_not_fatal(self, monkeypatch):
+        monkeypatch.setenv("DIRNORMAL_THREADS", "1")
+        original = sim._replicate
+
+        def broken(spec, rep_index, stream, e_w_hat):
+            if rep_index == 2:
+                raise ValueError("synthetic value error")
+            if rep_index == 5:
+                raise np.linalg.LinAlgError("synthetic linalg error")
+            return original(spec, rep_index, stream, e_w_hat)
+
+        monkeypatch.setattr(sim, "_replicate", broken)
+        spec = ScenarioSpec(case="c1", n=20, p=3, reps=8, seed=7, methods=("dt",))
+        res = run_study(spec)
+        assert res.failures == 2
+        assert res.failure_messages == ("rep 2: ValueError: synthetic value error",
+                                        "rep 5: LinAlgError: synthetic linalg error")
+        np.testing.assert_array_equal(np.flatnonzero(np.isnan(res.pvalues["dt"])), [2, 5])
+
     def test_rerun_bitwise_identical(self):
         spec = ScenarioSpec(case="c4", n=(15, 15, 15), p=3, reps=40, seed=8, methods=("dt", "lrt"))
         a = run_study(spec)
         b = run_study(spec)
         for m in spec.methods:
             np.testing.assert_array_equal(a.pvalues[m], b.pvalues[m])
+
+
+def _assert_same_numbers(a, b):
+    assert a.failures == b.failures
+    assert a.e_w_hat == b.e_w_hat
+    for m in a.spec.methods:
+        np.testing.assert_array_equal(a.pvalues[m], b.pvalues[m])
+        if a.null_pvalues is not None:
+            np.testing.assert_array_equal(a.null_pvalues[m], b.null_pvalues[m])
+
+
+class TestSharedPool:
+    SPEC = ScenarioSpec(case="c6", n=20, p=3, reps=24, seed=13, methods=("dt", "bc"),
+                        bootstrap_reps=24)
+
+    def test_successive_studies_reuse_the_pool(self, monkeypatch):
+        monkeypatch.setenv("DIRNORMAL_THREADS", "2")
+        first = run_study(self.SPEC)
+        pool = sim._pool
+        pids = set(pool._processes)
+        assert len(pids) == 2
+        second = run_study(self.SPEC)
+        assert sim._pool is pool
+        assert set(pool._processes) == pids
+        _assert_same_numbers(first, second)
+
+    def test_cap_change_replaces_the_pool(self, monkeypatch):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("DIRNORMAL_THREADS", "2")
+        two = run_study(self.SPEC)
+        pool = sim._pool
+        monkeypatch.setenv("DIRNORMAL_THREADS", "3")
+        three = run_study(self.SPEC)
+        assert sim._pool is not pool
+        assert len(sim._pool._processes) == 3
+        _assert_same_numbers(two, three)
+
+    def test_broken_pool_replaced_on_next_study(self, monkeypatch):
+        monkeypatch.setenv("DIRNORMAL_THREADS", "2")
+        before = run_study(self.SPEC)
+        pool = sim._pool
+        with pytest.raises(BrokenProcessPool):
+            pool.submit(os._exit, 1).result(timeout=60)
+        after = run_study(self.SPEC)
+        assert sim._pool is not pool
+        _assert_same_numbers(before, after)
+
+    def test_no_worker_outlives_the_interpreter(self):
+        code = textwrap.dedent("""
+            import dirnormal.simulation as sim
+            spec = sim.ScenarioSpec(case="c1", n=20, p=3, reps=8, methods=("dt",))
+            assert sim.run_study(spec).failures == 0
+            print(" ".join(str(pid) for pid in sim._pool._processes))
+        """)
+        src = str(Path(sim.__file__).resolve().parents[1])
+        env = dict(os.environ, DIRNORMAL_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        pids = [int(pid) for pid in out.stdout.split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        alive = set(pids)
+        while alive and time.monotonic() < deadline:
+            for pid in list(alive):
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    alive.discard(pid)
+            if alive:
+                time.sleep(0.05)
+        assert not alive
 
 
 class TestDefaultBlocks:
