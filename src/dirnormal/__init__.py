@@ -11,7 +11,6 @@ reproducible Monte Carlo harness for size/power studies ship alongside.
 
 from .classical import (
     ClassicalReport,
-    bartlett_bootstrap,
     bartlett_rescale,
     chisq_upper_tail,
     classical_report,
@@ -68,6 +67,7 @@ from .simulation import (
     ScenarioSpec,
     Setting1,
     StudyResult,
+    bartlett_bootstrap,
     corrected_cutoff,
     generate_scenario,
     ks_uniformity,

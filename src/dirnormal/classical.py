@@ -1,8 +1,9 @@
 """Classical and higher-order reference tests.
 
 Each hypothesis gives its likelihood ratio statistic ``W``
-(``Hypothesis.lrt``).  This module provides a parametric-bootstrap Bartlett
-rescaling ``W_BC = d W / E(W)`` and the two large-deviation modifications
+(``Hypothesis.lrt``).  This module provides the Bartlett rescaling
+``W_BC = d W / E(W)``, with ``E(W)`` estimated by the parametric bootstrap
+of :mod:`dirnormal.simulation`, and the two large-deviation modifications
 
     ``W*  = W (1 - log(gamma) / W)**2``    and    ``W** = W - 2 log(gamma)``
 
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from .core import sample_mvn, summarize
 from .exceptions import DegenerateNullError
-from .hypotheses import ConstrainedFit, constrained_mle, is_degenerate
+from .hypotheses import ConstrainedFit, is_degenerate
 from .linalg import inv_and_log_det_spd
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "skovgaard_log_gamma",
     "skovgaard_stats",
     "bartlett_rescale",
-    "bartlett_bootstrap",
     "classical_report",
 ]
 
@@ -114,9 +113,7 @@ def skovgaard_log_gamma(fit: ConstrainedFit) -> float:
     return 0.5 * d * math.log(quad) - (0.5 * d - 1.0) * math.log(w) - math.log(inner) + logdet_ratio
 
 
-def skovgaard_stats(
-    w: float, gamma: float | None = None, d: int = 1, *, log_gamma: float | None = None
-) -> tuple[float, float, float, float]:
+def skovgaard_stats(w: float, log_gamma: float, d: int) -> tuple[float, float, float, float]:
     """Modified statistics and their chi-square p-values.
 
     Returns ``(w_star, w_star2, p_star, p_star2)``.  ``w_star`` is
@@ -125,10 +122,6 @@ def skovgaard_stats(
     """
     if w <= 0.0:
         raise ValueError("w must be positive")
-    if log_gamma is None:
-        if gamma is None or gamma <= 0.0:
-            raise ValueError("need gamma > 0 or log_gamma")
-        log_gamma = math.log(gamma)
     w_star = w * (1.0 - log_gamma / w) ** 2
     w_star2 = w - 2.0 * log_gamma
     p_star = chisq_upper_tail(w_star, d)
@@ -144,39 +137,10 @@ def bartlett_rescale(w: float, d: int, e_w_hat: float) -> tuple[float, float]:
     return w_bc, chisq_upper_tail(w_bc, d)
 
 
-def bartlett_bootstrap(
-    fit: ConstrainedFit, b_reps: int = 500, seed: int = 0
-) -> tuple[float, float, float]:
-    """Parametric-bootstrap Bartlett correction.
-
-    Simulates ``b_reps`` data sets from the fitted null (per-group means,
-    shared constrained covariance, group sizes preserved), averages the
-    likelihood ratio statistic over them to estimate ``E(W)``, and returns
-    ``(e_w_hat, w_bc, p_bc)`` for the observed statistic.  Deterministic
-    given ``seed``; replication streams are keyed by ``(seed, b)``.
-    """
-    if b_reps < 50:
-        raise ValueError("need at least 50 bootstrap replications")
-    hyp = fit.hypothesis
-    w_obs = hyp.lrt(fit)
-    total = 0.0
-    for b in range(b_reps):
-        sums = []
-        for i, (s, mu) in enumerate(zip(fit.summaries, fit.mu0)):
-            y = sample_mvn(mu, fit.lambda0_inv, s.n, np.random.SeedSequence((seed, 710, b, i)))
-            sums.append(summarize(y))
-        total += hyp.lrt(constrained_mle(hyp, sums))
-    e_w_hat = total / b_reps
-    w_bc, p_bc = bartlett_rescale(w_obs, fit.d, e_w_hat)
-    return e_w_hat, w_bc, p_bc
-
-
 def classical_report(
     fit: ConstrainedFit,
     methods: tuple[str, ...] = ("lrt", "sko1", "sko2"),
     *,
-    bootstrap_reps: int = 500,
-    seed: int = 0,
     e_w_hat: float | None = None,
 ) -> ClassicalReport:
     """Evaluate the requested classical tests on one fitted data set.
@@ -184,10 +148,13 @@ def classical_report(
     ``methods`` is a subset of ``{"lrt", "bc", "sko1", "sko2"}``.  When the
     observed statistic is numerically zero, or the data sit at the null
     expectation by the rule the directional test uses (``is_degenerate``),
-    every requested p-value is reported as 1.  For ``bc``, a precomputed
-    ``e_w_hat`` (e.g. calibrated once per simulation cell) bypasses the
-    per-call bootstrap.
+    every requested p-value is reported as 1.  ``bc`` rescales by
+    ``e_w_hat``, the estimate of ``E(W)`` that ``bartlett_bootstrap``
+    computes for one data set and ``calibrate_bartlett_expectation`` once
+    per simulation cell; it is required when ``bc`` is requested.
     """
+    if "bc" in methods and e_w_hat is None:
+        raise ValueError("the bc method needs e_w_hat")
     w = fit.hypothesis.lrt(fit)
     if w <= DEGENERATE_W or is_degenerate(fit):
         return ClassicalReport(w=w, d=fit.d, pvalues=dict.fromkeys(methods, 1.0), degenerate=True)
@@ -200,17 +167,13 @@ def classical_report(
         pvalues["lrt"] = chisq_upper_tail(w, fit.d)
     if "sko1" in methods or "sko2" in methods:
         log_gamma = skovgaard_log_gamma(fit)
-        w_star, w_star2, p_star, p_star2 = skovgaard_stats(w, d=fit.d, log_gamma=log_gamma)
+        w_star, w_star2, p_star, p_star2 = skovgaard_stats(w, log_gamma, fit.d)
         if "sko1" in methods:
             pvalues["sko1"] = p_star
         if "sko2" in methods:
             pvalues["sko2"] = p_star2
     if "bc" in methods:
-        if e_w_hat is None:
-            e_w_hat, w_bc, p_bc = bartlett_bootstrap(fit, bootstrap_reps, seed)
-        else:
-            w_bc, p_bc = bartlett_rescale(w, fit.d, e_w_hat)
-        pvalues["bc"] = p_bc
+        w_bc, pvalues["bc"] = bartlett_rescale(w, fit.d, e_w_hat)
 
     return ClassicalReport(
         w=w,

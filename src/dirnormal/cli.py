@@ -19,7 +19,7 @@ from .classical import classical_report
 from .directional import directional_pvalue
 from .exceptions import DegenerateNullError, DirnormalError
 from .hypotheses import HYPOTHESES, BlockIndependence, SpecifiedMeanCov, ZeroPattern, fit_hypothesis
-from .simulation import METHODS, Extreme, Local, Null, ScenarioSpec, Setting1, run_study
+from .simulation import METHODS, Extreme, Local, Null, ScenarioSpec, Setting1, bartlett_bootstrap, run_study
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
@@ -86,6 +86,8 @@ def run_test_command(args) -> int:
     methods = _parse_methods(args.methods)
     if args.interval_c <= 0 or args.quad_tol <= 0 or args.bc_reps <= 0:
         raise DirnormalError("numeric options must be positive")
+    if "bc" in methods and args.bc_reps < 50:
+        raise DirnormalError("--bc-reps must be at least 50")
     groups, column_names = _load_groups(args)
     if HYPOTHESES[args.case].grouped:
         if len(groups) < 2:
@@ -110,9 +112,8 @@ def run_test_command(args) -> int:
     classic = tuple(m for m in methods if m != "dt")
     classical = None
     if classic:
-        classical = classical_report(
-            fit, classic, bootstrap_reps=args.bc_reps, seed=args.seed
-        )
+        e_w_hat = bartlett_bootstrap(fit, args.bc_reps, args.seed) if "bc" in classic else None
+        classical = classical_report(fit, classic, e_w_hat=e_w_hat)
         degenerate = degenerate or classical.degenerate
         stats = {
             "lrt": classical.w,

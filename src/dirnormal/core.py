@@ -22,8 +22,12 @@ __all__ = [
     "check_estimate_exists",
     "summarize",
     "info_log_det",
+    "sample_groups",
     "sample_mvn",
 ]
+
+# Fewest observations a sample may have (a mean and a covariance need two).
+MIN_ROWS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,17 +57,18 @@ class SampleSummary:
     centered_ssq: np.ndarray
 
 
-def validate_data(data: np.ndarray, min_rows: int = 2) -> np.ndarray:
+def validate_data(data: np.ndarray) -> np.ndarray:
     """Validate a raw data matrix and return it as a float array.
 
     Rows are observations, columns variables.  Raises ``NonFiniteError`` on
-    NaN/Inf entries and ``DimensionError`` on wrong shape or too few rows.
+    NaN/Inf entries and ``DimensionError`` on wrong shape or fewer than
+    ``MIN_ROWS`` rows.
     """
     y = np.asarray(data, dtype=float)
     if y.ndim != 2:
         raise DimensionError(f"data must be a 2-d observations-by-variables matrix, got ndim={y.ndim}")
-    if y.shape[0] < min_rows:
-        raise DimensionError(f"need at least {min_rows} observations, got {y.shape[0]}")
+    if y.shape[0] < MIN_ROWS:
+        raise DimensionError(f"need at least {MIN_ROWS} observations, got {y.shape[0]}")
     if y.shape[1] < 1:
         raise DimensionError("data must have at least one column")
     if not np.all(np.isfinite(y)):
@@ -120,19 +125,21 @@ def info_log_det(concentration: np.ndarray, n: int) -> float:
     )
 
 
-def sample_mvn(mu: np.ndarray, cov: np.ndarray, n: int, seed) -> np.ndarray:
-    """Draw ``n`` i.i.d. ``N_p(mu, cov)`` rows, deterministic given ``seed``.
+def sample_groups(factors, sizes, seed) -> list[np.ndarray]:
+    """Draw group ``g`` as ``sizes[g]`` i.i.d. ``N_p(mu_g, L_g L_g')`` rows,
+    for ``(mu_g, L_g)`` in ``factors``, the groups in order from one stream.
 
-    Parameters
-    ----------
-    seed : int, sequence of ints, or numpy.random.SeedSequence
-        Key for the counter-based generator; equal keys give bit-identical
-        samples, so independent streams can be derived per replication.
+    ``seed`` (an int, a sequence of ints or a ``numpy.random.SeedSequence``)
+    keys a counter-based generator; equal keys give bit-identical samples,
+    so independent streams can be derived per replication.
     """
-    mu = np.asarray(mu, dtype=float)
-    ell = spd_cholesky(np.asarray(cov, dtype=float))
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.Philox(seed))
-    z = rng.standard_normal((n, mu.shape[0]))
-    return mu + z @ ell.T
+    return [mu + rng.standard_normal((n, mu.shape[0])) @ ell.T for (mu, ell), n in zip(factors, sizes)]
+
+
+def sample_mvn(mu: np.ndarray, cov: np.ndarray, n: int, seed) -> np.ndarray:
+    """Draw ``n`` i.i.d. ``N_p(mu, cov)`` rows, deterministic given ``seed``
+    (see :func:`sample_groups`)."""
+    mu = np.asarray(mu, dtype=float)
+    (y,) = sample_groups([(mu, spd_cholesky(np.asarray(cov, dtype=float)))], [n], seed)
+    return y

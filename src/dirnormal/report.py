@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 SCHEMA_ID = "report-v1"
+# Largest asymmetry of a matrix read from file, relative to max(1, max |entry|).
+SYMMETRIC_RTOL = 1e-9
 
 
 def _float_repr(x: float) -> str:
@@ -99,15 +101,15 @@ def read_vector_csv(path) -> np.ndarray:
     raise ParseError(f"{path}: expected a single row or column, got shape {values.shape}")
 
 
-def read_matrix_csv(path, symmetric_rtol: float = 1e-9) -> np.ndarray:
-    """Read a square matrix; symmetry is required to ``symmetric_rtol`` and
+def read_matrix_csv(path) -> np.ndarray:
+    """Read a square matrix; symmetry is required to ``SYMMETRIC_RTOL`` and
     then enforced exactly."""
     values, _ = read_data_csv(path)
     if values.shape[0] != values.shape[1]:
         raise ParseError(f"{path}: expected a square matrix, got shape {values.shape}")
     scale = max(1.0, float(np.max(np.abs(values))))
-    if float(np.max(np.abs(values - values.T))) > symmetric_rtol * scale:
-        raise ParseError(f"{path}: matrix is not symmetric to tolerance {symmetric_rtol}")
+    if float(np.max(np.abs(values - values.T))) > SYMMETRIC_RTOL * scale:
+        raise ParseError(f"{path}: matrix is not symmetric to tolerance {SYMMETRIC_RTOL}")
     return 0.5 * (values + values.T)
 
 

@@ -17,6 +17,7 @@ they do not see functions patched in the parent after that.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -29,9 +30,11 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .classical import classical_report
+from .core import sample_groups, summarize
 from .directional import directional_pvalue
 from .exceptions import DimensionError, DirnormalError, InvalidScenarioError
-from .hypotheses import HYPOTHESES, BlockIndependence, Hypothesis, SpecifiedMeanCov, fit_hypothesis
+from .hypotheses import (HYPOTHESES, BlockIndependence, ConstrainedFit, Hypothesis, SpecifiedMeanCov,
+                         constrained_mle, fit_hypothesis)
 from .linalg import spd_cholesky
 
 __all__ = [
@@ -45,6 +48,7 @@ __all__ = [
     "hypothesis_for",
     "scenario_params",
     "generate_scenario",
+    "bartlett_bootstrap",
     "run_study",
     "corrected_cutoff",
     "ks_uniformity",
@@ -108,6 +112,8 @@ class ScenarioSpec:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise InvalidScenarioError(f"unknown methods {sorted(unknown)}")
+        if "bc" in self.methods and self.bootstrap_reps < 1:
+            raise InvalidScenarioError("bootstrap_reps must be >= 1")
         if HYPOTHESES[self.case].grouped:
             try:
                 object.__setattr__(self, "n", tuple(self.n))
@@ -288,14 +294,8 @@ def generate_scenario(spec: ScenarioSpec, rep_index: int, stream: int = _STREAM_
     Returns a single matrix for one-sample cases and a list of per-group
     matrices for the group cases.
     """
-    params = scenario_params(spec)
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((spec.seed, _CASE_IDS[spec.case], stream, rep_index)))
-    )
-    groups = []
-    for (mu, cov), n_i in zip(params, spec.group_sizes):
-        z = rng.standard_normal((n_i, spec.p))
-        groups.append(mu + z @ spd_cholesky(cov).T)
+    factors = [(mu, spd_cholesky(cov)) for mu, cov in scenario_params(spec)]
+    groups = sample_groups(factors, spec.group_sizes, (spec.seed, _CASE_IDS[spec.case], stream, rep_index))
     return groups if HYPOTHESES[spec.case].grouped else groups[0]
 
 
@@ -307,7 +307,7 @@ def _replicate(spec: ScenarioSpec, rep_index: int, stream: int, e_w_hat: float |
         out["dt"], _ = directional_pvalue(fit)
     classic = tuple(m for m in spec.methods if m != "dt")
     if classic:
-        rep = classical_report(fit, classic, e_w_hat=e_w_hat, bootstrap_reps=spec.bootstrap_reps)
+        rep = classical_report(fit, classic, e_w_hat=e_w_hat)
         out.update(rep.pvalues)
     return out
 
@@ -412,26 +412,54 @@ class StudyResult:
     corrected_power: dict[str, float] | None = None
 
 
+def _mean_lrt(hyp: Hypothesis, params, sizes, prefix: tuple[int, ...], reps: int) -> float:
+    """Mean likelihood ratio statistic of ``hyp`` over ``reps`` samples of
+    normal groups with ``(mean, covariance)`` ``params`` and ``sizes`` rows.
+
+    Draw ``b`` takes its groups from the stream keyed ``prefix + (b,)``.  The
+    draws run through the worker pool and are summed in draw order, so the
+    estimate is the same at any worker count.
+    """
+    factors = [(mu, spd_cholesky(cov)) for mu, cov in params]
+    # The partial carries the parameters to a worker once per chunk of draws.
+    draw = functools.partial(_lrt_draw, hyp, factors, sizes, prefix)
+    total = 0.0
+    for w in _map(draw, range(reps)):
+        total += w
+    return total / reps
+
+
+def _lrt_draw(hyp: Hypothesis, factors, sizes, prefix, b: int) -> float:
+    # The draws are on the scale the fit works on: no ``prepare``, which for
+    # the fully specified null would standardize them a second time.
+    groups = sample_groups(factors, sizes, prefix + (b,))
+    return hyp.lrt(constrained_mle(hyp, [summarize(y) for y in groups]))
+
+
 def calibrate_bartlett_expectation(spec: ScenarioSpec, reps: int | None = None) -> float:
     """Mean likelihood ratio statistic over replications of the null.
 
     Shared across a study cell: under a simulation null the fit is known,
     so one calibration serves every replication and the Bartlett statistic
-    becomes ``d * W / e_w_hat``.
+    becomes ``d * W / e_w_hat``.  Draw ``b`` uses the stream
+    ``(seed, case id, 2, b)``.
     """
-    reps = spec.bootstrap_reps if reps is None else reps
     null_spec = replace(spec, alternative=Null())
-    hyp = hypothesis_for(null_spec)
-    total = 0.0
-    # Summed in draw order, so the estimate is the same at any worker count.
-    for w in _map(_calibration_draw, [(null_spec, hyp, b) for b in range(reps)]):
-        total += w
-    return total / reps
+    return _mean_lrt(hypothesis_for(null_spec), scenario_params(null_spec), spec.group_sizes,
+                     (spec.seed, _CASE_IDS[spec.case], _STREAM_BC), spec.bootstrap_reps if reps is None else reps)
 
 
-def _calibration_draw(args) -> float:
-    spec, hyp, b = args
-    return hyp.lrt(fit_hypothesis(hyp, generate_scenario(spec, b, _STREAM_BC)))
+def bartlett_bootstrap(fit: ConstrainedFit, reps: int, seed: int) -> float:
+    """Parametric-bootstrap estimate of ``E(W)`` for the Bartlett correction.
+
+    Averages the likelihood ratio statistic over ``reps`` data sets drawn
+    from the fitted null (the constrained mean of each group, the shared
+    constrained covariance, the observed group sizes).  Deterministic given
+    ``seed``: draw ``b`` uses the stream ``(seed, 710, b)``.  Pass the result
+    to ``classical_report(..., e_w_hat=...)``.
+    """
+    return _mean_lrt(fit.hypothesis, [(mu, fit.lambda0_inv) for mu in fit.mu0],
+                     [s.n for s in fit.summaries], (seed, 710), reps)
 
 
 def run_study(spec: ScenarioSpec) -> StudyResult:

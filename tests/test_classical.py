@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from dirnormal.classical import (
     DEGENERATE_W,
-    bartlett_bootstrap,
     bartlett_rescale,
     chisq_upper_tail,
     classical_report,
@@ -28,6 +27,7 @@ from dirnormal.hypotheses import (
     fit_hypothesis,
 )
 from dirnormal.linalg import inv_spd
+from dirnormal.simulation import bartlett_bootstrap
 
 from _oracles import brute_log_gamma, canonical_loglik, maximize_loglik_moment
 from test_hypotheses import make_summary
@@ -191,12 +191,12 @@ class TestSkovgaardGamma:
 
 class TestSkovgaardStats:
     def test_unit_gamma_collapses(self):
-        w_star, w_star2, p1, p2 = skovgaard_stats(5.0, gamma=1.0, d=3)
+        w_star, w_star2, p1, p2 = skovgaard_stats(5.0, log_gamma=0.0, d=3)
         assert w_star == 5.0 and w_star2 == 5.0
         assert p1 == p2 == pytest.approx(chisq_upper_tail(5.0, 3), rel=1e-14)
 
     def test_plugin_values(self):
-        w_star, w_star2, _, _ = skovgaard_stats(10.0, gamma=math.e, d=2)
+        w_star, w_star2, _, _ = skovgaard_stats(10.0, log_gamma=1.0, d=2)
         assert w_star2 == pytest.approx(8.0, rel=1e-14)
         assert w_star == pytest.approx(8.1, rel=1e-14)
 
@@ -218,8 +218,8 @@ class TestBartlett:
         rng = np.random.default_rng(48)
         y = rng.standard_normal((20, 3))
         fit = fit_hypothesis(CompleteIndependence(), y)
-        a = bartlett_bootstrap(fit, b_reps=60, seed=5)
-        b = bartlett_bootstrap(fit, b_reps=60, seed=5)
+        a = bartlett_bootstrap(fit, reps=60, seed=5)
+        b = bartlett_bootstrap(fit, reps=60, seed=5)
         assert a == b
 
     def test_expectation_inflated_in_high_dimension(self):
@@ -227,7 +227,8 @@ class TestBartlett:
         rng = np.random.default_rng(49)
         y = rng.standard_normal((100, 30))
         fit = fit_hypothesis(ProportionalIdentity(), y)
-        e_w_hat, w_bc, _ = bartlett_bootstrap(fit, b_reps=120, seed=6)
+        e_w_hat = bartlett_bootstrap(fit, reps=120, seed=6)
+        w_bc, _ = bartlett_rescale(fit.hypothesis.lrt(fit), fit.d, e_w_hat)
         assert e_w_hat / fit.d > 1.05
         assert w_bc < fit.hypothesis.lrt(fit)
 
@@ -235,11 +236,16 @@ class TestBartlett:
         rng = np.random.default_rng(50)
         y = rng.standard_normal((500, 2))
         fit = fit_hypothesis(CompleteIndependence(), y)
-        e_w_hat, _, _ = bartlett_bootstrap(fit, b_reps=2000, seed=7)
+        e_w_hat = bartlett_bootstrap(fit, reps=2000, seed=7)
         assert abs(e_w_hat / fit.d - 1.0) < 0.05
 
 
 class TestClassicalReport:
+    def test_bc_requires_e_w_hat(self):
+        fit = fit_hypothesis(CompleteIndependence(), np.random.default_rng(52).standard_normal((20, 3)))
+        with pytest.raises(ValueError, match="e_w_hat"):
+            classical_report(fit, ("bc",))
+
     def test_degenerate_reports_unit_pvalues(self):
         fit = constrained_mle(ProportionalIdentity(), [make_summary(2.0 * np.eye(3))])
         rep = classical_report(fit, ("lrt", "sko1", "sko2"))

@@ -120,6 +120,25 @@ class TestTestCommand:
         schema = json.loads(SCHEMA.read_text())
         jsonschema.validate(json.loads(out.read_text()), schema)
 
+    def test_bootstrap_report_same_at_any_worker_count(self, tmp_path, monkeypatch):
+        f, _ = self._write_case6_file(tmp_path)
+        texts = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DIRNORMAL_THREADS", threads)
+            out = tmp_path / f"r{threads}.json"
+            assert main(["test", "--case", "c6", "--data", str(f), "--methods", "dt,lrt,bc",
+                         "--bc-reps", "60", "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["methods"]["bc"]["p_value"] is not None
+
+    def test_too_few_bootstrap_reps_exits_one(self, tmp_path, capsys):
+        f, _ = self._write_case6_file(tmp_path)
+        code = main(["test", "--case", "c6", "--data", str(f), "--methods", "bc",
+                     "--bc-reps", "49", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "--bc-reps" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["test", "--case", "c6", "--data", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path / "r.json")])

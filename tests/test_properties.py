@@ -1,0 +1,78 @@
+"""Property tests over the nulls, the dimension, the sample size and the seed."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from dirnormal.directional import DirectionalEvaluator, directional_pvalue  # noqa: E402
+from dirnormal.hypotheses import (  # noqa: E402
+    BlockIndependence,
+    CompleteIndependence,
+    EqualCovariances,
+    EqualDistributions,
+    ProportionalIdentity,
+    SpecifiedMeanCov,
+    ZeroPattern,
+    fit_hypothesis,
+)
+
+TAGS = ("c1", "c2", "c3", "c4", "c5", "c6", "pattern")
+# Smallest p at which each null constrains something (d >= 1).
+MIN_P = {"c1": 2, "c2": 2, "c3": 1, "c4": 1, "c5": 1, "c6": 2, "pattern": 2}
+
+
+def _fit(tag: str, p: int, n: int, seed: int, alt: bool):
+    """A fit of the null ``tag`` to normal data of size ``n`` per group, drawn
+    from the standard normal or, with ``alt``, from a random mean and
+    covariance."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        y = rng.standard_normal((n, p))
+        if alt:
+            y = y @ (np.eye(p) + 0.5 * rng.standard_normal((p, p))) + rng.standard_normal(p)
+        return y
+
+    if tag in ("c3", "c4"):
+        hyp = EqualDistributions() if tag == "c3" else EqualCovariances()
+        return fit_hypothesis(hyp, [draw() for _ in range(2)])
+    if tag == "c2":
+        hyp = BlockIndependence((1, p - 1))
+    elif tag == "c5":
+        hyp = SpecifiedMeanCov(np.zeros(p), np.eye(p))
+    elif tag == "pattern":
+        pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+        keep = rng.random(len(pairs)) < 0.5
+        keep[rng.integers(len(pairs))] = True
+        hyp = ZeroPattern(tuple(pair for pair, k in zip(pairs, keep) if k))
+    else:
+        hyp = ProportionalIdentity() if tag == "c1" else CompleteIndependence()
+    return fit_hypothesis(hyp, draw())
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    tag=st.sampled_from(TAGS),
+    p=st.integers(1, 8),
+    extra=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    alt=st.booleans(),
+)
+@example(tag="c6", p=2, extra=0, seed=0, alt=False)  # n = p + 2 and d = 1
+@example(tag="c4", p=1, extra=0, seed=1, alt=True)  # p = 1, d = 1
+@example(tag="c5", p=8, extra=0, seed=2, alt=False)
+@example(tag="c3", p=8, extra=0, seed=3, alt=True)
+@example(tag="pattern", p=8, extra=0, seed=4, alt=True)
+def test_maximizer_finds_the_grid_maximum(tag, p, extra, seed, alt):
+    p = max(p, MIN_P[tag])
+    fit = _fit(tag, p, p + 2 + extra, seed, alt)
+    ev = DirectionalEvaluator(fit)
+    cap = ev.integration_cap()
+    t_hat = ev.maximize(cap)
+    grid = np.linspace(1e-9, cap * (1.0 - 1e-9), 2001)
+    assert ev.log_gbar(t_hat) >= np.max(ev.log_gbar(grid)) - 1e-7
+    p_value, _ = directional_pvalue(fit)
+    assert 0.0 <= p_value <= 1.0

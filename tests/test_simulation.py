@@ -85,6 +85,11 @@ class TestScenarioParams:
         with pytest.raises(InvalidScenarioError):
             ScenarioSpec(case="c1", n=5, p=4)
 
+    def test_bartlett_needs_a_draw(self):
+        ScenarioSpec(case="c1", n=10, p=3, bootstrap_reps=0)  # no bc, not used
+        with pytest.raises(InvalidScenarioError):
+            ScenarioSpec(case="c1", n=10, p=3, methods=("bc",), bootstrap_reps=0)
+
 
 class TestGenerateScenario:
     def test_deterministic_per_replication(self):
