@@ -33,6 +33,7 @@ __all__ = [
     "skovgaard_log_gamma",
     "skovgaard_stats",
     "bartlett_rescale",
+    "classical_degenerate",
     "classical_report",
 ]
 
@@ -137,6 +138,14 @@ def bartlett_rescale(w: float, d: int, e_w_hat: float) -> tuple[float, float]:
     return w_bc, chisq_upper_tail(w_bc, d)
 
 
+def classical_degenerate(fit: ConstrainedFit, w: float) -> bool:
+    """Whether the classical tests of ``fit``, with likelihood ratio
+    statistic ``w``, are reported as degenerate, every p-value 1: ``w`` is
+    numerically zero, or the data sit at the null expectation by the rule
+    the directional test uses (``is_degenerate``)."""
+    return w <= DEGENERATE_W or is_degenerate(fit)
+
+
 def classical_report(
     fit: ConstrainedFit,
     methods: tuple[str, ...] = ("lrt", "sko1", "sko2"),
@@ -145,19 +154,18 @@ def classical_report(
 ) -> ClassicalReport:
     """Evaluate the requested classical tests on one fitted data set.
 
-    ``methods`` is a subset of ``{"lrt", "bc", "sko1", "sko2"}``.  When the
-    observed statistic is numerically zero, or the data sit at the null
-    expectation by the rule the directional test uses (``is_degenerate``),
-    every requested p-value is reported as 1.  ``bc`` rescales by
-    ``e_w_hat``, the estimate of ``E(W)`` that ``bartlett_bootstrap``
-    computes for one data set and ``calibrate_bartlett_expectation`` once
-    per simulation cell; it is required when ``bc`` is requested.
+    ``methods`` is a subset of ``{"lrt", "bc", "sko1", "sko2"}``.  On a
+    fit that :func:`classical_degenerate` flags every requested p-value is
+    reported as 1.  ``bc`` rescales by ``e_w_hat``, the estimate of
+    ``E(W)`` that ``bartlett_bootstrap`` computes for one data set and
+    ``calibrate_bartlett_expectation`` once per simulation cell; it is
+    required when ``bc`` is requested on a fit that is not degenerate.
     """
+    w = fit.hypothesis.lrt(fit)
+    if classical_degenerate(fit, w):
+        return ClassicalReport(w=w, d=fit.d, pvalues=dict.fromkeys(methods, 1.0), degenerate=True)
     if "bc" in methods and e_w_hat is None:
         raise ValueError("the bc method needs e_w_hat")
-    w = fit.hypothesis.lrt(fit)
-    if w <= DEGENERATE_W or is_degenerate(fit):
-        return ClassicalReport(w=w, d=fit.d, pvalues=dict.fromkeys(methods, 1.0), degenerate=True)
 
     pvalues: dict[str, float] = {}
     log_gamma = None

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import report as report_io
-from .classical import classical_report
+from .classical import classical_degenerate, classical_report
 from .directional import directional_pvalue
 from .exceptions import DegenerateNullError, DirnormalError
 from .hypotheses import HYPOTHESES, BlockIndependence, SpecifiedMeanCov, ZeroPattern, fit_hypothesis
@@ -112,7 +112,10 @@ def run_test_command(args) -> int:
     classic = tuple(m for m in methods if m != "dt")
     classical = None
     if classic:
-        e_w_hat = bartlett_bootstrap(fit, args.bc_reps, args.seed) if "bc" in classic else None
+        # degenerate data report every p-value as 1, so the draws are skipped
+        e_w_hat = None
+        if "bc" in classic and not classical_degenerate(fit, fit.hypothesis.lrt(fit)):
+            e_w_hat = bartlett_bootstrap(fit, args.bc_reps, args.seed)
         classical = classical_report(fit, classic, e_w_hat=e_w_hat)
         degenerate = degenerate or classical.degenerate
         stats = {

@@ -10,7 +10,9 @@ Six null hypotheses are supported:
 * :class:`CompleteIndependence` -- diagonal concentration;
 
 plus the general :class:`ZeroPattern` (prescribed zero entries of the
-concentration matrix, fitted by iterative proportional scaling).
+concentration matrix, fitted by damped Newton on the covariance-selection
+problem: on the concentration when the free entries are fewer, on the
+covariance when the zero pairs are).
 
 Each class is the one place that states how its null differs from the
 others: its degrees of freedom, its constrained estimates, whether it
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .core import SampleSummary, check_estimate_exists, summarize, validate_data
 from .exceptions import (
@@ -417,22 +420,25 @@ def standardize(data: np.ndarray, mu0: np.ndarray, lambda0: np.ndarray) -> np.nd
 def fit_zero_pattern(
     mle_cov: np.ndarray,
     zero_pairs: Sequence[tuple[int, int]],
-    tol: float = 1e-9,
-    max_sweeps: int = 10_000,
+    tol: float = 1e-12,
 ) -> np.ndarray:
     """Constrained covariance estimate under a concentration zero pattern.
 
-    Edgewise iterative proportional scaling: the concentration candidate
-    ``K`` starts diagonal, and each free margin ``c`` (every singleton and
-    every unconstrained pair) is updated by
-    ``K[c, c] += inv(S[c, c]) - inv(Sigma[c, c])`` where ``Sigma = inv(K)``.
-    ``Sigma`` is maintained by a rank-two update, so the margin matches the
-    sample value exactly after each step.  The fixed point matches
-    ``mle_cov`` on all free entries while keeping the constrained
-    concentration entries exactly zero.
+    Maximizes ``log det K - tr(S K)`` over concentrations ``K`` that vanish
+    on the pattern (Dempster's covariance selection), so the fit equals
+    ``S`` on the diagonal and the free pairs.  Damped Newton
+    (:func:`_newton_logdet`) solves it on the correlation scale
+    ``R = D S D``, ``D = diag(S)^-1/2``, in whichever form has fewer
+    unknowns, the primal on a tie: the primal moves ``K`` on the diagonal
+    and the free pairs from the identity, and the fit is ``inv(K)``; the
+    dual moves the covariance on the zero pairs from ``R`` to maximize its
+    log-determinant, and the fit is that covariance.
 
-    Convergence is declared when the largest absolute change of ``Sigma``
-    within a sweep drops below ``tol``.
+    ``tol`` bounds each remaining gradient entry divided by its weight and
+    by ``sqrt(Y_ii Y_jj)``: a correlation mismatch in the primal, a fitted
+    partial correlation in the dual.  Raises ``NotPositiveDefiniteError``
+    for a ``mle_cov`` that is not positive definite and
+    ``NoConvergenceError`` at the iteration cap.
     """
     s = symmetrize(np.asarray(mle_cov, dtype=float))
     p = s.shape[0]
@@ -442,39 +448,55 @@ def fit_zero_pattern(
     if not zero.any():
         return s.copy()
 
-    free_pairs = [(i, j) for i in range(p) for j in range(i + 1, p) if not zero[i, j]]
-    cov = np.diag(np.diag(s)).astype(float)
-    conc = np.diag(1.0 / np.diag(s))
-
-    margins: list[list[int]] = [[i] for i in range(p)] + [[i, j] for i, j in free_pairs]
-    for _ in range(max_sweeps):
-        delta_sweep = 0.0
-        for c in margins:
-            scc = s[np.ix_(c, c)]
-            ccc = cov[np.ix_(c, c)]
-            c_inv = np.linalg.inv(ccc)
-            step = np.linalg.inv(scc) - c_inv
-            if np.max(np.abs(step)) == 0.0:
-                continue
-            conc[np.ix_(c, c)] += step
-            # Sigma' = Sigma - U (C^-1 - C^-1 S_cc C^-1) U^T drives the
-            # c-margin of Sigma exactly to S_cc.
-            u = cov[:, c]
-            g = c_inv - c_inv @ scc @ c_inv
-            update = u @ g @ u.T
-            cov = cov - update
-            delta_sweep = max(delta_sweep, float(np.max(np.abs(update))))
-        if delta_sweep < tol:
-            break
+    scale = np.sqrt(np.diag(s))
+    r = s / np.outer(scale, scale)
+    rows, cols = np.nonzero(np.triu(zero))
+    if rows.size < p + (p * (p - 1) // 2 - rows.size):
+        fit, _ = _newton_logdet(r, np.zeros((p, p)), rows, cols, tol)
     else:
-        raise NoConvergenceError(f"zero-pattern fit did not converge in {max_sweeps} sweeps")
+        rows, cols = np.nonzero(np.triu(~zero))
+        _, fit = _newton_logdet(np.eye(p), r, rows, cols, tol)
+    return fit * np.outer(scale, scale)
 
-    conc = symmetrize(conc)
-    conc[zero] = 0.0
-    out = inv_spd(conc)
-    if not is_positive_definite(out):  # pragma: no cover - guarded by inv_spd
-        raise NotPositiveDefiniteError("zero-pattern fit is not positive definite")
-    return out
+
+# Iteration cap of the zero-pattern fit.  Damped Newton takes about ten
+# steps on well-conditioned data and took up to 61 at n = p + 2, p <= 90.
+_MAX_NEWTON_STEPS = 200
+
+
+def _newton_logdet(x, target, rows, cols, tol):
+    """Minimize ``-log det X + <target, X>`` over symmetric ``X`` that moves
+    only on the entries ``(rows, cols)``, ``rows <= cols``, from the positive
+    definite start ``x``, which is updated in place.  Returns ``X`` and its
+    inverse.
+
+    In the coordinates of those entries the gradient is ``w (target - Y)``
+    with ``Y = inv(X)`` and weight ``w`` 2 off the diagonal and 1 on it, and
+    the Hessian is ``(Y_ik Y_jl + Y_il Y_jk) w_a w_b / 2`` for entries
+    ``a = (i, j)`` and ``b = (k, l)``.  The objective is self-concordant, so
+    the damped step ``1 / (1 + lambda)`` for a Newton decrement
+    ``lambda >= 1/4``, and the full step below it, keep every iterate
+    positive definite and converge quadratically near the solution.
+    """
+    w = np.where(rows == cols, 1.0, 2.0)
+    half_ww = 0.5 * np.outer(w, w)
+    t = target[rows, cols]
+    for _ in range(_MAX_NEWTON_STEPS):
+        y = inv_spd(x)
+        resid = t - y[rows, cols]
+        root = np.sqrt(np.diag(y))
+        if np.max(np.abs(resid) / (root[rows] * root[cols])) <= tol:
+            return x, y
+        grad = w * resid
+        hess = (y[np.ix_(rows, rows)] * y[np.ix_(cols, cols)]
+                + y[np.ix_(rows, cols)] * y[np.ix_(cols, rows)]) * half_ww
+        step = cho_solve(cho_factor(hess), -grad)
+        decrement = np.sqrt(max(-float(grad @ step), 0.0))
+        if decrement >= 0.25:
+            step /= 1.0 + decrement
+        x[rows, cols] += step
+        x[cols, rows] = x[rows, cols]
+    raise NoConvergenceError(f"zero-pattern fit did not converge in {_MAX_NEWTON_STEPS} Newton steps")
 
 
 def constrained_mle(hypothesis: Hypothesis, summaries: Sequence[SampleSummary]) -> ConstrainedFit:

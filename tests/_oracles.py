@@ -12,9 +12,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from dirnormal.directional import DirectionalEvaluator
-from dirnormal.exceptions import NotPositiveDefiniteError
-from dirnormal.hypotheses import path_estimates
-from dirnormal.linalg import inv_spd, vech, vech_indices
+from dirnormal.exceptions import NoConvergenceError, NotPositiveDefiniteError
+from dirnormal.hypotheses import ZeroPattern, path_estimates
+from dirnormal.linalg import inv_spd, is_positive_definite, symmetrize, vech, vech_indices
 
 try:
     trapezoid = np.trapezoid
@@ -246,3 +246,75 @@ def maximize_loglik_moment(summary, constrain_diag: bool = False) -> float:
     res2 = minimize(negloglik, res.x, method="Nelder-Mead",
                     options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 20000})
     return -min(res.fun, res2.fun)
+
+
+def ips_zero_pattern(mle_cov: np.ndarray, zero_pairs, tol: float = 1e-9, max_sweeps: int = 10_000) -> np.ndarray:
+    """Zero-pattern covariance fit by edgewise iterative proportional scaling.
+
+    The concentration candidate ``K`` starts diagonal, and each free margin
+    ``c`` (every singleton and every unconstrained pair) is updated by
+    ``K[c, c] += inv(S[c, c]) - inv(Sigma[c, c])`` where ``Sigma = inv(K)``.
+    ``Sigma`` is maintained by a rank-two update, so the margin matches the
+    sample value exactly after each step.  The fixed point matches
+    ``mle_cov`` on all free entries while keeping the constrained
+    concentration entries exactly zero.
+
+    Convergence is declared when the largest absolute change of ``Sigma``
+    within a sweep drops below ``tol``.
+    """
+    s = symmetrize(np.asarray(mle_cov, dtype=float))
+    p = s.shape[0]
+    if not is_positive_definite(s):
+        raise NotPositiveDefiniteError("sample covariance is not positive definite")
+    zero = ZeroPattern(tuple((i, j) for i, j in zero_pairs)).mask(p) if zero_pairs else np.zeros((p, p), bool)
+    if not zero.any():
+        return s.copy()
+
+    free_pairs = [(i, j) for i in range(p) for j in range(i + 1, p) if not zero[i, j]]
+    cov = np.diag(np.diag(s)).astype(float)
+    conc = np.diag(1.0 / np.diag(s))
+
+    margins: list[list[int]] = [[i] for i in range(p)] + [[i, j] for i, j in free_pairs]
+    for _ in range(max_sweeps):
+        delta_sweep = 0.0
+        for c in margins:
+            scc = s[np.ix_(c, c)]
+            ccc = cov[np.ix_(c, c)]
+            c_inv = np.linalg.inv(ccc)
+            step = np.linalg.inv(scc) - c_inv
+            if np.max(np.abs(step)) == 0.0:
+                continue
+            conc[np.ix_(c, c)] += step
+            # Sigma' = Sigma - U (C^-1 - C^-1 S_cc C^-1) U^T drives the
+            # c-margin of Sigma exactly to S_cc.
+            u = cov[:, c]
+            g = c_inv - c_inv @ scc @ c_inv
+            update = u @ g @ u.T
+            cov = cov - update
+            delta_sweep = max(delta_sweep, float(np.max(np.abs(update))))
+        if delta_sweep < tol:
+            break
+    else:
+        raise NoConvergenceError(f"zero-pattern fit did not converge in {max_sweeps} sweeps")
+
+    conc = symmetrize(conc)
+    conc[zero] = 0.0
+    out = inv_spd(conc)
+    if not is_positive_definite(out):  # pragma: no cover - guarded by inv_spd
+        raise NotPositiveDefiniteError("zero-pattern fit is not positive definite")
+    return out
+
+
+def zero_pattern_kkt_residuals(v: np.ndarray, zero_pairs, fitted: np.ndarray) -> tuple[float, float]:
+    """Optimality residuals of a zero-pattern fit, each relative to the
+    largest entry: the largest gap between the fitted covariance and ``v``
+    on the diagonal and the free pairs, and the largest fitted
+    concentration on the pattern (0 for an empty pattern)."""
+    p = v.shape[0]
+    zero = np.zeros((p, p), dtype=bool)
+    for i, j in zero_pairs:
+        zero[i, j] = zero[j, i] = True
+    conc = np.linalg.inv(fitted)
+    gap = float(np.max(np.abs(fitted - v)[~zero])) / float(np.max(np.abs(v)))
+    on_pattern = float(np.max(np.abs(conc[zero]), initial=0.0)) / float(np.max(np.abs(conc)))
+    return gap, on_pattern

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dirnormal import cli
 from dirnormal.cli import main
 from dirnormal.core import sample_mvn
 from dirnormal.directional import directional_pvalue
@@ -174,6 +175,20 @@ class TestTestCommand:
         assert report["degenerate"] is True
         assert {m: e["p_value"] for m, e in report["methods"].items()} == dict.fromkeys(
             ("dt", "lrt", "sko1", "sko2"), 1.0)
+
+    def test_degenerate_data_skip_the_bootstrap(self, tmp_path, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("bootstrap run on degenerate data")
+
+        monkeypatch.setattr(cli, "bartlett_bootstrap", no_draws)
+        data, out = tmp_path / "d0.csv", tmp_path / "r.json"
+        write_data_csv(data, np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]]))
+        assert main(["test", "--case", "c6", "--data", str(data), "--methods", "dt,lrt,bc",
+                     "--bc-reps", "60", "--out", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["degenerate"] is True
+        assert {m: e["p_value"] for m, e in report["methods"].items()} == dict.fromkeys(
+            ("dt", "lrt", "bc"), 1.0)
 
     def test_group_column_splitting(self, tmp_path):
         rng = np.random.default_rng(91)

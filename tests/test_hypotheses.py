@@ -1,11 +1,13 @@
-"""Constrained fits, degrees of freedom, zero-pattern scaling, tilted paths."""
+"""Constrained fits, degrees of freedom, zero-pattern fits, tilted paths."""
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from _oracles import ips_zero_pattern, zero_pattern_kkt_residuals
+from dirnormal import hypotheses
 from dirnormal.core import sample_mvn, summarize
-from dirnormal.exceptions import DimensionError, NotPositiveDefiniteError
+from dirnormal.exceptions import DimensionError, NoConvergenceError, NotPositiveDefiniteError
 from dirnormal.hypotheses import (
     BlockIndependence,
     CompleteIndependence,
@@ -199,6 +201,42 @@ class TestZeroPattern:
     def test_not_pd_input_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             fit_zero_pattern(np.array([[1.0, 2.0], [2.0, 1.0]]), ((0, 1),))
+
+    # Unknowns: p plus the free pairs on the primal branch, the zero pairs on
+    # the dual one.  The banded p=30 pattern has 87 against 378, the p=40 one
+    # 817 against 3, and 18 zeros at p=8 make a tie (18 against 18), which
+    # the primal branch takes.
+    PATTERNS = {
+        "primal": (30, tuple((i, j) for i in range(30) for j in range(i + 3, 30))),
+        "dual": (40, ((0, 5), (3, 17), (20, 39))),
+        "tie": (8, ((0, 1), (0, 3), (0, 5), (0, 7), (1, 2), (1, 4), (1, 6), (2, 3), (2, 5),
+                    (2, 7), (3, 4), (3, 6), (4, 5), (4, 7), (5, 6), (5, 7), (6, 7), (1, 7))),
+    }
+
+    @pytest.mark.parametrize("branch", sorted(PATTERNS))
+    def test_matches_proportional_scaling_oracle(self, branch):
+        p, pairs = self.PATTERNS[branch]
+        v = summarize(np.random.default_rng(12).standard_normal((200, p))).mle_cov
+        np.testing.assert_allclose(
+            fit_zero_pattern(v, pairs, tol=1e-12), ips_zero_pattern(v, pairs, tol=1e-11), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("branch", sorted(PATTERNS))
+    def test_optimality_conditions(self, branch):
+        p, pairs = self.PATTERNS[branch]
+        # a scaled and correlated covariance: the fit works on the correlation scale
+        rng = np.random.default_rng(14)
+        y = rng.standard_normal((p + 20, p)) @ (np.eye(p) + 0.3 * rng.standard_normal((p, p)))
+        v = summarize(y * np.geomspace(0.01, 100.0, p)).mle_cov
+        fitted = fit_zero_pattern(v, pairs)
+        assert is_positive_definite(fitted)
+        assert max(zero_pattern_kkt_residuals(v, pairs, fitted)) <= 1e-10
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(hypotheses, "_MAX_NEWTON_STEPS", 1)
+        p, pairs = self.PATTERNS["primal"]
+        v = summarize(np.random.default_rng(12).standard_normal((200, p))).mle_cov
+        with pytest.raises(NoConvergenceError):
+            fit_zero_pattern(v, pairs)
 
 
 class TestExpectedSPsi:

@@ -7,6 +7,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from _oracles import zero_pattern_kkt_residuals  # noqa: E402
+from dirnormal.core import summarize  # noqa: E402
 from dirnormal.directional import DirectionalEvaluator, directional_pvalue  # noqa: E402
 from dirnormal.hypotheses import (  # noqa: E402
     BlockIndependence,
@@ -17,7 +19,9 @@ from dirnormal.hypotheses import (  # noqa: E402
     SpecifiedMeanCov,
     ZeroPattern,
     fit_hypothesis,
+    fit_zero_pattern,
 )
+from dirnormal.linalg import is_positive_definite  # noqa: E402
 
 TAGS = ("c1", "c2", "c3", "c4", "c5", "c6", "pattern")
 # Smallest p at which each null constrains something (d >= 1).
@@ -76,3 +80,27 @@ def test_maximizer_finds_the_grid_maximum(tag, p, extra, seed, alt):
     assert ev.log_gbar(t_hat) >= np.max(ev.log_gbar(grid)) - 1e-7
     p_value, _ = directional_pvalue(fit)
     assert 0.0 <= p_value <= 1.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    p=st.integers(2, 10),
+    zero_bits=st.lists(st.booleans(), min_size=45, max_size=45),
+    extra=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=6, zero_bits=[False] * 45, extra=0, seed=0)  # empty pattern
+@example(p=10, zero_bits=[True] * 45, extra=0, seed=1)  # every pair: primal
+@example(p=10, zero_bits=[True] + [False] * 44, extra=0, seed=2)  # dual
+@example(p=10, zero_bits=[False] + [True] * 44, extra=40, seed=3)  # primal
+@example(p=4, zero_bits=[True] * 5 + [False] * 40, extra=0, seed=4)  # tie: 5 against 5
+def test_zero_pattern_fit_is_optimal(p, zero_bits, extra, seed):
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    zeros = tuple(pair for pair, bit in zip(pairs, zero_bits) if bit)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((p + 2 + extra, p)) @ (np.eye(p) + 0.5 * rng.standard_normal((p, p)))
+    v = summarize(y * rng.uniform(0.1, 10.0, p)).mle_cov
+    fitted = fit_zero_pattern(v, zeros)
+    np.testing.assert_array_equal(fitted, fitted.T)
+    assert is_positive_definite(fitted)
+    assert max(zero_pattern_kkt_residuals(v, zeros, fitted)) <= 1e-10
