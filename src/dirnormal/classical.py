@@ -1,14 +1,16 @@
 """Classical and higher-order reference tests.
 
 Each hypothesis gives its likelihood ratio statistic ``W``
-(``Hypothesis.lrt``).  This module provides the Bartlett rescaling
+(``Hypothesis.lrt``), from the constrained and unconstrained estimates of
+the fit alone.  This module provides the Bartlett rescaling
 ``W_BC = d W / E(W)``, with ``E(W)`` estimated by the parametric bootstrap
 of :mod:`dirnormal.simulation`, and the two large-deviation modifications
 
     ``W*  = W (1 - log(gamma) / W)**2``    and    ``W** = W - 2 log(gamma)``
 
-driven by a case-specific correction factor ``gamma``.  All three are
-referred to an upper chi-square tail with ``d`` degrees of freedom.
+driven by a correction factor ``gamma``, one formula over the same
+estimates for every null (Skovgaard 2001).  All three are referred to an
+upper chi-square tail with ``d`` degrees of freedom.
 
 ``gamma`` is astronomically large once the dimension grows, so the
 correction is computed and stored on the log scale.
@@ -77,37 +79,28 @@ def skovgaard_log_gamma(fit: ConstrainedFit) -> float:
         When the unadjusted statistic is (numerically) zero, in which case
         the factor is undefined and callers should report p-values of 1.
     """
-    w = fit.hypothesis.plain_w(fit)
+    w = fit.plain_w
     if w <= DEGENERATE_W:
         raise DegenerateNullError("likelihood ratio statistic is zero; correction factor undefined")
     p = fit.p
     quad = inner = logdet_ratio = 0.0
-    if fit.pencil_eigs is not None:
-        # Where the mean is free everything is a spectral function of the
-        # per-group pencils.
-        for s, nu in zip(fit.summaries, fit.pencil_eigs):
-            quad += 0.5 * s.n * (float(np.sum(nu**2)) - p)
-            inner += 0.5 * s.n * (float(np.sum(1.0 / nu)) - p)
-            logdet_ratio += -0.5 * (p + 2) * float(np.sum(np.log(nu)))
-    else:
-        # The quadratic form and the inner product split per group through
-        # the block structure of the information.  With b = ybar_g - mu0_g,
-        # V the group's covariance and G = V + b b' - A, group g adds
-        # n b'A^-1 b + n/2 tr((G A^-1)^2) to the quadratic form and
-        # n/2 (b'V^-1 b + b'A^-1 b + tr(V^-1 A) + tr(A^-1 V) - 2p) to the
-        # inner product (checked against the assembled-matrix oracle in
-        # the test suite).
-        a = fit.lambda0_inv
-        a_inv, ld_a = inv_and_log_det_spd(a)
-        for s, mu in zip(fit.summaries, fit.mu0):
-            b = s.ybar - mu
-            lam_hat, ld_v = inv_and_log_det_spd(s.mle_cov)
-            ga = (s.mle_cov + np.outer(b, b) - a) @ a_inv
-            b_a = float(b @ a_inv @ b)
-            quad += s.n * b_a + 0.5 * s.n * float(np.sum(ga * ga.T))
-            traces = float(np.sum(lam_hat * a)) + float(np.sum(a_inv * s.mle_cov))
-            inner += 0.5 * s.n * (float(b @ lam_hat @ b) + b_a + traces - 2 * p)
-            logdet_ratio += 0.5 * (p + 2) * (ld_a - ld_v)
+    # The quadratic form and the inner product split per group through the
+    # block structure of the information.  With b = ybar_g - mu0_g, V the
+    # group's covariance and G = V + b b' - A, group g adds n b'A^-1 b +
+    # n/2 tr((G A^-1)^2) to the first and n/2 (b'V^-1 b + b'A^-1 b +
+    # tr(V^-1 A) + tr(A^-1 V) - 2p) to the second (checked against the
+    # assembled-matrix oracle in the test suite).
+    a = fit.lambda0_inv
+    a_inv, ld_a = inv_and_log_det_spd(a)
+    for s, mu in zip(fit.summaries, fit.mu0):
+        b = s.ybar - mu
+        lam_hat, ld_v = inv_and_log_det_spd(s.mle_cov)
+        ga = (s.mle_cov + np.outer(b, b) - a) @ a_inv
+        b_a = float(b @ a_inv @ b)
+        quad += s.n * b_a + 0.5 * s.n * float(np.sum(ga * ga.T))
+        traces = float(np.sum(lam_hat * a)) + float(np.sum(a_inv * s.mle_cov))
+        inner += 0.5 * s.n * (float(b @ lam_hat @ b) + b_a + traces - 2 * p)
+        logdet_ratio += 0.5 * (p + 2) * (ld_a - ld_v)
     if quad <= 0.0 or inner <= 0.0:
         raise DegenerateNullError("degenerate correction factor")
     d = fit.d
@@ -168,9 +161,7 @@ def classical_report(
         raise ValueError("the bc method needs e_w_hat")
 
     pvalues: dict[str, float] = {}
-    log_gamma = None
-    w_star = w_star2 = None
-    w_bc = None
+    log_gamma = w_star = w_star2 = w_bc = None
     if "lrt" in methods:
         pvalues["lrt"] = chisq_upper_tail(w, fit.d)
     if "sko1" in methods or "sko2" in methods:

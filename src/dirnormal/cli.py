@@ -84,8 +84,6 @@ def _build_hypothesis(args):
 
 def run_test_command(args) -> int:
     methods = _parse_methods(args.methods)
-    if args.interval_c <= 0 or args.quad_tol <= 0 or args.bc_reps <= 0:
-        raise DirnormalError("numeric options must be positive")
     if "bc" in methods and args.bc_reps < 50:
         raise DirnormalError("--bc-reps must be at least 50")
     groups, column_names = _load_groups(args)
@@ -104,9 +102,7 @@ def run_test_command(args) -> int:
     diagnostics = None
     degenerate = False
     if "dt" in methods:
-        p_dir, diagnostics = directional_pvalue(
-            fit, halfwidth=args.interval_c, rel_tol=args.quad_tol
-        )
+        p_dir, diagnostics = directional_pvalue(fit)
         degenerate = degenerate or diagnostics.degenerate
         method_entries["dt"] = {"p_value": p_dir, "statistic": None}
     classic = tuple(m for m in methods if m != "dt")
@@ -198,10 +194,6 @@ def _add_test_parser(sub) -> None:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True)
     q.add_argument("--format", choices=("json", "csv"), default="json")
-    q.add_argument("--interval-c", type=float, default=5.0, help="half-width multiplier of the integration interval")
-    q.add_argument("--quad-tol", type=float, default=1e-9,
-                   help="relative tolerance to which the two Gauss-Legendre resolutions must "
-                        "agree; also that of the adaptive quadrature a disagreement falls back to")
     q.add_argument("--pretty", action="store_true", help="also print a human-readable table")
 
 

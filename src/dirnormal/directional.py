@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .exceptions import NoConvergenceError
 from .hypotheses import ConstrainedFit, is_degenerate
-from .linalg import log_det_spd, spd_cholesky, symmetrize
+from .linalg import eig_pencil, log_det_spd
 
 __all__ = [
     "DirectionalDiagnostics",
@@ -38,7 +38,13 @@ __all__ = [
 ENDPOINT_DROP = 40.0
 # Drop used to truncate an infinite upper limit.
 TRUNCATION_DROP = 60.0
+# Half-width of the base integration interval in Laplace standard deviations.
+INTERVAL_HALFWIDTH = 5.0
+# Tolerances of the quadrature (see directional_pvalue).
+QUAD_REL_TOL = 1e-9
+QUAD_ABS_TOL = 1e-14
 _TSUP_HUGE = 1e8
+_EPS = np.finfo(float).eps
 # Gauss-Legendre nodes per panel, and panels per side of t = 1 in the
 # coarser of the two compared resolutions (the finer one doubles them).
 _GL_NODES = 24
@@ -76,8 +82,12 @@ def _feasible_sup(mu: np.ndarray, c2: np.ndarray) -> float:
         return hi
     # brentq keeps its function in a reference cycle; a bound method there
     # would pin the evaluator and its fit until the garbage collector runs
-    return brentq(_rank_one_margin, 0.0, hi, args=(mu, c2), xtol=1e-14,
-                  rtol=4 * np.finfo(float).eps)
+    return brentq(_rank_one_margin, 0.0, hi, args=(mu, c2), xtol=1e-14, rtol=4 * _EPS)
+
+
+def _derivative(t: float, ev: DirectionalEvaluator) -> float:
+    # a function of the evaluator, not its bound method: see _feasible_sup
+    return ev.derivative(t)
 
 
 class DirectionalEvaluator:
@@ -95,7 +105,8 @@ class DirectionalEvaluator:
 
     with ``f_j = 1 - t + t mu_j``, so each evaluation costs O(k p) and
     takes whole arrays of ``t``.  When every ``b_g`` is zero (the cases
-    whose path is linear in ``t``) the fit's ``pencil_eigs`` are used.
+    whose path is linear in ``t``) the fit's ``pencil_eigs`` are used;
+    otherwise :func:`~dirnormal.linalg.eig_pencil` factors each group.
     Instances are immutable after construction and safe to share across
     workers.
     """
@@ -114,14 +125,9 @@ class DirectionalEvaluator:
             self._mu = np.asarray(fit.pencil_eigs)  # (k, p)
             self._c2 = np.zeros_like(self._mu)
         else:
-            ell = spd_cholesky(fit.lambda0_inv)
-            mus, cs = [], []
-            for s, mu0 in zip(fit.summaries, fit.mu0):
-                b = s.ybar - mu0
-                half = np.linalg.solve(ell, np.column_stack([s.mle_cov + np.outer(b, b), b]))
-                mu, q = np.linalg.eigh(symmetrize(np.linalg.solve(ell, half[:, :p].T)))
-                mus.append(mu)
-                cs.append(q.T @ half[:, p])
+            bs = [s.ybar - mu0 for s, mu0 in zip(fit.summaries, fit.mu0)]
+            mus, cs = zip(*(eig_pencil(fit.lambda0_inv, s.mle_cov + np.outer(b, b), b)
+                            for s, b in zip(fit.summaries, bs)))
             self._mu = np.array(mus)
             self._c2 = np.array(cs) ** 2
             self._slope = 0.5 * sum(
@@ -152,13 +158,19 @@ class DirectionalEvaluator:
         out = np.where(ok, vals, -math.inf)
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
-    def curvature(self, t: float) -> float:
-        """Closed-form second derivative of ``log_gbar`` at ``t``.
+    def derivative(self, t: float) -> float:
+        """Closed-form first derivative of ``log_gbar`` at ``t``.  With
+        ``s = t**2 sum c_j**2 / f_j`` the rank-one factor is ``1 - s`` and
+        ``s' = t sum c_j**2 (1 + f_j) / f_j**2``."""
+        f = 1.0 - t + t * self._mu
+        linear = np.sum((self._mu - 1.0) / f, axis=1)
+        r = 1.0 - t * t * np.sum(self._c2 / f, axis=1)
+        s1 = t * np.sum(self._c2 * (1.0 + f) / f**2, axis=1)
+        return float((self.d - 1) / t + self._slope + self._weights @ (linear - s1 / r))
 
-        With ``s = t**2 sum c_j**2 / f_j`` the rank-one factor is
-        ``1 - s``, ``s' = t sum c_j**2 (1 + f_j) / f_j**2`` and
-        ``s'' = 2 sum c_j**2 / f_j**3``.
-        """
+    def curvature(self, t: float) -> float:
+        """Closed-form second derivative of ``log_gbar`` at ``t``, with
+        ``s`` as in :meth:`derivative` and ``s'' = 2 sum c_j**2 / f_j**3``."""
         t = float(t)
         f = 1.0 - t + t * self._mu
         linear = np.sum((1.0 - self._mu) ** 2 / f**2, axis=1)
@@ -191,22 +203,18 @@ class DirectionalEvaluator:
         raise NoConvergenceError("could not truncate an unbounded integration range")
 
     def maximize(self, t_cap: float) -> float:
-        """Maximizer of ``log_gbar`` on ``(0, t_cap)``.
-
-        ``log_gbar`` is concave there, so a bounded Brent search finds its
-        unique maximum: each tilted covariance ``(1 - t) A + t M - t**2 b b'``
-        is matrix-concave in ``t`` and ``log det`` is concave and increasing,
-        the weights ``(n - p - 2) / 2`` are nonnegative, ``(d - 1) log t`` is
-        concave and the slope term is linear.
-        """
-        hi = t_cap * (1.0 - 1e-9)
-        res = minimize_scalar(
-            lambda x: -self.log_gbar(x), bounds=(1e-9, hi), method="bounded",
-            options={"xatol": 1e-10},
-        )
-        # The search stops up to sqrt(eps) * t short of a maximum on the upper
-        # bound, which log_gbar can reach still rising (at n = p + 2, say).
-        return hi if self.log_gbar(hi) > -res.fun else float(res.x)
+        """Maximizer of ``log_gbar`` on ``[1e-9, t_cap (1 - 1e-9)]``: the root
+        of its :meth:`derivative`, to a few ulps, or the bound where that has
+        one sign (the upper one at ``n = p + 2``, say).  The derivative
+        decreases because each tilted covariance is matrix-concave in ``t``,
+        ``log det`` is concave and increasing, the weights ``(n - p - 2) / 2``
+        are nonnegative and ``(d - 1) log t`` is concave."""
+        lo, hi = 1e-9, t_cap * (1.0 - 1e-9)
+        if self.derivative(hi) >= 0.0:
+            return hi
+        if self.derivative(lo) <= 0.0:
+            return lo
+        return brentq(_derivative, lo, hi, args=(self,), xtol=_EPS * lo, rtol=4 * _EPS)
 
 
 @dataclass(frozen=True)
@@ -278,14 +286,14 @@ def _gauss_legendre(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _adaptive(f, a: float, b: float, pts, rel_tol: float, abs_tol: float) -> tuple[float, int]:
+def _adaptive(f, a: float, b: float, pts) -> tuple[float, int]:
     """Adaptive quadrature of ``f`` on ``[a, b]``: ``(value, evaluations)``."""
     if b <= a:
         return 0.0, 0
     inner = [x for x in pts if a < x < b]
     evals = 0
     for limit in (200, 800):
-        out = quad(f, a, b, points=inner or None, epsabs=abs_tol, epsrel=rel_tol,
+        out = quad(f, a, b, points=inner or None, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
                    limit=limit, full_output=1)
         evals += int(out[2]["neval"])
         if len(out) < 4:  # no warning appended: converged
@@ -293,13 +301,7 @@ def _adaptive(f, a: float, b: float, pts, rel_tol: float, abs_tol: float) -> tup
     raise NoConvergenceError(f"quadrature failed on [{a}, {b}]: {out[3]}")
 
 
-def directional_pvalue(
-    fit: ConstrainedFit,
-    *,
-    halfwidth: float = 5.0,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-14,
-) -> tuple[float, DirectionalDiagnostics]:
+def directional_pvalue(fit: ConstrainedFit) -> tuple[float, DirectionalDiagnostics]:
     """Directional p-value of the fitted hypothesis.
 
     Integrates ``exp(log_gbar(t) - log_gbar(t_hat))`` over the narrowed
@@ -308,7 +310,7 @@ def directional_pvalue(
     in [0, 1] by construction.  Each side of ``t = 1`` is integrated by
     composite Gauss-Legendre at two resolutions, all nodes evaluated in one
     vectorized ``log_gbar`` call.  The finer value is kept when the two
-    agree to ``rel_tol`` (or ``abs_tol``); otherwise that side is
+    agree to ``QUAD_REL_TOL`` (or ``QUAD_ABS_TOL``); otherwise that side is
     recomputed by adaptive quadrature at the same tolerances, which
     ``diagnostics.quad_escalations`` counts.
 
@@ -329,7 +331,7 @@ def directional_pvalue(
     t_hat = ev.maximize(t_cap)
     g_hat = ev.log_gbar(t_hat)
     curv = ev.curvature(t_hat)
-    t_min, t_max = integration_interval(ev, t_hat, curv, halfwidth, t_cap)
+    t_min, t_max = integration_interval(ev, t_hat, curv, INTERVAL_HALFWIDTH, t_cap)
 
     def f(t):
         return np.exp(ev.log_gbar(t) - g_hat)
@@ -344,8 +346,8 @@ def directional_pvalue(
     for (a, b), v in zip(sides, f(ts).reshape(2, -1)):
         coarse = (b - a) * float(v[:x_c.size] @ w_c)
         fine = (b - a) * float(v[x_c.size:] @ w_f)
-        if abs(fine - coarse) > max(abs_tol, rel_tol * abs(fine)):
-            fine, evals = _adaptive(f, a, b, (t_hat,), rel_tol, abs_tol)
+        if abs(fine - coarse) > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(fine)):
+            fine, evals = _adaptive(f, a, b, (t_hat,))
             n_evals += evals
             escalations += 1
         integrals.append(fine)

@@ -22,13 +22,15 @@ sufficient shift and the tilted path are computed once for every null from
 the constrained fit.
 
 A :class:`ConstrainedFit` bundles the per-group sufficient statistics with
-the constrained estimates, the degrees of freedom ``d`` and, for the cases
-whose tilted path is linear in ``t``, the eigenvalues of the constrained-vs-
-unconstrained covariance pencil that drive all downstream formulas.
+the constrained estimates and the degrees of freedom ``d``, from which the
+likelihood ratio statistic and the correction factor are computed.  For
+the cases whose tilted path is linear in ``t`` it also gives, on first
+use, the pencil eigenvalues that the directional test reads.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,6 +45,7 @@ from .exceptions import (
 )
 from .linalg import (
     eig_pencil,
+    inv_and_log_det_spd,
     inv_spd,
     is_positive_definite,
     log_det_spd,
@@ -85,7 +88,7 @@ class Hypothesis:
 
     grouped = False  # compares two or more groups (c3, c4)
     # The constrained mean of each group is its sample mean, so the tilted
-    # covariance path is linear in t and the fit keeps the pencil
+    # covariance path is linear in t and the fit gives the pencil
     # eigenvalues (every null but c3 and c5).
     free_mean = True
 
@@ -109,10 +112,19 @@ class Hypothesis:
         return y
 
     def plain_w(self, fit: ConstrainedFit) -> float:
-        """Twice the log-likelihood drop of the constrained fit, with no
-        adjustment: ``-sum_g n_g sum log nu_g`` over the pencil
-        eigenvalues ``nu_g`` where the mean is free."""
-        return float(-sum(s.n * np.sum(np.log(nu)) for s, nu in zip(fit.summaries, fit.pencil_eigs)))
+        """Unadjusted twice log-likelihood drop of the constrained fit (Anderson
+        2003, ch. 10): ``sum_g n_g (log det A - log det V_g + tr(A^-1 M_g) - p)``
+        with ``A`` the constrained covariance, ``V_g`` the group's covariance,
+        ``M_g = V_g + b_g b_g'`` and ``b_g = ybar_g - mu0_g``.  The trace term
+        is 0 by the score equation of every null but c5.  Read it as
+        ``ConstrainedFit.plain_w``, which keeps it."""
+        a_inv, ld_a = inv_and_log_det_spd(fit.lambda0_inv)
+        w = 0.0
+        for s, mu in zip(fit.summaries, fit.mu0):
+            b = s.ybar - mu
+            trace = float(np.sum(a_inv * s.mle_cov)) + float(b @ a_inv @ b)
+            w += s.n * (ld_a - log_det_spd(s.mle_cov) + trace - s.p)
+        return w
 
     def lrt(self, fit: ConstrainedFit) -> float:
         """Likelihood ratio statistic reported for the hypothesis.
@@ -122,7 +134,7 @@ class Hypothesis:
         and the fully specified null (c5) weights ``log det V`` by
         ``n - 1`` instead of ``n``.
         """
-        return self.plain_w(fit)
+        return fit.plain_w
 
 
 @dataclass(frozen=True)
@@ -185,10 +197,6 @@ class EqualDistributions(Hypothesis):
         pooled_second = sum(s.n * s.second_moment for s in summaries) / n
         return symmetrize(pooled_second - np.outer(ybar, ybar)), tuple(ybar for _ in summaries)
 
-    def plain_w(self, fit: ConstrainedFit) -> float:
-        ld0 = log_det_spd(fit.lambda0_inv)
-        return float(fit.n_total * ld0 - sum(s.n * log_det_spd(s.mle_cov) for s in fit.summaries))
-
 
 @dataclass(frozen=True)
 class EqualCovariances(Hypothesis):
@@ -248,23 +256,13 @@ class SpecifiedMeanCov(Hypothesis):
             raise DimensionError(f"hypothesis is {self.mu0.shape[0]}-dimensional, data has p={y.shape[1]}")
         return standardize(y, self.mu0, self.lambda0)
 
-    def plain_w(self, fit: ConstrainedFit) -> float:
-        return self._w(fit, fit.summaries[0].n)
-
     def lrt(self, fit: ConstrainedFit) -> float:
-        """``-(n - 1) log det V + n tr(M) - n p`` on the standardized data,
-        with ``V`` the covariance and ``M`` the second moment.
-
-        Unlike :meth:`plain_w` it weights ``log det V`` by ``n - 1``, so it
-        can be negative: at ``n = p + 2`` and ``p = 1`` it is for about 7%
-        of null samples.  Such a fit is reported as degenerate.
+        """:meth:`plain_w` plus ``log det V``: ``-(n - 1) log det V + n tr(M) - n p``
+        on the standardized data, with ``V`` the covariance and ``M`` the
+        second moment.  It can be negative: at ``n = p + 2`` and ``p = 1`` it
+        is for about 7% of null samples.  Such a fit is reported as degenerate.
         """
-        return self._w(fit, fit.summaries[0].n - 1)
-
-    @staticmethod
-    def _w(fit: ConstrainedFit, weight: int) -> float:
-        s = fit.summaries[0]
-        return float(-weight * log_det_spd(s.mle_cov) + s.n * np.trace(s.second_moment) - s.n * s.p)
+        return fit.plain_w + log_det_spd(fit.summaries[0].mle_cov)
 
 
 @dataclass(frozen=True)
@@ -349,9 +347,6 @@ class ConstrainedFit:
         Per-group constrained mean estimates.
     d : int
         Degrees of freedom of the hypothesis.
-    pencil_eigs : tuple of ndarray or None
-        Per-group eigenvalues of the constrained-vs-unconstrained pencil,
-        present exactly for the nulls whose mean is free.
     """
 
     hypothesis: Hypothesis
@@ -359,7 +354,19 @@ class ConstrainedFit:
     lambda0_inv: np.ndarray
     mu0: tuple[np.ndarray, ...]
     d: int
-    pencil_eigs: tuple[np.ndarray, ...] | None
+
+    @functools.cached_property
+    def plain_w(self) -> float:
+        """``hypothesis.plain_w(self)``, computed on first use."""
+        return self.hypothesis.plain_w(self)
+
+    @functools.cached_property
+    def pencil_eigs(self) -> tuple[np.ndarray, ...] | None:
+        """Per-group eigenvalues of the ``(A, V_g)`` pencil, computed on first
+        use, for the nulls whose mean is free; ``None`` for the others."""
+        if not self.hypothesis.free_mean:
+            return None
+        return tuple(eig_pencil(self.lambda0_inv, s.mle_cov) for s in self.summaries)
 
     @property
     def k(self) -> int:
@@ -499,12 +506,20 @@ def _newton_logdet(x, target, rows, cols, tol):
     raise NoConvergenceError(f"zero-pattern fit did not converge in {_MAX_NEWTON_STEPS} Newton steps")
 
 
+# Largest squared Cholesky pivot of a singular sample covariance, relative to
+# its diagonal entry (1 - R^2 of a variable on those before it): a collinear
+# sample leaves about 1e-15 for a duplicated column, more for a combination
+# of columns on different scales, where the factorization need not fail.
+_MIN_PIVOT_RATIO = 1e-10
+
+
 def constrained_mle(hypothesis: Hypothesis, summaries: Sequence[SampleSummary]) -> ConstrainedFit:
     """Constrained maximum likelihood estimates under the hypothesis.
 
     ``summaries`` holds one entry per group; one-sample hypotheses require
     exactly one.  For the fully specified case the summaries must come from
-    data already standardized with :func:`standardize`.
+    data already standardized with :func:`standardize`.  Raises
+    ``NotPositiveDefiniteError`` when an estimate is singular.
     """
     summaries = tuple(summaries)
     if not summaries:
@@ -520,21 +535,13 @@ def constrained_mle(hypothesis: Hypothesis, summaries: Sequence[SampleSummary]) 
         raise DimensionError(f"{type(hypothesis).__name__} is a one-sample hypothesis")
 
     d = hypothesis.degrees_of_freedom(p, k)
+    for s in summaries:
+        if np.min(np.diag(spd_cholesky(s.mle_cov)) ** 2 / np.diag(s.mle_cov)) <= _MIN_PIVOT_RATIO:
+            raise NotPositiveDefiniteError("sample covariance is singular: the unconstrained MLE does not exist")
     lambda0_inv, mu0 = hypothesis.estimates(summaries)
     if not is_positive_definite(lambda0_inv):
         raise NotPositiveDefiniteError("constrained covariance estimate is not positive definite")
-
-    pencil = None
-    if hypothesis.free_mean:
-        pencil = tuple(eig_pencil(lambda0_inv, s.mle_cov) for s in summaries)
-    return ConstrainedFit(
-        hypothesis=hypothesis,
-        summaries=summaries,
-        lambda0_inv=lambda0_inv,
-        mu0=mu0,
-        d=d,
-        pencil_eigs=pencil,
-    )
+    return ConstrainedFit(hypothesis=hypothesis, summaries=summaries, lambda0_inv=lambda0_inv, mu0=mu0, d=d)
 
 
 def fit_hypothesis(hypothesis: Hypothesis, data) -> ConstrainedFit:

@@ -107,19 +107,24 @@ def vech(m: np.ndarray) -> np.ndarray:
     return m[rows, cols]
 
 
-def eig_pencil(lambda0_inv: np.ndarray, lambda_inv: np.ndarray) -> np.ndarray:
+def eig_pencil(lambda0_inv: np.ndarray, lambda_inv: np.ndarray, b: np.ndarray | None = None):
     """Eigenvalues of ``inv(lambda0_inv) @ lambda_inv``, ascending.
 
-    Both arguments must be SPD.  The product is similar to the symmetric
+    Both matrices must be SPD.  The product is similar to the symmetric
     matrix ``L^-1 @ lambda_inv @ L^-T`` where ``L`` is the Cholesky factor
     of ``lambda0_inv``, so the eigenvalues are real and positive and no
     nonsymmetric eigensolver is needed.  They are invariant under a
     simultaneous congruence of both inputs.
+
+    Given a vector ``b``, returns ``(mu, c)`` with ``c = Q' L^-1 b`` for the
+    eigenvectors ``Q`` of that symmetric matrix.
     """
-    ell = spd_cholesky(lambda0_inv)
-    half = np.linalg.solve(ell, lambda_inv)
-    sym = np.linalg.solve(ell, half.T)
+    ell_inv, _ = lapack.dtrtri(spd_cholesky(lambda0_inv), lower=1)
+    sym = symmetrize(ell_inv @ lambda_inv @ ell_inv.T)
     try:
-        return np.linalg.eigvalsh(symmetrize(sym))
+        if b is None:
+            return np.linalg.eigvalsh(sym)
+        mu, q = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvalsh rarely fails
         raise NotPositiveDefiniteError(str(exc)) from exc
+    return mu, q.T @ (ell_inv @ b)

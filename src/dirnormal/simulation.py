@@ -89,7 +89,8 @@ class ScenarioSpec:
 
     ``n`` is a single size for the one-sample cases and a tuple of group
     sizes for the group cases.  ``methods`` selects which tests run per
-    replication; ``bootstrap_reps`` sizes the Bartlett calibration.
+    replication; ``bootstrap_reps`` sizes the Bartlett calibration.  A cell
+    with no null or no sampling distribution raises ``InvalidScenarioError``.
     """
 
     case: str
@@ -129,6 +130,8 @@ class ScenarioSpec:
         for n_i in sizes:
             if n_i < self.p + 2:
                 raise InvalidScenarioError(f"need n >= p + 2 per group (got n={n_i}, p={self.p})")
+        hypothesis_for(self)
+        scenario_params(self)
 
     @property
     def group_sizes(self) -> tuple[int, ...]:
@@ -366,13 +369,15 @@ def _run_pass(spec: ScenarioSpec, stream: int, e_w_hat: float | None):
 def corrected_cutoff(null_pvalues: np.ndarray, alpha: float) -> float:
     """Empirical ``alpha``-quantile of null p-values (conservative on ties).
 
-    The cutoff is the order statistic of rank ``ceil(alpha * R)``; using it
-    as a strict rejection threshold reproduces the nominal level up to the
-    quantile granularity ``1/R``.
+    NaN entries, failed replications, are left out.  The cutoff is the order
+    statistic of rank ``ceil(alpha * R)`` among the ``R`` left, NaN if none
+    is; using it as a strict rejection threshold reproduces the nominal
+    level up to the quantile granularity ``1/R``.
     """
     u = np.sort(np.asarray(null_pvalues, dtype=float))
+    u = u[~np.isnan(u)]
     if u.size == 0:
-        raise DimensionError("need at least one p-value")
+        return math.nan
     rank = max(1, math.ceil(alpha * u.size))
     return float(u[rank - 1])
 
@@ -476,9 +481,10 @@ def run_study(spec: ScenarioSpec) -> StudyResult:
     e_w_hat = calibrate_bartlett_expectation(spec) if "bc" in spec.methods else None
     pvals, errors = _run_pass(spec, _STREAM_MAIN, e_w_hat)
 
+    # A method whose every replication failed has NaN rates and cutoffs.
     def rate(values: np.ndarray, threshold: float, strict: bool) -> float:
         good = values[~np.isnan(values)]
-        if good.size == 0:
+        if good.size == 0 or math.isnan(threshold):
             return math.nan
         return float(np.mean(good < threshold if strict else good <= threshold))
 
@@ -491,18 +497,14 @@ def run_study(spec: ScenarioSpec) -> StudyResult:
 
     if isinstance(spec.alternative, Null):
         estimated_type1 = {m: rate(v, spec.alpha, strict=False) for m, v in pvals.items()}
-        cutoffs = {
-            m: corrected_cutoff(v[~np.isnan(v)], spec.alpha) for m, v in pvals.items()
-        }
+        cutoffs = {m: corrected_cutoff(v, spec.alpha) for m, v in pvals.items()}
         if "dt" in pvals and np.any(~np.isnan(pvals["dt"])):
             ks_stat, ks_p = ks_uniformity(pvals["dt"][~np.isnan(pvals["dt"])])
     else:
         null_spec = replace(spec, alternative=Null())
         null_pvalues, null_errors = _run_pass(null_spec, _STREAM_NULLCAL, e_w_hat)
         errors.extend(null_errors)
-        cutoffs = {
-            m: corrected_cutoff(v[~np.isnan(v)], spec.alpha) for m, v in null_pvalues.items()
-        }
+        cutoffs = {m: corrected_cutoff(v, spec.alpha) for m, v in null_pvalues.items()}
         power = {m: rate(v, spec.alpha, strict=False) for m, v in pvals.items()}
         corrected_power = {m: rate(v, cutoffs[m], strict=True) for m, v in pvals.items()}
 

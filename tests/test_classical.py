@@ -75,25 +75,38 @@ class TestLrt:
         constrained = maximize_loglik_moment(s, constrain_diag=True)
         assert fit.hypothesis.lrt(fit) == pytest.approx(2.0 * (full - constrained), abs=1e-6)
 
-    @pytest.mark.parametrize(
-        "hyp",
-        [
-            ProportionalIdentity(),
-            BlockIndependence((2, 2)),
-            CompleteIndependence(),
-            ZeroPattern(((0, 3), (1, 2))),
-        ],
-    )
-    def test_equals_twice_loglik_drop(self, hyp):
+    # (hypothesis, p, group sizes): every null, with p = 1 and n = p + 2
+    LOGLIK_CASES = [
+        (ProportionalIdentity(), 4, (25,)),
+        (BlockIndependence((2, 2)), 4, (25,)),
+        (CompleteIndependence(), 4, (25,)),
+        (ZeroPattern(((0, 3), (1, 2))), 4, (25,)),
+        (ProportionalIdentity(), 3, (5,)),
+        (BlockIndependence((1, 2)), 3, (5,)),
+        (CompleteIndependence(), 2, (4,)),
+        (ZeroPattern(((0, 3), (1, 2))), 4, (6,)),
+        (EqualDistributions(), 4, (25, 6, 14)),
+        (EqualDistributions(), 1, (3, 8)),
+        (EqualCovariances(), 4, (25, 6, 14)),
+        (EqualCovariances(), 1, (3, 8)),
+        (SpecifiedMeanCov([0.2, -0.1, 0.4], [[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]]), 3, (15,)),
+        (SpecifiedMeanCov([0.3], [[2.0]]), 1, (3,)),
+    ]
+
+    @pytest.mark.parametrize("hyp, p, sizes", LOGLIK_CASES,
+                             ids=[f"hyp{i}" for i in range(len(LOGLIK_CASES))])
+    def test_equals_twice_loglik_drop(self, hyp, p, sizes):
         rng = np.random.default_rng(41)
-        y = rng.standard_normal((25, 4)) * 1.3
-        fit = fit_hypothesis(hyp, y)
-        s = fit.summaries[0]
-        lam_hat = inv_spd(s.mle_cov)
+        groups = [rng.standard_normal((n, p)) * 1.3 for n in sizes]
+        fit = fit_hypothesis(hyp, groups if hyp.grouped else groups[0])
         lam0 = inv_spd(fit.lambda0_inv)
-        at_hat = canonical_loglik(lam_hat @ s.ybar, lam_hat, s)
-        at_null = canonical_loglik(lam0 @ s.ybar, lam0, s)
-        assert fit.hypothesis.lrt(fit) == pytest.approx(2.0 * (at_hat - at_null), rel=1e-8)
+        drop = 0.0
+        for s, mu0 in zip(fit.summaries, fit.mu0):
+            lam_hat = inv_spd(s.mle_cov)
+            drop += canonical_loglik(lam_hat @ s.ybar, lam_hat, s) - canonical_loglik(lam0 @ mu0, lam0, s)
+        assert hyp.plain_w(fit) == pytest.approx(2.0 * drop, rel=1e-8, abs=1e-10)
+        if not isinstance(hyp, (EqualCovariances, SpecifiedMeanCov)):  # their own forms are below
+            assert hyp.lrt(fit) == hyp.plain_w(fit)
 
     def test_scale_invariance_proportional_case(self):
         rng = np.random.default_rng(42)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirnormal import cli
+from dirnormal import cli, hypotheses
 from dirnormal.cli import main
 from dirnormal.core import sample_mvn
 from dirnormal.directional import directional_pvalue
@@ -139,6 +139,24 @@ class TestTestCommand:
                      "--bc-reps", "49", "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert "--bc-reps" in capsys.readouterr().err
+
+    def test_classical_methods_run_no_eigensolver(self, tmp_path, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("hypotheses.eig_pencil called")
+
+        monkeypatch.setattr(hypotheses, "eig_pencil", forbidden)
+        f, _ = self._write_case6_file(tmp_path)
+        assert main(["test", "--case", "c6", "--data", str(f), "--methods", "lrt,sko1,sko2",
+                     "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_collinear_data_exit_one(self, tmp_path, capsys):
+        y = np.random.default_rng(0).standard_normal((12, 5))
+        y[:, 3] = y[:, 0]  # a Cholesky factorization of this covariance succeeds
+        f = tmp_path / "d.csv"
+        write_data_csv(f, y)
+        code = main(["test", "--case", "c6", "--data", str(f), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "singular" in capsys.readouterr().err
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["test", "--case", "c6", "--data", str(tmp_path / "absent.csv"),
@@ -279,6 +297,16 @@ class TestSimulateCommand:
         lines = (out / "ecdf_dt.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header plus the single step
         assert lines[1].endswith(",1.0")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--case", "c6", "--n", "20", "--p", "3", "--alt", "extreme", "--eta", "1.5"], "eta"),
+        (["--case", "c2", "--n", "20", "--p", "2"], "p >= 3"),
+    ])
+    def test_invalid_scenario_exits_one(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x"
+        assert main(["simulate", *argv, "--reps", "20", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_local_requires_delta(self, tmp_path, capsys):
         code = main(["simulate", "--case", "c1", "--n", "20", "--p", "3", "--reps", "5",

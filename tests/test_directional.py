@@ -195,8 +195,8 @@ class TestMaximize:
     def test_quadratic_mock_exact_argmax(self):
         fit = _sampled_fit(ProportionalIdentity(), 20, 3, seed=69)
         ev = DirectionalEvaluator(fit)
-        ev.log_gbar = lambda t: -((np.asarray(t) - 1.2345678) ** 2)
-        assert ev.maximize(t_cap=3.0) == pytest.approx(1.2345678, abs=1e-8)
+        ev.derivative = lambda t: -2.0 * (t - 1.2345678)
+        assert ev.maximize(t_cap=3.0) == pytest.approx(1.2345678, abs=1e-14)
 
     def test_null_data_peak_near_one(self):
         # the peak fluctuates around 1 with spread ~ 1/sqrt(2d), so the

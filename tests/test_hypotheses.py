@@ -142,6 +142,47 @@ class TestConstrainedMle:
         with pytest.raises(DimensionError):
             fit_hypothesis(ProportionalIdentity(), np.ones((3, 2)))  # n < p + 2
 
+    @pytest.mark.parametrize("hyp", [CompleteIndependence(), ProportionalIdentity()])
+    def test_collinear_sample_rejected(self, hyp):
+        # a duplicated column, or a combination of two, leaves the sample
+        # covariance singular; its Cholesky factorization still succeeds for
+        # some of these seeds (0, 1, 6 and 9)
+        for seed in range(10):
+            y = np.random.default_rng(seed).standard_normal((12, 5))
+            y[:, 3] = y[:, 0]
+            with pytest.raises(NotPositiveDefiniteError):
+                fit_hypothesis(hyp, y)
+            y[:, 3] = 2.5 * y[:, 0] - y[:, 1]
+            with pytest.raises(NotPositiveDefiniteError):
+                fit_hypothesis(hyp, y)
+
+    def test_pencil_eigenvalues_computed_on_first_use(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal((25, 4))
+        groups = [rng.standard_normal((n, 4)) for n in (12, 15, 20)]
+        calls = []
+        original = hypotheses.eig_pencil
+        monkeypatch.setattr(hypotheses, "eig_pencil", lambda a, v: calls.append(1) or original(a, v))
+        for hyp, data in (
+            (ProportionalIdentity(), y),
+            (BlockIndependence((2, 2)), y),
+            (EqualDistributions(), groups),
+            (EqualCovariances(), groups),
+            (SpecifiedMeanCov(np.zeros(4), np.eye(4)), y),
+            (CompleteIndependence(), y),
+            (ZeroPattern(((0, 3), (1, 2))), y),
+        ):
+            fit = fit_hypothesis(hyp, data)
+            assert not calls  # the fit itself runs no eigensolver
+            if hyp.free_mean:
+                assert len(fit.pencil_eigs) == fit.k and len(calls) == fit.k
+                for s, nu in zip(fit.summaries, fit.pencil_eigs):
+                    np.testing.assert_array_equal(nu, original(fit.lambda0_inv, s.mle_cov))
+                assert len(calls) == fit.k  # computed once
+            else:
+                assert fit.pencil_eigs is None
+            calls.clear()
+
 
 class TestZeroPattern:
     def test_no_zeros_returns_input(self):

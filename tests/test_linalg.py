@@ -94,3 +94,14 @@ class TestEigPencil:
         nu = eig_pencil(random_spd(rng, 5), random_spd(rng, 5))
         assert np.all(nu > 0)
         assert np.all(np.diff(nu) >= 0)
+
+    def test_rank_one_coordinates_satisfy_determinant_lemma(self):
+        # log det(M - b b') - log det A = sum log mu + log(1 - sum c^2 / mu)
+        rng = np.random.default_rng(38)
+        for p in (1, 3, 8):
+            a, v = random_spd(rng, p), random_spd(rng, p)
+            b = rng.standard_normal(p)
+            mu, c = eig_pencil(a, v + np.outer(b, b), b)
+            np.testing.assert_allclose(mu, eig_pencil(a, v + np.outer(b, b)), rtol=1e-12)
+            lemma = np.sum(np.log(mu)) + np.log(1.0 - np.sum(c**2 / mu))
+            assert lemma == pytest.approx(log_det_spd(v) - log_det_spd(a), abs=1e-12)

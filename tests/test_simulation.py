@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import dirnormal.simulation as sim
+from dirnormal import hypotheses
 from dirnormal.exceptions import InvalidScenarioError
 from dirnormal.simulation import (
     Extreme,
@@ -84,6 +85,13 @@ class TestScenarioParams:
     def test_undersized_group_rejected(self):
         with pytest.raises(InvalidScenarioError):
             ScenarioSpec(case="c1", n=5, p=4)
+
+    def test_scenario_without_null_or_distribution_rejected(self):
+        # checked once, when the cell is built, not in every replication
+        with pytest.raises(InvalidScenarioError):
+            ScenarioSpec(case="c6", n=20, p=3, alternative=Extreme(1.5))
+        with pytest.raises(InvalidScenarioError):
+            ScenarioSpec(case="c2", n=20, p=2)
 
     def test_bartlett_needs_a_draw(self):
         ScenarioSpec(case="c1", n=10, p=3, bootstrap_reps=0)  # no bc, not used
@@ -241,6 +249,37 @@ class TestRunStudy:
         assert res.failure_messages == ("rep 2: ValueError: synthetic value error",
                                         "rep 5: LinAlgError: synthetic linalg error")
         np.testing.assert_array_equal(np.flatnonzero(np.isnan(res.pvalues["dt"])), [2, 5])
+
+    def test_every_replication_failing_reports_nan(self, monkeypatch):
+        monkeypatch.setenv("DIRNORMAL_THREADS", "1")
+        from dirnormal.exceptions import NoConvergenceError
+
+        def broken(fit):
+            raise NoConvergenceError("synthetic failure")
+
+        monkeypatch.setattr(sim, "directional_pvalue", broken)
+        null = run_study(ScenarioSpec(case="c1", n=20, p=3, reps=6, seed=7, methods=("dt",)))
+        assert null.failures == 6
+        assert math.isnan(null.estimated_type1["dt"])
+        assert math.isnan(null.corrected_cutoffs["dt"])
+        assert null.ks_statistic is None
+        power = run_study(ScenarioSpec(case="c1", n=20, p=3, reps=6, seed=7, methods=("dt",),
+                                       alternative=Extreme(1.0)))
+        assert power.failures == 12
+        for table in (power.corrected_cutoffs, power.power, power.corrected_power):
+            assert math.isnan(table["dt"])
+
+    def test_classical_methods_run_no_eigensolver(self, monkeypatch):
+        monkeypatch.setenv("DIRNORMAL_THREADS", "1")
+
+        def forbidden(*args):
+            raise AssertionError("hypotheses.eig_pencil called")
+
+        monkeypatch.setattr(hypotheses, "eig_pencil", forbidden)
+        for case, n in (("c1", 20), ("c2", 20), ("c4", (12, 12, 12)), ("c6", 20)):
+            res = run_study(ScenarioSpec(case=case, n=n, p=3, reps=5, seed=10,
+                                         methods=("lrt", "bc", "sko1", "sko2"), bootstrap_reps=20))
+            assert res.failures == 0, res.failure_messages
 
     def test_rerun_bitwise_identical(self):
         spec = ScenarioSpec(case="c4", n=(15, 15, 15), p=3, reps=40, seed=8, methods=("dt", "lrt"))
