@@ -91,7 +91,7 @@ def skovgaard_log_gamma(fit: ConstrainedFit) -> float:
     # tr(V^-1 A) + tr(A^-1 V) - 2p) to the second (checked against the
     # assembled-matrix oracle in the test suite).
     a = fit.lambda0_inv
-    a_inv, ld_a = inv_and_log_det_spd(a)
+    a_inv, ld_a = fit.a_inv, fit.a_factor[1]
     for s, mu in zip(fit.summaries, fit.mu0):
         b = s.ybar - mu
         lam_hat, ld_v = inv_and_log_det_spd(s.mle_cov)

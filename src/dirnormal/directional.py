@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 
 from .exceptions import NoConvergenceError
 from .hypotheses import ConstrainedFit, is_degenerate
-from .linalg import eig_pencil, log_det_spd
+from .linalg import eig_pencil
 
 __all__ = [
     "DirectionalDiagnostics",
@@ -49,6 +49,12 @@ _EPS = np.finfo(float).eps
 # coarser of the two compared resolutions (the finer one doubles them).
 _GL_NODES = 24
 _GL_PANELS = 2
+# Half-widths, in units of the first, of the candidate endpoints of the
+# integration interval: up to 64 doublings.
+_DOUBLINGS = 2.0 ** np.arange(64)
+_DOUBLINGS.flags.writeable = False
+# Peak search: largest number of fused evaluations before giving up.
+_PEAK_MAX_EVALS = 100
 
 
 def _rank_one_margin(t: float, mu: np.ndarray, c2: np.ndarray) -> float:
@@ -85,13 +91,8 @@ def _feasible_sup(mu: np.ndarray, c2: np.ndarray) -> float:
     return brentq(_rank_one_margin, 0.0, hi, args=(mu, c2), xtol=1e-14, rtol=4 * _EPS)
 
 
-def _derivative(t: float, ev: DirectionalEvaluator) -> float:
-    # a function of the evaluator, not its bound method: see _feasible_sup
-    return ev.derivative(t)
-
-
 class DirectionalEvaluator:
-    """Single-instance evaluator of the log-integrand and its curvature.
+    """Single-instance evaluator of the log-integrand and its derivatives.
 
     Every case shares one representation.  Group ``g``'s tilted covariance
     is ``(1 - t) A + t M_g - t**2 b_g b_g'`` with ``A`` the constrained
@@ -105,10 +106,11 @@ class DirectionalEvaluator:
 
     with ``f_j = 1 - t + t mu_j``, so each evaluation costs O(k p) and
     takes whole arrays of ``t``.  When every ``b_g`` is zero (the cases
-    whose path is linear in ``t``) the fit's ``pencil_eigs`` are used;
-    otherwise :func:`~dirnormal.linalg.eig_pencil` factors each group.
-    Instances are immutable after construction and safe to share across
-    workers.
+    whose path is linear in ``t``) the fit's ``pencil_eigs`` are used and
+    the rank-one term, ``log 1``, is skipped; otherwise
+    :func:`~dirnormal.linalg.eig_pencil` factors each group.  Both reuse
+    the fit's one factor of ``A``.  Instances are immutable after
+    construction and safe to share across workers.
     """
 
     def __init__(self, fit: ConstrainedFit):
@@ -116,6 +118,7 @@ class DirectionalEvaluator:
         self.d = fit.d
         p = fit.p
         self._weights = np.array([0.5 * (s.n - p - 2) for s in fit.summaries])
+        a_chol_inv, log_det_a = fit.a_factor
         # Linear term of the exponent: 0.5 sum_g n_g (p - tr(A^-1 M_g)).  It
         # vanishes wherever the null estimates the scale (the score equation
         # of the fit), which every linear-path null does; there it is taken
@@ -126,17 +129,19 @@ class DirectionalEvaluator:
             self._c2 = np.zeros_like(self._mu)
         else:
             bs = [s.ybar - mu0 for s, mu0 in zip(fit.summaries, fit.mu0)]
-            mus, cs = zip(*(eig_pencil(fit.lambda0_inv, s.mle_cov + np.outer(b, b), b)
+            mus, cs = zip(*(eig_pencil(a_chol_inv, s.mle_cov + np.outer(b, b), b)
                             for s, b in zip(fit.summaries, bs)))
             self._mu = np.array(mus)
             self._c2 = np.array(cs) ** 2
             self._slope = 0.5 * sum(
                 s.n * (p - float(np.sum(mu))) for s, mu in zip(fit.summaries, self._mu)
             )
-        self._offset = float(self._weights.sum()) * log_det_spd(fit.lambda0_inv)
+        self._rank_one = bool(np.any(self._c2 > 0.0))
+        self._mu_minus_one = self._mu - 1.0
+        self._offset = float(self._weights.sum()) * log_det_a
         self.t_sup = _feasible_sup(self._mu, self._c2)
 
-    # -- log-integrand and curvature -----------------------------------------
+    # -- log-integrand and its derivatives -----------------------------------
 
     def log_gbar(self, t):
         """Log radial integrand up to an additive constant.
@@ -147,38 +152,47 @@ class DirectionalEvaluator:
         t_arr = np.asarray(t, dtype=float)
         tv = t_arr.reshape(-1)
         f = 1.0 - tv[:, None, None] + tv[:, None, None] * self._mu  # (m, k, p)
+        ok = tv >= 0.0 if self.d == 1 else tv > 0.0
+        ok &= np.all(f > 0.0, axis=(1, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = 1.0 - tv[:, None] ** 2 * np.sum(self._c2 / f, axis=2)  # (m, k)
-            logs = np.sum(np.log(f), axis=2) + np.log(r)
+            logs = np.sum(np.log(f), axis=2)  # (m, k)
+            if self._rank_one:
+                r = 1.0 - tv[:, None] ** 2 * np.sum(self._c2 / f, axis=2)
+                logs += np.log(r)
+                ok &= np.all(r > 0.0, axis=1)
             vals = logs @ self._weights + self._offset + self._slope * tv
             if self.d > 1:
                 vals += (self.d - 1) * np.log(tv)
-        ok = tv >= 0.0 if self.d == 1 else tv > 0.0
-        ok &= np.all(f > 0.0, axis=(1, 2)) & np.all(r > 0.0, axis=1)
         out = np.where(ok, vals, -math.inf)
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
-    def derivative(self, t: float) -> float:
-        """Closed-form first derivative of ``log_gbar`` at ``t``.  With
-        ``s = t**2 sum c_j**2 / f_j`` the rank-one factor is ``1 - s`` and
-        ``s' = t sum c_j**2 (1 + f_j) / f_j**2``."""
-        f = 1.0 - t + t * self._mu
-        linear = np.sum((self._mu - 1.0) / f, axis=1)
-        r = 1.0 - t * t * np.sum(self._c2 / f, axis=1)
-        s1 = t * np.sum(self._c2 * (1.0 + f) / f**2, axis=1)
-        return float((self.d - 1) / t + self._slope + self._weights @ (linear - s1 / r))
+    def slope_and_curvature(self, t: float) -> tuple[float, float]:
+        """Closed-form first and second derivatives of ``log_gbar`` at ``t``.
 
-    def curvature(self, t: float) -> float:
-        """Closed-form second derivative of ``log_gbar`` at ``t``, with
-        ``s`` as in :meth:`derivative` and ``s'' = 2 sum c_j**2 / f_j**3``."""
+        With ``x_j = (mu_j - 1) / f_j`` the linear factors add ``sum x_j`` and
+        ``-sum x_j**2``.  With ``s = t**2 sum c_j**2 / f_j`` the rank-one
+        factor is ``1 - s``, ``s' = t sum c_j**2 (1 + f_j) / f_j**2`` and
+        ``s'' = 2 sum c_j**2 / f_j**3``; it adds ``-s' / (1 - s)`` and
+        ``-(s'' / (1 - s) + (s' / (1 - s))**2)``.
+        """
         t = float(t)
         f = 1.0 - t + t * self._mu
-        linear = np.sum((1.0 - self._mu) ** 2 / f**2, axis=1)
-        r = 1.0 - t * t * np.sum(self._c2 / f, axis=1)
-        s1 = t * np.sum(self._c2 * (1.0 + f) / f**2, axis=1)
-        s2 = 2.0 * np.sum(self._c2 / f**3, axis=1)
-        rank_one = s2 / r + (s1 / r) ** 2
-        return float(-(self.d - 1) / t**2 - self._weights @ (linear + rank_one))
+        x = self._mu_minus_one / f
+        slope = np.sum(x, axis=1)
+        curv = np.sum(x * x, axis=1)
+        if self._rank_one:
+            c2f = self._c2 / f
+            r = 1.0 - t * t * np.sum(c2f, axis=1)
+            q = t * np.sum(c2f * (1.0 + f) / f, axis=1) / r
+            slope = slope - q
+            curv = curv + 2.0 * np.sum(c2f / (f * f), axis=1) / r + q * q
+        return (float((self.d - 1) / t + self._slope + self._weights @ slope),
+                float(-(self.d - 1) / (t * t) - self._weights @ curv))
+
+    def curvature(self, t: float) -> float:
+        """Closed-form second derivative of ``log_gbar`` at ``t`` (see
+        :meth:`slope_and_curvature`)."""
+        return self.slope_and_curvature(t)[1]
 
     # -- maximization and integration support ---------------------------------
 
@@ -202,19 +216,72 @@ class DirectionalEvaluator:
             t *= 2.0
         raise NoConvergenceError("could not truncate an unbounded integration range")
 
-    def maximize(self, t_cap: float) -> float:
-        """Maximizer of ``log_gbar`` on ``[1e-9, t_cap (1 - 1e-9)]``: the root
-        of its :meth:`derivative`, to a few ulps, or the bound where that has
-        one sign (the upper one at ``n = p + 2``, say).  The derivative
-        decreases because each tilted covariance is matrix-concave in ``t``,
-        ``log det`` is concave and increasing, the weights ``(n - p - 2) / 2``
-        are nonnegative and ``(d - 1) log t`` is concave."""
+    def maximize(self, t_cap: float) -> tuple[float, int]:
+        """Maximizer of ``log_gbar`` on ``[1e-9, t_cap (1 - 1e-9)]`` and the
+        number of :meth:`slope_and_curvature` calls that found it.
+
+        The maximizer is the root of the derivative, or the bound where
+        that has one sign (the upper one at ``n = p + 2``, say).  The
+        derivative decreases because each tilted covariance is
+        matrix-concave in ``t``, ``log det`` is concave and increasing, the
+        weights ``(n - p - 2) / 2`` are nonnegative and ``(d - 1) log t`` is
+        concave.
+
+        The search starts at ``t = 1``, where the peak lies under the null,
+        and takes Newton steps on ``h = t (t_sup - t) g'``: the same roots,
+        without the poles of ``g'`` at 0 and at ``t_sup``, near which Newton
+        steps on ``g'`` itself only double.  The step
+        ``-g' / (g'' + g' / t - g' / (t_sup - t))`` equals the Newton step
+        on ``g'`` at the root.  Every evaluation narrows a bracket of the
+        root; a step that would leave it, or that is longer than the move
+        before, bisects the bracket instead.  The search stops once a step
+        is at most 4 ulps of ``t``, or once a step under ``1e-13 t`` is not
+        half the move before: that is rounding noise in ``g'``, which a flat
+        peak can lift above 4 ulps.  Without ``t_sup`` (an unbounded range)
+        the factor ``t_sup - t`` is left out.
+        """
         lo, hi = 1e-9, t_cap * (1.0 - 1e-9)
-        if self.derivative(hi) >= 0.0:
-            return hi
-        if self.derivative(lo) <= 0.0:
-            return lo
-        return brentq(_derivative, lo, hi, args=(self,), xtol=_EPS * lo, rtol=4 * _EPS)
+        t = min(max(1.0, lo), hi)
+        slope, curv = self.slope_and_curvature(t)
+        evals = 1
+        # The bound rules: the maximizer is the bound the derivative points
+        # to when the derivative keeps its sign up to it.
+        up = slope >= 0.0
+        bound = hi if up else lo
+        if t != bound:
+            bound_slope = self.slope_and_curvature(bound)[0]
+            evals += 1
+        if t == bound or (bound_slope >= 0.0 if up else bound_slope <= 0.0):
+            return bound, evals
+        if slope == 0.0:
+            return t, evals
+        if up:
+            lo = t
+        else:
+            hi = t
+        last = math.inf  # length of the previous move
+        while evals < _PEAK_MAX_EVALS:
+            scale = curv + slope / t
+            if math.isfinite(self.t_sup):
+                scale -= slope / (self.t_sup - t)
+            step = -slope / scale if scale < 0.0 else math.nan
+            if abs(step) <= 4.0 * _EPS * t or (abs(step) > 0.5 * last and abs(step) <= 1e-13 * t):
+                return min(max(t + step, lo), hi), evals
+            if lo < t + step < hi and abs(step) <= last:
+                t, last = t + step, abs(step)
+            else:
+                t, last = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            slope, curv = self.slope_and_curvature(t)
+            evals += 1
+            if slope > 0.0:
+                lo = t
+            elif slope < 0.0:
+                hi = t
+            else:
+                return t, evals
+            if hi - lo <= 4.0 * _EPS * t:
+                return t, evals
+        raise NoConvergenceError(f"peak search did not converge in {evals} evaluations")
 
 
 @dataclass(frozen=True)
@@ -233,44 +300,50 @@ class DirectionalDiagnostics:
     degenerate: bool = False
     n_evals: int = 0  # integrand points of the quadrature, escalations included
     quad_escalations: int = 0  # sides of t = 1 handed to adaptive quadrature (0-2)
+    peak_evals: int = 0  # slope_and_curvature calls of the peak search
+    # Error estimate of the denominator: the gap between the two resolutions
+    # (adaptive quadrature's own estimate on an escalated side) plus the
+    # concavity bound on each tail left outside [t_min, t_max].
+    quad_error: float = 0.0
 
 
-def _widen(ev: DirectionalEvaluator, t_hat: float, g_hat: float, start: float,
-           lower: bool, bound: float) -> float:
-    half = start
-    for _ in range(64):
-        point = max(bound, t_hat - half) if lower else min(bound, t_hat + half)
-        if point == bound or g_hat - ev.log_gbar(point) >= ENDPOINT_DROP:
-            return point
-        half *= 2.0
-    return bound
+def _first_drop(points: np.ndarray, drops: np.ndarray, bound: float) -> float:
+    """First candidate endpoint whose drop below the peak is large enough;
+    ``bound`` when there is none."""
+    return float(points[np.argmax(drops)]) if drops.any() else bound
 
 
 def integration_interval(
     ev: DirectionalEvaluator,
     t_hat: float,
+    g_hat: float,
     curvature_at_t_hat: float,
     halfwidth: float,
     t_cap: float,
 ) -> tuple[float, float]:
-    """Narrowed integration interval around the integrand peak.
+    """Narrowed integration interval around the integrand peak ``(t_hat,
+    g_hat)``.
 
     The base interval is ``t_hat +- halfwidth * sigma`` with
     ``sigma = (-curvature)**-0.5`` (Laplace scaling), widened by doubling
     until the log-integrand at each free endpoint sits at least
     ``ENDPOINT_DROP`` units below the peak, then adjusted so the point
     ``t = 1`` (the observed data, lower limit of the numerator) is never
-    excluded.  Falls back to the full range when the curvature is not
-    usable.
+    excluded.  Every doubled candidate short of the range bounds ``0`` and
+    ``t_cap`` is evaluated in one ``log_gbar`` call, and each side keeps
+    its first candidate that drops enough, else the bound.  Falls back to
+    the full range when the curvature is not usable.
     """
     if not (curvature_at_t_hat < 0.0) or not math.isfinite(curvature_at_t_hat):
         return 0.0, t_cap
-    g_hat = ev.log_gbar(t_hat)
-    sigma = (-curvature_at_t_hat) ** -0.5
-    t_min = _widen(ev, t_hat, g_hat, halfwidth * sigma, lower=True, bound=0.0)
-    t_max = _widen(ev, t_hat, g_hat, halfwidth * sigma, lower=False, bound=t_cap)
-    t_min = min(t_min, 1.0)
-    t_max = max(t_max, min(1.0, t_cap))
+    halves = halfwidth * (-curvature_at_t_hat) ** -0.5 * _DOUBLINGS
+    lower = t_hat - halves
+    upper = t_hat + halves
+    lower = lower[:np.argmax(lower <= 0.0)] if lower[-1] <= 0.0 else lower
+    upper = upper[:np.argmax(upper >= t_cap)] if upper[-1] >= t_cap else upper
+    drops = g_hat - ev.log_gbar(np.concatenate([lower, upper])) >= ENDPOINT_DROP
+    t_min = min(_first_drop(lower, drops[:lower.size], 0.0), 1.0)
+    t_max = max(_first_drop(upper, drops[lower.size:], t_cap), min(1.0, t_cap))
     return t_min, t_max
 
 
@@ -286,10 +359,11 @@ def _gauss_legendre(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _adaptive(f, a: float, b: float, pts) -> tuple[float, int]:
-    """Adaptive quadrature of ``f`` on ``[a, b]``: ``(value, evaluations)``."""
+def _adaptive(f, a: float, b: float, pts) -> tuple[float, int, float]:
+    """Adaptive quadrature of ``f`` on ``[a, b]``: ``(value, evaluations,
+    error estimate)``."""
     if b <= a:
-        return 0.0, 0
+        return 0.0, 0, 0.0
     inner = [x for x in pts if a < x < b]
     evals = 0
     for limit in (200, 800):
@@ -297,7 +371,7 @@ def _adaptive(f, a: float, b: float, pts) -> tuple[float, int]:
                    limit=limit, full_output=1)
         evals += int(out[2]["neval"])
         if len(out) < 4:  # no warning appended: converged
-            return float(out[0]), evals
+            return float(out[0]), evals, float(out[1])
     raise NoConvergenceError(f"quadrature failed on [{a}, {b}]: {out[3]}")
 
 
@@ -312,7 +386,10 @@ def directional_pvalue(fit: ConstrainedFit) -> tuple[float, DirectionalDiagnosti
     vectorized ``log_gbar`` call.  The finer value is kept when the two
     agree to ``QUAD_REL_TOL`` (or ``QUAD_ABS_TOL``); otherwise that side is
     recomputed by adaptive quadrature at the same tolerances, which
-    ``diagnostics.quad_escalations`` counts.
+    ``diagnostics.quad_escalations`` counts.  ``diagnostics.quad_error``
+    adds the two values' gap (the adaptive estimate on an escalated side)
+    to the concavity bound ``exp(g(t_max) - g_hat) / |g'(t_max)|`` on the
+    tail above ``t_max`` and its mirror below ``t_min``, 0 at a range bound.
 
     Returns ``(p_value, diagnostics)``.  A degenerate fit (observed data
     exactly at the null expectation) reports ``p = 1`` with the flag set.
@@ -328,10 +405,10 @@ def directional_pvalue(fit: ConstrainedFit) -> tuple[float, DirectionalDiagnosti
 
     ev = DirectionalEvaluator(fit)
     t_cap = ev.integration_cap()
-    t_hat = ev.maximize(t_cap)
+    t_hat, peak_evals = ev.maximize(t_cap)
     g_hat = ev.log_gbar(t_hat)
     curv = ev.curvature(t_hat)
-    t_min, t_max = integration_interval(ev, t_hat, curv, INTERVAL_HALFWIDTH, t_cap)
+    t_min, t_max = integration_interval(ev, t_hat, g_hat, curv, INTERVAL_HALFWIDTH, t_cap)
 
     def f(t):
         return np.exp(ev.log_gbar(t) - g_hat)
@@ -341,15 +418,24 @@ def directional_pvalue(fit: ConstrainedFit) -> tuple[float, DirectionalDiagnosti
     x_f, w_f = _gauss_legendre(2 * _GL_PANELS)
     ts = np.concatenate([a + (b - a) * x for a, b in sides for x in (x_c, x_f)])
     n_evals = ts.size
+    # the endpoints ride along for the tail bounds
+    logs = ev.log_gbar(np.concatenate([ts, (t_min, t_max)]))
+    quad_error = 0.0
+    for end, bound, g_end in zip((t_min, t_max), (0.0, t_cap), logs[n_evals:]):
+        if end != bound:
+            slope = ev.slope_and_curvature(end)[0]
+            quad_error += math.exp(g_end - g_hat) / abs(slope) if slope else math.inf
     escalations = 0
     integrals = []
-    for (a, b), v in zip(sides, f(ts).reshape(2, -1)):
+    for (a, b), v in zip(sides, np.exp(logs[:n_evals] - g_hat).reshape(2, -1)):
         coarse = (b - a) * float(v[:x_c.size] @ w_c)
         fine = (b - a) * float(v[x_c.size:] @ w_f)
-        if abs(fine - coarse) > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(fine)):
-            fine, evals = _adaptive(f, a, b, (t_hat,))
+        gap = abs(fine - coarse)
+        if gap > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(fine)):
+            fine, evals, gap = _adaptive(f, a, b, (t_hat,))
             n_evals += evals
             escalations += 1
+        quad_error += gap
         integrals.append(fine)
     lower, upper = integrals
     denominator = lower + upper
@@ -360,5 +446,6 @@ def directional_pvalue(fit: ConstrainedFit) -> tuple[float, DirectionalDiagnosti
         t_sup=ev.t_sup, t_cap=t_cap, t_hat=t_hat, curvature_at_t_hat=curv,
         t_min=t_min, t_max=t_max, numerator=upper, denominator=denominator,
         p_value=p, degenerate=False, n_evals=n_evals, quad_escalations=escalations,
+        peak_evals=peak_evals, quad_error=quad_error,
     )
     return p, diag

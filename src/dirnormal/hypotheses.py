@@ -45,7 +45,7 @@ from .exceptions import (
 )
 from .linalg import (
     eig_pencil,
-    inv_and_log_det_spd,
+    inv_cholesky,
     inv_spd,
     is_positive_definite,
     log_det_spd,
@@ -118,7 +118,7 @@ class Hypothesis:
         ``M_g = V_g + b_g b_g'`` and ``b_g = ybar_g - mu0_g``.  The trace term
         is 0 by the score equation of every null but c5.  Read it as
         ``ConstrainedFit.plain_w``, which keeps it."""
-        a_inv, ld_a = inv_and_log_det_spd(fit.lambda0_inv)
+        a_inv, ld_a = fit.a_inv, fit.a_factor[1]
         w = 0.0
         for s, mu in zip(fit.summaries, fit.mu0):
             b = s.ybar - mu
@@ -347,6 +347,11 @@ class ConstrainedFit:
         Per-group constrained mean estimates.
     d : int
         Degrees of freedom of the hypothesis.
+    a_factor : tuple of (ndarray, float)
+        ``(L^-1, log det A)`` for the Cholesky factor ``A = L L'`` of the
+        constrained covariance: the one factorization of ``A`` that the
+        likelihood ratio statistic, the pencil whitening of every group and
+        the directional integrand share.
     """
 
     hypothesis: Hypothesis
@@ -354,6 +359,7 @@ class ConstrainedFit:
     lambda0_inv: np.ndarray
     mu0: tuple[np.ndarray, ...]
     d: int
+    a_factor: tuple[np.ndarray, float]
 
     @functools.cached_property
     def plain_w(self) -> float:
@@ -361,12 +367,19 @@ class ConstrainedFit:
         return self.hypothesis.plain_w(self)
 
     @functools.cached_property
+    def a_inv(self) -> np.ndarray:
+        """Inverse of the constrained covariance from :attr:`a_factor`,
+        computed on first use."""
+        ell_inv = self.a_factor[0]
+        return symmetrize(ell_inv.T @ ell_inv)
+
+    @functools.cached_property
     def pencil_eigs(self) -> tuple[np.ndarray, ...] | None:
         """Per-group eigenvalues of the ``(A, V_g)`` pencil, computed on first
         use, for the nulls whose mean is free; ``None`` for the others."""
         if not self.hypothesis.free_mean:
             return None
-        return tuple(eig_pencil(self.lambda0_inv, s.mle_cov) for s in self.summaries)
+        return tuple(eig_pencil(self.a_factor[0], s.mle_cov) for s in self.summaries)
 
     @property
     def k(self) -> int:
@@ -539,9 +552,12 @@ def constrained_mle(hypothesis: Hypothesis, summaries: Sequence[SampleSummary]) 
         if np.min(np.diag(spd_cholesky(s.mle_cov)) ** 2 / np.diag(s.mle_cov)) <= _MIN_PIVOT_RATIO:
             raise NotPositiveDefiniteError("sample covariance is singular: the unconstrained MLE does not exist")
     lambda0_inv, mu0 = hypothesis.estimates(summaries)
-    if not is_positive_definite(lambda0_inv):
-        raise NotPositiveDefiniteError("constrained covariance estimate is not positive definite")
-    return ConstrainedFit(hypothesis=hypothesis, summaries=summaries, lambda0_inv=lambda0_inv, mu0=mu0, d=d)
+    try:
+        a_factor = inv_cholesky(lambda0_inv)
+    except NotPositiveDefiniteError:
+        raise NotPositiveDefiniteError("constrained covariance estimate is not positive definite") from None
+    return ConstrainedFit(hypothesis=hypothesis, summaries=summaries, lambda0_inv=lambda0_inv, mu0=mu0, d=d,
+                          a_factor=a_factor)
 
 
 def fit_hypothesis(hypothesis: Hypothesis, data) -> ConstrainedFit:

@@ -22,6 +22,7 @@ __all__ = [
     "log_det_spd",
     "inv_spd",
     "inv_and_log_det_spd",
+    "inv_cholesky",
     "vech",
     "vech_indices",
     "eig_pencil",
@@ -75,14 +76,24 @@ def inv_spd(m: np.ndarray) -> np.ndarray:
 def inv_and_log_det_spd(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Inverse and log-determinant of an SPD matrix from one Cholesky factor.
 
-    The inverse is ``L^-T L^-1`` with ``L^-1`` from LAPACK's triangular
-    inverse, at less than half the cost of a general solve against the
-    identity for ``p <= 90``; the log-determinant equals
-    :func:`log_det_spd` exactly.
+    The inverse is ``L^-T L^-1`` with ``L^-1`` from :func:`inv_cholesky`,
+    at less than half the cost of a general solve against the identity for
+    ``p <= 90``; the log-determinant equals :func:`log_det_spd` exactly.
+    """
+    ell_inv, log_det = inv_cholesky(m)
+    return symmetrize(ell_inv.T @ ell_inv), log_det
+
+
+def inv_cholesky(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(L^-1, log det m)`` for the lower Cholesky factor ``m = L L'``.
+
+    ``L^-1`` comes from LAPACK's triangular inverse; the log-determinant
+    equals :func:`log_det_spd` exactly.  Raises ``NotPositiveDefiniteError``
+    when ``m`` is not positive definite.
     """
     ell = spd_cholesky(m)
     ell_inv, _ = lapack.dtrtri(ell, lower=1)
-    return symmetrize(ell_inv.T @ ell_inv), float(2.0 * np.sum(np.log(np.diag(ell))))
+    return ell_inv, float(2.0 * np.sum(np.log(np.diag(ell))))
 
 
 @functools.lru_cache(maxsize=64)
@@ -107,24 +118,24 @@ def vech(m: np.ndarray) -> np.ndarray:
     return m[rows, cols]
 
 
-def eig_pencil(lambda0_inv: np.ndarray, lambda_inv: np.ndarray, b: np.ndarray | None = None):
-    """Eigenvalues of ``inv(lambda0_inv) @ lambda_inv``, ascending.
+def eig_pencil(a_chol_inv: np.ndarray, m: np.ndarray, b: np.ndarray | None = None):
+    """Eigenvalues of the ``(A, m)`` pencil, i.e. of ``inv(A) @ m``, ascending.
 
-    Both matrices must be SPD.  The product is similar to the symmetric
-    matrix ``L^-1 @ lambda_inv @ L^-T`` where ``L`` is the Cholesky factor
-    of ``lambda0_inv``, so the eigenvalues are real and positive and no
-    nonsymmetric eigensolver is needed.  They are invariant under a
-    simultaneous congruence of both inputs.
+    ``a_chol_inv`` is ``L^-1`` for the Cholesky factor ``A = L L'`` (see
+    :func:`inv_cholesky`), so one factorization of ``A`` serves every
+    pencil that shares it.  Both matrices must be SPD.  The product is
+    similar to the symmetric matrix ``L^-1 @ m @ L^-T``, so the eigenvalues
+    are real and positive and no nonsymmetric eigensolver is needed.  They
+    are invariant under a simultaneous congruence of ``A`` and ``m``.
 
     Given a vector ``b``, returns ``(mu, c)`` with ``c = Q' L^-1 b`` for the
     eigenvectors ``Q`` of that symmetric matrix.
     """
-    ell_inv, _ = lapack.dtrtri(spd_cholesky(lambda0_inv), lower=1)
-    sym = symmetrize(ell_inv @ lambda_inv @ ell_inv.T)
+    sym = symmetrize(a_chol_inv @ m @ a_chol_inv.T)
     try:
         if b is None:
             return np.linalg.eigvalsh(sym)
         mu, q = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvalsh rarely fails
         raise NotPositiveDefiniteError(str(exc)) from exc
-    return mu, q.T @ (ell_inv @ b)
+    return mu, q.T @ (a_chol_inv @ b)

@@ -189,6 +189,10 @@ def build_report(
             "t_max": diagnostics.t_max,
             "numerator": diagnostics.numerator,
             "denominator": diagnostics.denominator,
+            "n_evals": diagnostics.n_evals,
+            "quad_escalations": diagnostics.quad_escalations,
+            "peak_evals": diagnostics.peak_evals,
+            "quad_error": diagnostics.quad_error,
         }
     report = {
         "schema": SCHEMA_ID,

@@ -12,11 +12,13 @@ the calling process.  Above one, they run on one process pool shared by
 the whole process: it is forked the first time a study needs it, reused
 by every later pass and study, replaced when the cap changes or a worker
 has died, and shut down at interpreter exit.  Workers are forked once, so
-they do not see functions patched in the parent after that.
+they do not see functions patched in the parent after that.  Each worker
+runs one OpenBLAS thread; the calling process keeps its own setting.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import os
@@ -24,9 +26,11 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Union
 
 import numpy as np
+import scipy
 from scipy.special import kolmogorov
 
 from .classical import classical_report
@@ -110,6 +114,7 @@ class ScenarioSpec:
             raise InvalidScenarioError("reps must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidScenarioError("alpha must be in (0, 1)")
+        object.__setattr__(self, "methods", tuple(self.methods))  # hashable: keys a cache
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise InvalidScenarioError(f"unknown methods {sorted(unknown)}")
@@ -291,14 +296,24 @@ def scenario_params(spec: ScenarioSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     return params
 
 
+@functools.lru_cache(maxsize=64)
+def _scenario_factors(spec: ScenarioSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per-group ``(mean, Cholesky factor)`` of the sampling distribution,
+    computed once per cell and read-only."""
+    factors = tuple((mu, spd_cholesky(cov)) for mu, cov in scenario_params(spec))
+    for mu, ell in factors:
+        mu.flags.writeable = ell.flags.writeable = False
+    return factors
+
+
 def generate_scenario(spec: ScenarioSpec, rep_index: int, stream: int = _STREAM_MAIN):
     """Data for one replication, deterministic given ``(seed, rep_index)``.
 
     Returns a single matrix for one-sample cases and a list of per-group
     matrices for the group cases.
     """
-    factors = [(mu, spd_cholesky(cov)) for mu, cov in scenario_params(spec)]
-    groups = sample_groups(factors, spec.group_sizes, (spec.seed, _CASE_IDS[spec.case], stream, rep_index))
+    groups = sample_groups(_scenario_factors(spec), spec.group_sizes,
+                           (spec.seed, _CASE_IDS[spec.case], stream, rep_index))
     return groups if HYPOTHESES[spec.case].grouped else groups[0]
 
 
@@ -333,6 +348,28 @@ def _worker_cap() -> int:
 
 _pool: ProcessPoolExecutor | None = None
 _pool_lock = threading.Lock()
+# The OpenBLAS copies that numpy and scipy bundle, as (package, library glob
+# in the package's ``.libs`` directory, thread-count setter).
+_OPENBLAS = (
+    (np, "libscipy_openblas64_-*.so", "scipy_openblas_set_num_threads64_"),
+    (scipy, "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
+)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread per worker, so the workers do
+    not share the cores with each other's BLAS threads.  A library or
+    symbol that is not there is skipped."""
+    for package, pattern, symbol in _OPENBLAS:
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in libs.glob(pattern):
+            try:
+                setter = getattr(ctypes.CDLL(str(path)), symbol)
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
 
 
 def _map(fn, items: list):
@@ -350,7 +387,7 @@ def _map(fn, items: list):
             _pool.shutdown(wait=True, cancel_futures=True)
             _pool = None
         if _pool is None:
-            _pool = ProcessPoolExecutor(max_workers=cap)
+            _pool = ProcessPoolExecutor(max_workers=cap, initializer=_one_blas_thread)
         return _pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8)))
 
 

@@ -8,10 +8,12 @@ never the other way around.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.optimize import minimize
+import math
 
-from dirnormal.directional import DirectionalEvaluator
+import numpy as np
+from scipy.optimize import brentq, minimize
+
+from dirnormal.directional import ENDPOINT_DROP, DirectionalEvaluator
 from dirnormal.exceptions import NoConvergenceError, NotPositiveDefiniteError
 from dirnormal.hypotheses import ZeroPattern, path_estimates
 from dirnormal.linalg import inv_spd, is_positive_definite, symmetrize, vech, vech_indices
@@ -215,6 +217,73 @@ def trapezoid_pvalue(fit, nodes: int = 1_000_001) -> float:
     g_num = dense_log_gbar(fit, ts_num)
     num = trapezoid(np.exp(g_num - g_max), ts_num)
     return float(num / den)
+
+
+# -- the peak search, interval and integrand the engine replaced ---------------
+
+_EPS = np.finfo(float).eps
+
+
+def _loop_derivative(t: float, ev) -> float:
+    """First derivative of ``log_gbar`` with the rank-one term computed
+    whatever ``c``."""
+    f = 1.0 - t + t * ev._mu
+    linear = np.sum((ev._mu - 1.0) / f, axis=1)
+    r = 1.0 - t * t * np.sum(ev._c2 / f, axis=1)
+    s1 = t * np.sum(ev._c2 * (1.0 + f) / f**2, axis=1)
+    return float((ev.d - 1) / t + ev._slope + ev._weights @ (linear - s1 / r))
+
+
+def brentq_peak(ev, t_cap: float) -> float:
+    """Maximizer of ``log_gbar`` on ``[1e-9, t_cap (1 - 1e-9)]`` by the
+    endpoint rules, then ``brentq`` on the derivative to a few ulps."""
+    lo, hi = 1e-9, t_cap * (1.0 - 1e-9)
+    if _loop_derivative(hi, ev) >= 0.0:
+        return hi
+    if _loop_derivative(lo, ev) <= 0.0:
+        return lo
+    return brentq(_loop_derivative, lo, hi, args=(ev,), xtol=_EPS * lo, rtol=4 * _EPS)
+
+
+def _widen(ev, t_hat: float, g_hat: float, start: float, lower: bool, bound: float) -> float:
+    half = start
+    for _ in range(64):
+        point = max(bound, t_hat - half) if lower else min(bound, t_hat + half)
+        if point == bound or g_hat - ev.log_gbar(point) >= ENDPOINT_DROP:
+            return point
+        half *= 2.0
+    return bound
+
+
+def doubling_interval(ev, t_hat: float, curvature_at_t_hat: float, halfwidth: float,
+                      t_cap: float) -> tuple[float, float]:
+    """Integration interval by doubling one candidate endpoint at a time,
+    each evaluated on its own."""
+    if not (curvature_at_t_hat < 0.0) or not math.isfinite(curvature_at_t_hat):
+        return 0.0, t_cap
+    g_hat = ev.log_gbar(t_hat)
+    sigma = (-curvature_at_t_hat) ** -0.5
+    t_min = _widen(ev, t_hat, g_hat, halfwidth * sigma, lower=True, bound=0.0)
+    t_max = _widen(ev, t_hat, g_hat, halfwidth * sigma, lower=False, bound=t_cap)
+    return min(t_min, 1.0), max(t_max, min(1.0, t_cap))
+
+
+def log_gbar_with_rank_one(ev, t):
+    """``log_gbar`` with the rank-one factor ``log(1 - t**2 sum c**2 / f)``
+    computed whatever ``c``."""
+    t_arr = np.asarray(t, dtype=float)
+    tv = t_arr.reshape(-1)
+    f = 1.0 - tv[:, None, None] + tv[:, None, None] * ev._mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = 1.0 - tv[:, None] ** 2 * np.sum(ev._c2 / f, axis=2)
+        logs = np.sum(np.log(f), axis=2) + np.log(r)
+        vals = logs @ ev._weights + ev._offset + ev._slope * tv
+        if ev.d > 1:
+            vals += (ev.d - 1) * np.log(tv)
+    ok = tv >= 0.0 if ev.d == 1 else tv > 0.0
+    ok &= np.all(f > 0.0, axis=(1, 2)) & np.all(r > 0.0, axis=1)
+    out = np.where(ok, vals, -math.inf)
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def maximize_loglik_moment(summary, constrain_diag: bool = False) -> float:

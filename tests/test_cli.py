@@ -109,6 +109,9 @@ class TestTestCommand:
         assert report["methods"]["dt"]["p_value"] == pytest.approx(p_lib, abs=1e-12)
         assert report["methods"]["dt"]["p_value"] == pytest.approx(trapezoid_pvalue(fit), abs=1e-6)
         assert report["diagnostics"]["t_sup"] == pytest.approx(diag.t_sup, rel=1e-12)
+        for key in ("n_evals", "quad_escalations", "peak_evals"):
+            assert report["diagnostics"][key] == getattr(diag, key)
+        assert report["diagnostics"]["quad_error"] == pytest.approx(diag.quad_error, rel=1e-12)
         assert report["d"] == 1
 
     def test_report_validates_against_schema(self, tmp_path):

@@ -27,7 +27,13 @@ from dirnormal.hypotheses import (
 from dirnormal.linalg import is_positive_definite, log_det_spd
 from dirnormal.simulation import ks_uniformity
 
-from _oracles import feasible_sup_scan, trapezoid_pvalue
+from _oracles import (
+    brentq_peak,
+    doubling_interval,
+    feasible_sup_scan,
+    log_gbar_with_rank_one,
+    trapezoid_pvalue,
+)
 from test_hypotheses import make_summary
 
 
@@ -42,7 +48,7 @@ def _sampled_fit(hyp, n, p, seed, scale=1.0, shift=0.0):
 
 def _peak(fit):
     ev = DirectionalEvaluator(fit)
-    return ev.maximize(ev.integration_cap())
+    return ev.maximize(ev.integration_cap())[0]
 
 
 ALL_CASES = [
@@ -54,6 +60,86 @@ ALL_CASES = [
     (EqualCovariances(), (15, 18), 3),
     (EqualDistributions(), (15, 18), 3),
 ]
+
+
+def _near_collinear_fit(hyp, n, p, seed):
+    """A fit whose second column is nearly the first, so the smallest pencil
+    eigenvalue is tiny and ``t_sup`` lies just above 1."""
+    rng = np.random.default_rng(seed)
+
+    def draw(rows):
+        y = rng.standard_normal((rows, p))
+        y[:, 1] = y[:, 0] + 1e-4 * y[:, 1]
+        return y
+
+    if isinstance(hyp, (EqualCovariances, EqualDistributions)):
+        return fit_hypothesis(hyp, [draw(n_i) for n_i in n])
+    return fit_hypothesis(hyp, draw(n))
+
+
+def _edge_fits():
+    """``(label, fit)`` for every null at moderate n, at ``n = p + 2`` and
+    with ``t_sup`` just above 1, plus ``p = 1`` and ``d = 1`` fits."""
+    out = []
+    for i, (hyp, n, p) in enumerate(ALL_CASES):
+        name = type(hyp).__name__
+        smallest = tuple(p + 2 for _ in n) if isinstance(n, tuple) else p + 2
+        out.append((f"{name} n={n}", _sampled_fit(hyp, n, p, seed=90 + i)))
+        out.append((f"{name} n=p+2", _sampled_fit(hyp, smallest, p, seed=100 + i)))
+        out.append((f"{name} t_sup near 1", _near_collinear_fit(hyp, n, p, seed=110 + i)))
+    out.append(("c5 p=1", _sampled_fit(SpecifiedMeanCov(np.zeros(1), np.eye(1)), 8, 1, seed=120)))
+    out.append(("c4 p=1 d=1", _sampled_fit(EqualCovariances(), (5, 7), 1, seed=121)))
+    out.append(("c3 p=1", _sampled_fit(EqualDistributions(), (3, 3), 1, seed=122)))
+    out.append(("c6 p=2 d=1 n=p+2", _sampled_fit(CompleteIndependence(), 4, 2, seed=123)))
+    return out
+
+
+class TestAgainstReplacedSearches:
+    """The Newton peak search, the one-call interval and the rank-one skip
+    against the brentq search, the doubling loop and the full integrand
+    they replaced (tests/_oracles.py)."""
+
+    def test_edge_fits_cover_the_regimes(self):
+        fits = [fit for _, fit in _edge_fits()]
+        assert {type(f.hypothesis) for f in fits} == {type(h) for h, _, _ in ALL_CASES}
+        assert min(f.p for f in fits) == 1 and min(f.d for f in fits) == 1
+        assert any(min(s.n for s in f.summaries) == f.p + 2 for f in fits)
+        sups = [DirectionalEvaluator(f).t_sup for f in fits]
+        assert min(sups) < 1.0 + 1e-6
+
+    def test_newton_peak_matches_brentq_root(self):
+        for label, fit in _edge_fits():
+            ev = DirectionalEvaluator(fit)
+            cap = ev.integration_cap()
+            t_hat, evals = ev.maximize(cap)
+            assert t_hat == pytest.approx(brentq_peak(ev, cap), rel=1e-12), label
+            assert 1 <= evals <= 10, label
+
+    def test_one_call_interval_equals_doubling_loop(self):
+        for label, fit in _edge_fits():
+            ev = DirectionalEvaluator(fit)
+            cap = ev.integration_cap()
+            t_hat, _ = ev.maximize(cap)
+            g_hat = ev.log_gbar(t_hat)
+            curv = ev.curvature(t_hat)
+            # narrow, default and wide starts reach free endpoints and both bounds
+            for halfwidth in (1e-3, 5.0, 1e3):
+                got = integration_interval(ev, t_hat, g_hat, curv, halfwidth, cap)
+                assert got == doubling_interval(ev, t_hat, curv, halfwidth, cap), (label, halfwidth)
+
+    def test_linear_path_skips_rank_one_bitwise(self):
+        linear = 0
+        for label, fit in _edge_fits():
+            if fit.pencil_eigs is None:
+                continue
+            linear += 1
+            ev = DirectionalEvaluator(fit)
+            cap = ev.integration_cap()
+            ts = np.concatenate([np.linspace(-0.5, 1.5 * cap, 997), [0.0, 1.0, cap]])
+            assert ev.log_gbar(ts).tobytes() == log_gbar_with_rank_one(ev, ts).tobytes(), label
+            for t in (0.0, 0.5, 1.0, cap):
+                assert ev.log_gbar(t) == log_gbar_with_rank_one(ev, t), label
+        assert linear >= 15
 
 
 class TestTSup:
@@ -195,8 +281,9 @@ class TestMaximize:
     def test_quadratic_mock_exact_argmax(self):
         fit = _sampled_fit(ProportionalIdentity(), 20, 3, seed=69)
         ev = DirectionalEvaluator(fit)
-        ev.derivative = lambda t: -2.0 * (t - 1.2345678)
-        assert ev.maximize(t_cap=3.0) == pytest.approx(1.2345678, abs=1e-14)
+        ev.slope_and_curvature = lambda t: (-2.0 * (t - 1.2345678), -2.0)
+        t_hat, _ = ev.maximize(t_cap=3.0)
+        assert t_hat == pytest.approx(1.2345678, abs=1e-14)
 
     def test_null_data_peak_near_one(self):
         # the peak fluctuates around 1 with spread ~ 1/sqrt(2d), so the
@@ -217,7 +304,7 @@ class TestMaximize:
             fit = _sampled_fit(hyp, n, p, seed=70)
             ev = DirectionalEvaluator(fit)
             cap = ev.integration_cap()
-            t_hat = ev.maximize(cap)
+            t_hat, _ = ev.maximize(cap)
             g_hat = ev.log_gbar(t_hat)
             grid = np.linspace(1e-6, cap * (1 - 1e-9), 2001)
             assert g_hat >= np.max(ev.log_gbar(grid)) - 1e-7
@@ -257,7 +344,7 @@ class TestIntegrationInterval:
         fit = _sampled_fit(ProportionalIdentity(), 20, 3, seed=73)
         ev = DirectionalEvaluator(fit)
         ev.log_gbar = lambda t: np.asarray(t) * 0.0 - 0.0  # flat: no widening exit
-        lo, hi = integration_interval(ev, t_hat=1.0, curvature_at_t_hat=-1.0,
+        lo, hi = integration_interval(ev, t_hat=1.0, g_hat=0.0, curvature_at_t_hat=-1.0,
                                       halfwidth=5.0, t_cap=10.0)
         assert lo == 0.0
         assert hi == 10.0  # widening runs to the cap on a flat integrand
@@ -266,7 +353,7 @@ class TestIntegrationInterval:
         fit = _sampled_fit(ProportionalIdentity(), 20, 3, seed=73)
         ev = DirectionalEvaluator(fit)
         ev.log_gbar = lambda t: -1e6 * (np.asarray(t) - 1.0) ** 2
-        lo, hi = integration_interval(ev, t_hat=1.0, curvature_at_t_hat=-2e6,
+        lo, hi = integration_interval(ev, t_hat=1.0, g_hat=0.0, curvature_at_t_hat=-2e6,
                                       halfwidth=5.0, t_cap=10.0)
         width = hi - lo
         assert width < 2e-2
@@ -277,10 +364,10 @@ class TestIntegrationInterval:
             fit = _sampled_fit(hyp, n, p, seed=74)
             ev = DirectionalEvaluator(fit)
             cap = ev.integration_cap()
-            t_hat = ev.maximize(cap)
-            lo, hi = integration_interval(ev, t_hat, ev.curvature(t_hat), 5.0, cap)
-            assert 0.0 <= lo <= 1.0 <= hi <= cap
+            t_hat, _ = ev.maximize(cap)
             g_hat = ev.log_gbar(t_hat)
+            lo, hi = integration_interval(ev, t_hat, g_hat, ev.curvature(t_hat), 5.0, cap)
+            assert 0.0 <= lo <= 1.0 <= hi <= cap
             # the drop requirement applies to endpoints that were neither
             # clipped at the range boundary nor pulled to the observed point
             if 0.0 < lo < 1.0:
@@ -379,6 +466,34 @@ class TestDirectionalPvalue:
         rate = np.mean(np.array(pvals) <= 0.05)
         assert abs(rate - 0.05) <= 3 * math.sqrt(0.05 * 0.95 / 400)
 
+    def test_quad_error_holds_the_tail_bounds(self):
+        free_ends = 0
+        for hyp, n, p in ALL_CASES:
+            # large samples: a sharp peak leaves tails outside the interval
+            n = tuple(20 * m for m in n) if isinstance(n, tuple) else 20 * n
+            fit = _sampled_fit(hyp, n, p, seed=80)
+            _, diag = directional_pvalue(fit)
+            ev = DirectionalEvaluator(fit)
+            g_hat = ev.log_gbar(diag.t_hat)
+
+            def f(t):
+                return math.exp(ev.log_gbar(t) - g_hat)
+
+            tails = 0.0
+            for end, bound in ((diag.t_min, 0.0), (diag.t_max, diag.t_cap)):
+                if end == bound:
+                    continue
+                bound_here = f(end) / abs(ev.slope_and_curvature(end)[0])
+                # the concavity bound holds the tail it stands for
+                outside = quad(f, *sorted((bound, end)), epsabs=0.0, limit=200)[0]
+                assert outside <= bound_here * (1.0 + 1e-9)
+                tails += bound_here
+                free_ends += 1
+            assert diag.quad_escalations == 0
+            # the rest is the gap between the two resolutions, within tolerance
+            assert tails <= diag.quad_error <= tails + 2 * 1e-9 * diag.denominator
+        assert free_ends >= 7
+
     def test_diagnostics_invariants(self):
         for hyp, n, p in ALL_CASES:
             fit = _sampled_fit(hyp, n, p, seed=79)
@@ -387,3 +502,5 @@ class TestDirectionalPvalue:
             assert 0.0 <= diag.t_min <= 1.0 <= diag.t_max <= diag.t_cap
             assert 0.0 < diag.t_hat < diag.t_cap
             assert diag.curvature_at_t_hat < 0.0
+            assert 1 <= diag.peak_evals <= 10
+            assert 0.0 <= diag.quad_error <= 1e-8 * diag.denominator

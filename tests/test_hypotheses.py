@@ -177,7 +177,7 @@ class TestConstrainedMle:
             if hyp.free_mean:
                 assert len(fit.pencil_eigs) == fit.k and len(calls) == fit.k
                 for s, nu in zip(fit.summaries, fit.pencil_eigs):
-                    np.testing.assert_array_equal(nu, original(fit.lambda0_inv, s.mle_cov))
+                    np.testing.assert_array_equal(nu, original(fit.a_factor[0], s.mle_cov))
                 assert len(calls) == fit.k  # computed once
             else:
                 assert fit.pencil_eigs is None

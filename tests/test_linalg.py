@@ -6,6 +6,7 @@ import pytest
 from dirnormal.exceptions import NotPositiveDefiniteError
 from dirnormal.linalg import (
     eig_pencil,
+    inv_cholesky,
     inv_spd,
     log_det_spd,
     symmetrize,
@@ -18,6 +19,11 @@ from _oracles import duplication_matrix, naive_det
 def random_spd(rng, p, jitter=0.5):
     a = rng.standard_normal((p + 3, p))
     return symmetrize(a.T @ a / (p + 3) + jitter * np.eye(p))
+
+
+def pencil(a, m, b=None):
+    """Eigenvalues of the ``(a, m)`` pencil from a fresh factor of ``a``."""
+    return eig_pencil(inv_cholesky(a)[0], m, b)
 
 
 class TestLogDetSpd:
@@ -65,33 +71,48 @@ class TestDuplicationMatrix:
         np.testing.assert_array_equal(dup @ vech(m), m.flatten(order="F"))
 
 
+class TestInvCholesky:
+    def test_whitens_and_matches_log_det(self):
+        rng = np.random.default_rng(39)
+        for p in (1, 4, 9):
+            a = random_spd(rng, p)
+            ell_inv, log_det = inv_cholesky(a)
+            np.testing.assert_allclose(ell_inv @ a @ ell_inv.T, np.eye(p), atol=1e-12)
+            assert np.all(np.triu(ell_inv, 1) == 0.0)
+            assert log_det == log_det_spd(a)
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            inv_cholesky(np.diag([1.0, -1.0]))
+
+
 class TestEigPencil:
     def test_equal_inputs_give_ones(self):
         rng = np.random.default_rng(34)
         m = random_spd(rng, 4)
-        np.testing.assert_allclose(eig_pencil(m, m), np.ones(4), atol=1e-12)
+        np.testing.assert_allclose(pencil(m, m), np.ones(4), atol=1e-12)
 
     def test_diagonal_case(self):
-        nu = eig_pencil(np.eye(2), np.diag([2.0, 0.5]))
+        nu = pencil(np.eye(2), np.diag([2.0, 0.5]))
         np.testing.assert_allclose(nu, [0.5, 2.0], rtol=1e-14)
 
     def test_product_equals_determinant_ratio(self):
         rng = np.random.default_rng(35)
         a, b = random_spd(rng, 6), random_spd(rng, 6)
         ratio = np.exp(log_det_spd(b) - log_det_spd(a))
-        assert np.prod(eig_pencil(a, b)) == pytest.approx(ratio, rel=1e-10)
+        assert np.prod(pencil(a, b)) == pytest.approx(ratio, rel=1e-10)
 
     def test_congruence_invariance(self):
         rng = np.random.default_rng(36)
         a, b = random_spd(rng, 4), random_spd(rng, 4)
         c = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        base = eig_pencil(a, b)
-        transformed = eig_pencil(symmetrize(c.T @ a @ c), symmetrize(c.T @ b @ c))
+        base = pencil(a, b)
+        transformed = pencil(symmetrize(c.T @ a @ c), symmetrize(c.T @ b @ c))
         np.testing.assert_allclose(transformed, base, atol=1e-9, rtol=1e-9)
 
     def test_sorted_ascending_and_positive(self):
         rng = np.random.default_rng(37)
-        nu = eig_pencil(random_spd(rng, 5), random_spd(rng, 5))
+        nu = pencil(random_spd(rng, 5), random_spd(rng, 5))
         assert np.all(nu > 0)
         assert np.all(np.diff(nu) >= 0)
 
@@ -101,7 +122,7 @@ class TestEigPencil:
         for p in (1, 3, 8):
             a, v = random_spd(rng, p), random_spd(rng, p)
             b = rng.standard_normal(p)
-            mu, c = eig_pencil(a, v + np.outer(b, b), b)
-            np.testing.assert_allclose(mu, eig_pencil(a, v + np.outer(b, b)), rtol=1e-12)
+            mu, c = pencil(a, v + np.outer(b, b), b)
+            np.testing.assert_allclose(mu, pencil(a, v + np.outer(b, b)), rtol=1e-12)
             lemma = np.sum(np.log(mu)) + np.log(1.0 - np.sum(c**2 / mu))
             assert lemma == pytest.approx(log_det_spd(v) - log_det_spd(a), abs=1e-12)

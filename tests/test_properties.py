@@ -75,11 +75,13 @@ def test_maximizer_finds_the_grid_maximum(tag, p, extra, seed, alt):
     fit = _fit(tag, p, p + 2 + extra, seed, alt)
     ev = DirectionalEvaluator(fit)
     cap = ev.integration_cap()
-    t_hat = ev.maximize(cap)
+    t_hat, peak_evals = ev.maximize(cap)
     grid = np.linspace(1e-9, cap * (1.0 - 1e-9), 2001)
     assert ev.log_gbar(t_hat) >= np.max(ev.log_gbar(grid)) - 1e-7
-    p_value, _ = directional_pvalue(fit)
+    assert peak_evals <= 10
+    p_value, diag = directional_pvalue(fit)
     assert 0.0 <= p_value <= 1.0
+    assert diag.peak_evals == peak_evals
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

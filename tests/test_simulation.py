@@ -1,5 +1,6 @@
 """Scenario generators, study runner, cutoffs and uniformity diagnostics."""
 
+import ctypes
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 
 import dirnormal.simulation as sim
 from dirnormal import hypotheses
+from dirnormal.core import sample_groups
 from dirnormal.exceptions import InvalidScenarioError
 from dirnormal.simulation import (
     Extreme,
@@ -121,6 +123,20 @@ class TestGenerateScenario:
         groups = generate_scenario(spec, 0)
         assert [g.shape for g in groups] == [(10, 3), (20, 3), (30, 3)]
 
+    def test_factors_cached_per_cell_and_draws_unchanged(self):
+        # the draws equal those from factors recomputed for every replication
+        for spec in (ScenarioSpec(case="c5", n=30, p=6, seed=3, alternative=Setting1()),
+                     ScenarioSpec(case="c4", n=(10, 12, 14), p=3, seed=4, alternative=Setting1())):
+            factors = [(mu, np.linalg.cholesky(cov)) for mu, cov in scenario_params(spec)]
+            for rep in (0, 5):
+                expected = sample_groups(factors, spec.group_sizes, (spec.seed, sim._CASE_IDS[spec.case], 0, rep))
+                got = generate_scenario(spec, rep)
+                for x, y in zip(expected, got if isinstance(got, list) else [got]):
+                    np.testing.assert_array_equal(x, y)
+            cached = sim._scenario_factors(spec)
+            assert sim._scenario_factors(spec) is cached
+            assert not any(a.flags.writeable for pair in cached for a in pair)
+
 
 class TestCorrectedCutoff:
     def test_uniform_grid(self):
@@ -178,6 +194,9 @@ class TestRunStudy:
             # a power cell adds the null-calibration pass
             ScenarioSpec(case="c1", n=20, p=3, reps=30, seed=9, methods=("dt",),
                          alternative=Extreme(1.0)),
+            # large enough for OpenBLAS to thread its calls: the workers run
+            # one BLAS thread, the calling process its default
+            ScenarioSpec(case="c3", n=(100, 100, 100), p=90, reps=24, seed=9, methods=("dt",)),
         ]
         for spec in specs:
             monkeypatch.setenv("DIRNORMAL_THREADS", "1")
@@ -298,9 +317,36 @@ def _assert_same_numbers(a, b):
             np.testing.assert_array_equal(a.null_pvalues[m], b.null_pvalues[m])
 
 
+def _blas_threads(_=None):
+    """Thread counts of the bundled OpenBLAS copies in this process; None
+    where a copy or its getter is missing."""
+    counts = []
+    for package, pattern, symbol in sim._OPENBLAS:
+        paths = sorted((Path(package.__file__).parents[1] / f"{package.__name__}.libs").glob(pattern))
+        getter = getattr(ctypes.CDLL(str(paths[0])), symbol.replace("_set_", "_get_"), None) if paths else None
+        if getter is None:
+            return None
+        getter.restype = ctypes.c_int
+        counts.append(getter())
+    return tuple(counts)
+
+
 class TestSharedPool:
     SPEC = ScenarioSpec(case="c6", n=20, p=3, reps=24, seed=13, methods=("dt", "bc"),
                         bootstrap_reps=24)
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        before = _blas_threads()
+        if before is None:
+            pytest.skip("numpy or scipy does not bundle OpenBLAS here")
+        monkeypatch.setenv("DIRNORMAL_THREADS", "2")
+        assert set(sim._map(_blas_threads, range(8))) == {(1, 1)}
+        assert _blas_threads() == before  # the calling process is left alone
+
+    def test_missing_blas_library_or_symbol_is_skipped(self, monkeypatch):
+        monkeypatch.setattr(sim, "_OPENBLAS", ((np, "no-such-library-*.so", "set_threads"),
+                                               (np, sim._OPENBLAS[0][1], "no_such_symbol")))
+        sim._one_blas_thread()
 
     def test_successive_studies_reuse_the_pool(self, monkeypatch):
         monkeypatch.setenv("DIRNORMAL_THREADS", "2")
