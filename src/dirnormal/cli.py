@@ -9,6 +9,7 @@ writes summary plus ECDF plot data.  Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -52,12 +53,14 @@ def _load_groups(args) -> tuple[list[np.ndarray], list[str] | None]:
     col = names.index(args.group_col)
     values = matrices[0]
     labels = values[:, col]
+    bad = labels[~np.isfinite(labels)]
+    if bad.size:
+        raise DirnormalError(f"group column {args.group_col!r} holds a label that is not a "
+                             f"finite number: {bad[0]}")
     keep = [j for j in range(values.shape[1]) if j != col]
-    seen: list[float] = []
-    for v in labels:
-        if v not in seen:
-            seen.append(v)
-    groups = [values[labels == v][:, keep] for v in seen]
+    # distinct labels in order of first appearance
+    distinct, first = np.unique(labels, return_index=True)
+    groups = [values[labels == v][:, keep] for v in distinct[np.argsort(first)]]
     return groups, [names[j] for j in keep]
 
 
@@ -213,12 +216,19 @@ def _add_simulate_parser(sub) -> None:
     q.add_argument("--out", required=True, help="output directory")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state on it between calls."""
     parser = argparse.ArgumentParser(prog="dirnormal")
     sub = parser.add_subparsers(dest="command", required=True)
     _add_test_parser(sub)
     _add_simulate_parser(sub)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "test":
             return run_test_command(args)

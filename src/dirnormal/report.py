@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -46,38 +47,60 @@ def _float_repr(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_rows(text: str):
+    """Yield ``(line, cells)`` for each row of ``text`` with a non-blank cell:
+    the cells as ``csv.reader`` splits them and the physical line the row
+    starts on."""
+    reader = csv.reader(io.StringIO(text))
+    line = 1
+    for cells in reader:
+        if any(c.strip() for c in cells):
+            yield line, cells
+        line = reader.line_num + 1
+
+
 def read_data_csv(path) -> tuple[np.ndarray, list[str] | None]:
     """Read an observations-by-variables CSV.
 
-    An optional single header row is detected by non-numeric cells.
-    Returns ``(matrix, column_names)`` with names ``None`` when there is no
-    header.  Raises ``ParseError`` with the offending location on ragged or
-    non-numeric rows.
+    An optional single header row is detected by non-numeric cells.  A
+    leading UTF-8 byte order mark is dropped and rows whose cells are all
+    blank are skipped.  Returns ``(matrix, column_names)`` with names
+    ``None`` when there is no header.  Raises ``ParseError`` with the
+    physical line (and column) of the first ragged or non-numeric row.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    text = path.read_text(encoding="utf-8-sig")
+    if '"' in text:
+        rows = [cells for _, cells in _csv_rows(text)]
+    else:
+        # without quotes, csv.reader splits a line on its commas
+        rows = [line.split(",") for line in text.split("\n") if line.replace(",", "").strip()]
     if not rows:
         raise ParseError(f"{path}: file is empty")
 
     names: list[str] | None = None
-    start = 0
     try:
         [float(c) for c in rows[0]]
     except ValueError:
-        names = [c.strip() for c in rows[0]]
-        start = 1
-    if start == len(rows):
+        names = [c.strip() for c in rows.pop(0)]
+    if not rows:
         raise ParseError(f"{path}: no data rows below the header")
 
-    width = len(rows[start])
-    data = []
-    for lineno, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != width:
-            raise ParseError(f"{path}: line {lineno}: expected {width} columns, got {len(row)}")
-        try:
-            data.append([float(c) for c in row])
-        except ValueError as exc:
+    width = len(rows[0])
+    try:
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged rows")
+        values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), dtype=float,
+                             count=len(rows) * width)
+    except ValueError as exc:
+        located = _csv_rows(text)
+        if names is not None:
+            next(located)
+        for lineno, row in located:
+            if len(row) != width:
+                raise ParseError(
+                    f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
+                ) from exc
             for col, cell in enumerate(row, start=1):
                 try:
                     float(cell)
@@ -85,10 +108,10 @@ def read_data_csv(path) -> tuple[np.ndarray, list[str] | None]:
                     raise ParseError(
                         f"{path}: line {lineno}, column {col}: not a number: {cell!r}"
                     ) from exc
-            raise
+        raise
     if names is not None and len(names) != width:
         raise ParseError(f"{path}: header has {len(names)} names but rows have {width} columns")
-    return np.asarray(data, dtype=float), names
+    return values.reshape(len(rows), width), names
 
 
 def read_vector_csv(path) -> np.ndarray:
@@ -117,7 +140,7 @@ def read_pattern_csv(path) -> tuple[tuple[int, int], ...]:
     """Read a zero pattern as 1-based ``i,j`` pairs, one per line."""
     path = Path(path)
     pairs = []
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -8,13 +8,15 @@ never the other way around.
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq, minimize
 
 from dirnormal.directional import ENDPOINT_DROP, DirectionalEvaluator
-from dirnormal.exceptions import NoConvergenceError, NotPositiveDefiniteError
+from dirnormal.exceptions import NoConvergenceError, NotPositiveDefiniteError, ParseError
 from dirnormal.hypotheses import ZeroPattern, path_estimates
 from dirnormal.linalg import inv_spd, is_positive_definite, symmetrize, vech, vech_indices
 
@@ -387,3 +389,37 @@ def zero_pattern_kkt_residuals(v: np.ndarray, zero_pairs, fitted: np.ndarray) ->
     gap = float(np.max(np.abs(fitted - v)[~zero])) / float(np.max(np.abs(v)))
     on_pattern = float(np.max(np.abs(conc[zero]), initial=0.0)) / float(np.max(np.abs(conc)))
     return gap, on_pattern
+
+
+def csv_reader_read_data(path) -> tuple[np.ndarray, list[str] | None]:
+    """``read_data_csv`` as a ``csv.reader`` loop over the rows, with one
+    ``float`` per cell.  Its error messages count only the rows that are not
+    blank, so compare locations with the physical lines elsewhere."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    if not rows:
+        raise ParseError(f"{path}: file is empty")
+
+    names: list[str] | None = None
+    start = 0
+    try:
+        [float(c) for c in rows[0]]
+    except ValueError:
+        names = [c.strip() for c in rows[0]]
+        start = 1
+    if start == len(rows):
+        raise ParseError(f"{path}: no data rows below the header")
+
+    width = len(rows[start])
+    data = []
+    for lineno, row in enumerate(rows[start:], start=start + 1):
+        if len(row) != width:
+            raise ParseError(f"{path}: line {lineno}: expected {width} columns, got {len(row)}")
+        try:
+            data.append([float(c) for c in row])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: not a number") from exc
+    if names is not None and len(names) != width:
+        raise ParseError(f"{path}: header has {len(names)} names but rows have {width} columns")
+    return np.asarray(data, dtype=float), names

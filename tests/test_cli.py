@@ -1,7 +1,10 @@
 """Command-line interface: ingestion, report serialization, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,9 @@ from dirnormal.simulation import ScenarioSpec
 
 from _oracles import trapezoid_pvalue
 
-SCHEMA = Path(__file__).resolve().parents[1] / "src" / "dirnormal" / "schemas" / "report-v1.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
+SCHEMA = SRC / "dirnormal" / "schemas" / "report-v1.json"
+BOM = b"\xef\xbb\xbf"
 
 
 class TestReadDataCsv:
@@ -53,6 +58,35 @@ class TestReadDataCsv:
         f.write_text("1,2\n3,oops\n")
         with pytest.raises(ParseError, match="line 2, column 2"):
             read_data_csv(f)
+
+    @pytest.mark.parametrize("content, where", [
+        (b"x,y\n1,2\n\n\n3\n", "line 5:"),
+        (b"1,2\r\n\r\n , \r\n3,oops\r\n", "line 4, column 2"),
+        (b"1,2\r\r3,4\r5\r", "line 4:"),
+        # a quoted name spanning two lines: the ragged row is on line 5
+        (b'x,"a\nb"\n1,2\n\n3\n', "line 5:"),
+    ])
+    def test_errors_name_the_physical_line(self, tmp_path, content, where):
+        f = tmp_path / "d.csv"
+        f.write_bytes(content)
+        with pytest.raises(ParseError, match=where):
+            read_data_csv(f)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_bytes(BOM + b"1.5,2.0\n3.0,4.5\n5.0,6.0\n")
+        values, names = read_data_csv(f)
+        np.testing.assert_array_equal(values, [[1.5, 2.0], [3.0, 4.5], [5.0, 6.0]])
+        assert names is None
+        f.write_bytes(BOM + b"x1,x2\n1,2\n")
+        assert read_data_csv(f)[1] == ["x1", "x2"]
+
+    def test_quoted_cells_read_as_the_csv_module_reads_them(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text('"a,b", "c"\n"1.5",2\n3," 4 "\n')
+        values, names = read_data_csv(f)
+        np.testing.assert_array_equal(values, [[1.5, 2.0], [3.0, 4.0]])
+        assert names == ["a,b", '"c"']
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(90)
@@ -84,6 +118,15 @@ class TestAuxiliaryReaders:
         f = tmp_path / "p.csv"
         f.write_text("1,3\n2,4\n")
         assert read_pattern_csv(f) == ((0, 2), (1, 3))
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        f = tmp_path / "f.csv"
+        f.write_bytes(BOM + b"1,3\n2,4\n")
+        assert read_pattern_csv(f) == ((0, 2), (1, 3))
+        f.write_bytes(BOM + b"1\n2\n3\n")
+        np.testing.assert_array_equal(read_vector_csv(f), [1, 2, 3])
+        f.write_bytes(BOM + b"1,0.5\r\n0.5,1\r\n")
+        np.testing.assert_array_equal(read_matrix_csv(f), [[1, 0.5], [0.5, 1]])
 
 
 class TestTestCommand:
@@ -230,6 +273,37 @@ class TestTestCommand:
         assert report["n"] == [12, 12]
         assert report["column_names"] == ["a", "b"]
 
+    def test_groups_keep_the_order_of_first_appearance(self, tmp_path):
+        rng = np.random.default_rng(96)
+        labels = rng.permutation([3.0] * 8 + [0.0] * 6 + [-0.0] * 6 + [2.0] * 9)
+        f = tmp_path / "d.csv"
+        with f.open("wb") as fh:
+            fh.write(BOM + b"a,grp,b\n")
+            for label in labels:
+                a, b = rng.standard_normal(2)
+                fh.write(f"{float(a)!r},{float(label)!r},{float(b)!r}\n".encode())
+        seen: list[float] = []  # the labels in order of first appearance, 0.0 == -0.0
+        for v in labels:
+            if v not in seen:
+                seen.append(v)
+        out = tmp_path / "r.json"
+        assert main(["test", "--case", "c4", "--data", str(f), "--group-col", "grp",
+                     "--methods", "lrt", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["n"] == [int(np.sum(labels == v)) for v in seen]
+        assert report["column_names"] == ["a", "b"]
+
+    @pytest.mark.parametrize("label", ["nan", "inf"])
+    def test_non_finite_group_label_exits_one(self, tmp_path, capsys, label):
+        f = tmp_path / "d.csv"
+        rows = [f"{g},{x},{-x}" for g in (1, 2) for x in range(6)]
+        rows[3] = f"{label},0.5,0.25"
+        f.write_text("grp,a,b\n" + "\n".join(rows) + "\n")
+        assert main(["test", "--case", "c4", "--data", str(f), "--group-col", "grp",
+                     "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert "'grp'" in err and label in err
+
     def test_case5_with_parameter_files(self, tmp_path):
         rng = np.random.default_rng(92)
         y = rng.standard_normal((15, 2)) + 0.3
@@ -253,6 +327,34 @@ class TestTestCommand:
         text = out.read_text()
         assert text.startswith("key,value")
         assert "methods.lrt.p_value" in text
+
+
+class TestParserState:
+    def test_reports_equal_those_of_a_fresh_process(self, tmp_path, capsys):
+        """The parser is built once per process; a call leaves nothing on it
+        that changes the next call's report or output."""
+        rng = np.random.default_rng(97)
+        groups = [tmp_path / f"g{g}.csv" for g in range(3)]
+        for f in groups:
+            write_data_csv(f, rng.standard_normal((12, 3)))
+        single = tmp_path / "y.csv"
+        write_data_csv(single, rng.standard_normal((20, 3)), names=["u", "v", "w"])
+        c3 = ["test", "--case", "c3", "--methods", "dt,lrt,sko1"]
+        for f in groups:
+            c3 += ["--data", str(f)]
+        c1 = ["test", "--case", "c1", "--data", str(single)]
+        calls = [c3, c1 + ["--format", "csv", "--seed", "5"], c3 + ["--pretty"], c1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        for i, argv in enumerate(calls):
+            here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+            code = main(argv + ["--out", str(here)])
+            out = capsys.readouterr().out
+            proc = subprocess.run([sys.executable, "-m", "dirnormal.cli", *argv, "--out", str(fresh)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert (code, out) == (proc.returncode, proc.stdout), proc.stderr
+            assert here.read_bytes() == fresh.read_bytes()
+            assert bool(out) == ("--pretty" in argv)
 
 
 class TestCaseTable:

@@ -1,15 +1,17 @@
-"""Property tests over the nulls, the dimension, the sample size and the seed."""
+"""Property tests over the nulls, the dimension, the sample size and the seed,
+and of the CSV reader against a `csv.reader` loop."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from _oracles import zero_pattern_kkt_residuals  # noqa: E402
+from _oracles import csv_reader_read_data, zero_pattern_kkt_residuals  # noqa: E402
 from dirnormal.core import summarize  # noqa: E402
 from dirnormal.directional import DirectionalEvaluator, directional_pvalue  # noqa: E402
+from dirnormal.exceptions import ParseError  # noqa: E402
 from dirnormal.hypotheses import (  # noqa: E402
     BlockIndependence,
     CompleteIndependence,
@@ -22,6 +24,7 @@ from dirnormal.hypotheses import (  # noqa: E402
     fit_zero_pattern,
 )
 from dirnormal.linalg import is_positive_definite  # noqa: E402
+from dirnormal.report import read_data_csv  # noqa: E402
 
 TAGS = ("c1", "c2", "c3", "c4", "c5", "c6", "pattern")
 # Smallest p at which each null constrains something (d >= 1).
@@ -106,3 +109,100 @@ def test_zero_pattern_fit_is_optimal(p, zero_bits, extra, seed):
     np.testing.assert_array_equal(fitted, fitted.T)
     assert is_positive_definite(fitted)
     assert max(zero_pattern_kkt_residuals(v, zeros, fitted)) <= 1e-10
+
+
+# -- CSV reading ---------------------------------------------------------------
+
+_NUMBER = st.one_of(
+    st.floats().map(repr),  # shortest round-trip, up to 17 digits, inf and nan
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(("inf", "-inf", "+inf", "Infinity", "nan", "-nan", "NaN")),
+)
+# \x0c, \x85 and \u2028 are whitespace to float() and line breaks to str.splitlines
+_PAD = st.sampled_from(("", " ", "  ", "\t", "\x0c", "\x85", "\u2028"))
+_BLANK_LINE = st.sampled_from(("", " ", "\t", ",", " , ", ",\t,", "\x0c"))
+_NAME = st.text(alphabet='xyz1 ,"', min_size=1, max_size=5)
+
+
+@st.composite
+def _csv_file(draw):
+    """A valid data file as ``(lines, data, endings, trailing)``:
+    its lines without terminators, the indices of its data rows among them,
+    one line ending per line, and whether the last line is terminated."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    quotes = draw(st.booleans())
+
+    def cell(token):
+        style = draw(st.sampled_from(("plain", "padded", "quoted") if quotes else ("plain", "padded")))
+        if style == "quoted":
+            return f'"{token}"'
+        return draw(_PAD) + token + draw(_PAD) if style == "padded" else token
+
+    def name(text):
+        if not quotes:
+            return text.replace('"', "x").replace(",", "y")
+        if '"' in text or "," in text or draw(st.booleans()):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    lines = [",".join(cell(draw(_NUMBER)) for _ in range(cols)) for _ in range(rows)]
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(name(draw(_NAME)) for _ in range(cols)))
+    data = list(range(len(lines) - rows, len(lines)))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(_BLANK_LINE))
+        data = [i + (i >= at) for i in data]
+    endings = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")),
+                            min_size=len(lines), max_size=len(lines)))
+    return lines, data, endings, draw(st.booleans())
+
+
+def _text(lines, endings, trailing) -> str:
+    text = "".join(line + end for line, end in zip(lines, endings))
+    return text if trailing else text[: len(text) - len(endings[-1])]
+
+
+def _read(reader, path):
+    values, names = reader(path)
+    return values.shape, values.tobytes(), names
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "data.csv"
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_csv_file())
+def test_read_data_csv_matches_the_csv_reader(csv_path, case):
+    lines, _, endings, trailing = case
+    csv_path.write_bytes(_text(lines, endings, trailing).encode())
+    assert _read(read_data_csv, csv_path) == _read(csv_reader_read_data, csv_path)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_csv_file(), st.sampled_from(("ragged", "cell")), st.data())
+def test_read_data_csv_rejects_a_bad_row_on_its_physical_line(csv_path, case, fault, data):
+    lines, rows, endings, trailing = case
+    assume(len(rows) >= 2)  # a fault in the first data row changes the width or the header
+    at = data.draw(st.sampled_from(rows[1:]))
+    lines = list(lines)
+    if fault == "ragged":
+        lines[at] += ",1"
+        where = ":"
+    else:
+        cells = lines[at].split(",")
+        col = data.draw(st.integers(0, len(cells) - 1))
+        cells[col] = "oops"
+        lines[at] = ",".join(cells)
+        where = f", column {col + 1}"
+    text = _text(lines, endings, trailing)
+    csv_path.write_bytes(text.encode())
+    # universal newlines: a line ends at \n, \r\n or \r
+    before = text[: sum(len(line) + len(end) for line, end in zip(lines[:at], endings))]
+    line = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+    with pytest.raises(ParseError, match=f"line {line}{where}"):
+        read_data_csv(csv_path)
+    with pytest.raises(ParseError):
+        csv_reader_read_data(csv_path)
