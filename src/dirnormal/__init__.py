@@ -47,16 +47,12 @@ from .hypotheses import (
     ConstrainedFit,
     EqualCovariances,
     EqualDistributions,
-    PathPoint,
     ProportionalIdentity,
     SpecifiedMeanCov,
-    SufficientShift,
     ZeroPattern,
     constrained_mle,
-    expected_s_psi,
     fit_hypothesis,
     fit_zero_pattern,
-    path_estimates,
     standardize,
 )
 from .linalg import eig_pencil, log_det_spd

@@ -25,23 +25,16 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .exceptions import DegenerateNullError
-from .hypotheses import ConstrainedFit, is_degenerate
-from .linalg import inv_and_log_det_spd
+from .hypotheses import ConstrainedFit
 
 __all__ = [
     "ClassicalReport",
-    "DEGENERATE_W",
     "chisq_upper_tail",
     "skovgaard_log_gamma",
     "skovgaard_stats",
     "bartlett_rescale",
-    "classical_degenerate",
     "classical_report",
 ]
-
-# Below this the observed point is treated as sitting exactly at the null
-# expectation and every p-value is reported as 1.
-DEGENERATE_W = 1e-10
 
 
 @dataclass(frozen=True)
@@ -64,9 +57,7 @@ def chisq_upper_tail(x: float, d: int) -> float:
     if d < 1:
         raise ValueError("degrees of freedom must be >= 1")
     if x < 0.0:
-        if x < -1e-6:
-            raise ValueError(f"chi-square statistic must be nonnegative, got {x}")
-        x = 0.0
+        raise ValueError(f"chi-square statistic must be nonnegative, got {x}")
     return float(gammaincc(0.5 * d, 0.5 * x))
 
 
@@ -76,12 +67,12 @@ def skovgaard_log_gamma(fit: ConstrainedFit) -> float:
     Raises
     ------
     DegenerateNullError
-        When the unadjusted statistic is (numerically) zero, in which case
-        the factor is undefined and callers should report p-values of 1.
+        On a degenerate fit (``fit.degenerate``), where the factor is
+        undefined and callers should report p-values of 1.
     """
-    w = fit.plain_w
-    if w <= DEGENERATE_W:
+    if fit.degenerate:
         raise DegenerateNullError("likelihood ratio statistic is zero; correction factor undefined")
+    w = fit.plain_w
     p = fit.p
     quad = inner = logdet_ratio = 0.0
     # The quadratic form and the inner product split per group through the
@@ -94,13 +85,12 @@ def skovgaard_log_gamma(fit: ConstrainedFit) -> float:
     a_inv, ld_a = fit.a_inv, fit.a_factor[1]
     for s, mu in zip(fit.summaries, fit.mu0):
         b = s.ybar - mu
-        lam_hat, ld_v = inv_and_log_det_spd(s.mle_cov)
         ga = (s.mle_cov + np.outer(b, b) - a) @ a_inv
         b_a = float(b @ a_inv @ b)
         quad += s.n * b_a + 0.5 * s.n * float(np.sum(ga * ga.T))
-        traces = float(np.sum(lam_hat * a)) + float(np.sum(a_inv * s.mle_cov))
-        inner += 0.5 * s.n * (float(b @ lam_hat @ b) + b_a + traces - 2 * p)
-        logdet_ratio += 0.5 * (p + 2) * (ld_a - ld_v)
+        traces = float(np.sum(s.cov_inv * a)) + float(np.sum(a_inv * s.mle_cov))
+        inner += 0.5 * s.n * (float(b @ s.cov_inv @ b) + b_a + traces - 2 * p)
+        logdet_ratio += 0.5 * (p + 2) * (ld_a - s.cov_log_det)
     if quad <= 0.0 or inner <= 0.0:
         raise DegenerateNullError("degenerate correction factor")
     d = fit.d
@@ -131,14 +121,6 @@ def bartlett_rescale(w: float, d: int, e_w_hat: float) -> tuple[float, float]:
     return w_bc, chisq_upper_tail(w_bc, d)
 
 
-def classical_degenerate(fit: ConstrainedFit, w: float) -> bool:
-    """Whether the classical tests of ``fit``, with likelihood ratio
-    statistic ``w``, are reported as degenerate, every p-value 1: ``w`` is
-    numerically zero, or the data sit at the null expectation by the rule
-    the directional test uses (``is_degenerate``)."""
-    return w <= DEGENERATE_W or is_degenerate(fit)
-
-
 def classical_report(
     fit: ConstrainedFit,
     methods: tuple[str, ...] = ("lrt", "sko1", "sko2"),
@@ -148,15 +130,18 @@ def classical_report(
     """Evaluate the requested classical tests on one fitted data set.
 
     ``methods`` is a subset of ``{"lrt", "bc", "sko1", "sko2"}``.  On a
-    fit that :func:`classical_degenerate` flags every requested p-value is
-    reported as 1.  ``bc`` rescales by ``e_w_hat``, the estimate of
-    ``E(W)`` that ``bartlett_bootstrap`` computes for one data set and
+    degenerate fit (``fit.degenerate``) every requested p-value is reported
+    as 1, and so is every p-value of a statistic that is not positive, which
+    the ``n - 1`` weighting of ``c5`` can give: it sits at the foot of its
+    chi-square reference.  ``bc`` rescales by ``e_w_hat``, the estimate of ``E(W)``
+    that ``bartlett_bootstrap`` computes for one data set and
     ``calibrate_bartlett_expectation`` once per simulation cell; it is
     required when ``bc`` is requested on a fit that is not degenerate.
     """
     w = fit.hypothesis.lrt(fit)
-    if classical_degenerate(fit, w):
-        return ClassicalReport(w=w, d=fit.d, pvalues=dict.fromkeys(methods, 1.0), degenerate=True)
+    if fit.degenerate or w <= 0.0:
+        return ClassicalReport(w=w, d=fit.d, pvalues=dict.fromkeys(methods, 1.0),
+                               degenerate=fit.degenerate)
     if "bc" in methods and e_w_hat is None:
         raise ValueError("the bc method needs e_w_hat")
 

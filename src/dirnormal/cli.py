@@ -3,7 +3,8 @@
 Two subcommands: ``test`` evaluates the requested tests on data files and
 writes a machine-readable report; ``simulate`` runs a Monte Carlo study and
 writes summary plus ECDF plot data.  Exit codes: 0 success, 1 input error,
-2 statistical degeneracy (reported, not crashed).
+2 statistical degeneracy, reported rather than crashed: the data sit at the
+null expectation (every p-value 1) or a statistic is undefined on them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import report as report_io
-from .classical import classical_degenerate, classical_report
+from .classical import classical_report
 from .directional import directional_pvalue
 from .exceptions import DegenerateNullError, DirnormalError
 from .hypotheses import HYPOTHESES, BlockIndependence, SpecifiedMeanCov, ZeroPattern, fit_hypothesis
@@ -103,20 +104,17 @@ def run_test_command(args) -> int:
 
     method_entries: dict[str, dict] = {}
     diagnostics = None
-    degenerate = False
     if "dt" in methods:
         p_dir, diagnostics = directional_pvalue(fit)
-        degenerate = degenerate or diagnostics.degenerate
         method_entries["dt"] = {"p_value": p_dir, "statistic": None}
     classic = tuple(m for m in methods if m != "dt")
     classical = None
     if classic:
         # degenerate data report every p-value as 1, so the draws are skipped
         e_w_hat = None
-        if "bc" in classic and not classical_degenerate(fit, fit.hypothesis.lrt(fit)):
+        if "bc" in classic and not fit.degenerate:
             e_w_hat = bartlett_bootstrap(fit, args.bc_reps, args.seed)
         classical = classical_report(fit, classic, e_w_hat=e_w_hat)
-        degenerate = degenerate or classical.degenerate
         stats = {
             "lrt": classical.w,
             "bc": classical.w_bc,
@@ -134,7 +132,7 @@ def run_test_command(args) -> int:
         methods=method_entries,
         diagnostics=diagnostics,
         classical=classical,
-        degenerate=degenerate,
+        degenerate=fit.degenerate,
         column_names=column_names,
         seed=args.seed,
     )
@@ -142,7 +140,7 @@ def run_test_command(args) -> int:
     Path(args.out).write_text(text, encoding="utf-8")
     if args.pretty:
         sys.stdout.write(report_io.render_pretty(report))
-    return 2 if degenerate else 0
+    return 2 if fit.degenerate else 0
 
 
 def run_simulate_command(args) -> int:

@@ -9,12 +9,13 @@ this package are expressed through the per-sample moments collected in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DimensionError, NonFiniteError
-from .linalg import log_det_spd, spd_cholesky, symmetrize
+from .linalg import cholesky_log_det, inv_from_cholesky, log_det_spd, spd_cholesky, symmetrize
 
 __all__ = [
     "SampleSummary",
@@ -55,6 +56,22 @@ class SampleSummary:
     second_moment: np.ndarray
     mle_cov: np.ndarray
     centered_ssq: np.ndarray
+
+    @functools.cached_property
+    def cov_cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor of ``mle_cov``, the one factorization that
+        every reader of the summary shares, computed on first use."""
+        return spd_cholesky(self.mle_cov)
+
+    @functools.cached_property
+    def cov_log_det(self) -> float:
+        """``log det mle_cov`` from :attr:`cov_cholesky`."""
+        return cholesky_log_det(self.cov_cholesky)
+
+    @functools.cached_property
+    def cov_inv(self) -> np.ndarray:
+        """Inverse of ``mle_cov`` from :attr:`cov_cholesky`."""
+        return inv_from_cholesky(self.cov_cholesky)
 
 
 def validate_data(data: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .exceptions import NoConvergenceError
-from .hypotheses import ConstrainedFit, is_degenerate
+from .hypotheses import ConstrainedFit
 from .linalg import eig_pencil
 
 __all__ = [
@@ -392,9 +392,10 @@ def directional_pvalue(fit: ConstrainedFit) -> tuple[float, DirectionalDiagnosti
     tail above ``t_max`` and its mirror below ``t_min``, 0 at a range bound.
 
     Returns ``(p_value, diagnostics)``.  A degenerate fit (observed data
-    exactly at the null expectation) reports ``p = 1`` with the flag set.
+    exactly at the null expectation, ``fit.degenerate``) reports ``p = 1``
+    with the flag set.
     """
-    if is_degenerate(fit):
+    if fit.degenerate:
         nan = math.nan
         diag = DirectionalDiagnostics(
             t_sup=math.inf, t_cap=nan, t_hat=nan, curvature_at_t_hat=nan,
@@ -445,7 +446,7 @@ def directional_pvalue(fit: ConstrainedFit) -> tuple[float, DirectionalDiagnosti
     diag = DirectionalDiagnostics(
         t_sup=ev.t_sup, t_cap=t_cap, t_hat=t_hat, curvature_at_t_hat=curv,
         t_min=t_min, t_max=t_max, numerator=upper, denominator=denominator,
-        p_value=p, degenerate=False, n_evals=n_evals, quad_escalations=escalations,
+        p_value=p, n_evals=n_evals, quad_escalations=escalations,
         peak_evals=peak_evals, quad_error=quad_error,
     )
     return p, diag

@@ -17,15 +17,14 @@ covariance when the zero pairs are).
 Each class is the one place that states how its null differs from the
 others: its degrees of freedom, its constrained estimates, whether it
 compares groups, whether the mean is free, and its likelihood ratio
-statistic.  :data:`HYPOTHESES` maps each case tag to its class.  The
-sufficient shift and the tilted path are computed once for every null from
-the constrained fit.
+statistic.  :data:`HYPOTHESES` maps each case tag to its class.
 
 A :class:`ConstrainedFit` bundles the per-group sufficient statistics with
 the constrained estimates and the degrees of freedom ``d``, from which the
-likelihood ratio statistic and the correction factor are computed.  For
-the cases whose tilted path is linear in ``t`` it also gives, on first
-use, the pencil eigenvalues that the directional test reads.
+likelihood ratio statistic, the degeneracy flag and the correction factor
+are computed.  For the cases whose tilted path is linear in ``t`` it also
+gives, on first use, the pencil eigenvalues that the directional test
+reads.
 """
 
 from __future__ import annotations
@@ -43,16 +42,7 @@ from .exceptions import (
     NoConvergenceError,
     NotPositiveDefiniteError,
 )
-from .linalg import (
-    eig_pencil,
-    inv_cholesky,
-    inv_spd,
-    is_positive_definite,
-    log_det_spd,
-    spd_cholesky,
-    symmetrize,
-    vech,
-)
+from .linalg import eig_pencil, inv_cholesky, inv_spd, is_positive_definite, spd_cholesky, symmetrize
 
 __all__ = [
     "ProportionalIdentity",
@@ -65,13 +55,9 @@ __all__ = [
     "Hypothesis",
     "HYPOTHESES",
     "ConstrainedFit",
-    "PathPoint",
-    "SufficientShift",
     "constrained_mle",
     "fit_hypothesis",
     "fit_zero_pattern",
-    "expected_s_psi",
-    "path_estimates",
     "standardize",
 ]
 
@@ -111,25 +97,10 @@ class Hypothesis:
         for the fully specified null)."""
         return y
 
-    def plain_w(self, fit: ConstrainedFit) -> float:
-        """Unadjusted twice log-likelihood drop of the constrained fit (Anderson
-        2003, ch. 10): ``sum_g n_g (log det A - log det V_g + tr(A^-1 M_g) - p)``
-        with ``A`` the constrained covariance, ``V_g`` the group's covariance,
-        ``M_g = V_g + b_g b_g'`` and ``b_g = ybar_g - mu0_g``.  The trace term
-        is 0 by the score equation of every null but c5.  Read it as
-        ``ConstrainedFit.plain_w``, which keeps it."""
-        a_inv, ld_a = fit.a_inv, fit.a_factor[1]
-        w = 0.0
-        for s, mu in zip(fit.summaries, fit.mu0):
-            b = s.ybar - mu
-            trace = float(np.sum(a_inv * s.mle_cov)) + float(b @ a_inv @ b)
-            w += s.n * (ld_a - log_det_spd(s.mle_cov) + trace - s.p)
-        return w
-
     def lrt(self, fit: ConstrainedFit) -> float:
         """Likelihood ratio statistic reported for the hypothesis.
 
-        This is :meth:`plain_w` except for two nulls: equal covariances
+        This is ``fit.plain_w`` except for two nulls: equal covariances
         (c4) report the pooled variant built from bias-adjusted estimates,
         and the fully specified null (c5) weights ``log det V`` by
         ``n - 1`` instead of ``n``.
@@ -192,10 +163,12 @@ class EqualDistributions(Hypothesis):
         return p * (p + 3) * (k - 1) // 2
 
     def estimates(self, summaries):
+        # within- plus between-group scatter: pooled second moments minus
+        # the mean's outer product would lose digits to a large mean
         n = sum(s.n for s in summaries)
         ybar = sum(s.n * s.ybar for s in summaries) / n
-        pooled_second = sum(s.n * s.second_moment for s in summaries) / n
-        return symmetrize(pooled_second - np.outer(ybar, ybar)), tuple(ybar for _ in summaries)
+        scatter = sum(s.centered_ssq + s.n * np.outer(s.ybar - ybar, s.ybar - ybar) for s in summaries)
+        return symmetrize(scatter / n), tuple(ybar for _ in summaries)
 
 
 @dataclass(frozen=True)
@@ -214,12 +187,14 @@ class EqualCovariances(Hypothesis):
 
     def lrt(self, fit: ConstrainedFit) -> float:
         """Pooled variant with divisors ``n_g - 1`` and ``n - k``, the form
-        whose chi-square approximation is customarily reported."""
-        pooled = sum(s.centered_ssq for s in fit.summaries) / (fit.n_total - fit.k)
-        ld0 = log_det_spd(pooled)
-        return float(
-            sum((s.n - 1) * (ld0 - log_det_spd(s.centered_ssq / (s.n - 1))) for s in fit.summaries)
-        )
+        whose chi-square approximation is customarily reported.  The pooled
+        covariance is ``A n / (n - k)`` and group ``g``'s is
+        ``V_g n_g / (n_g - 1)``, so both log-determinants follow from the
+        factors the fit already holds."""
+        n, p = fit.n_total, fit.p
+        ld0 = fit.a_factor[1] + p * np.log(n / (n - fit.k))
+        return float(sum((s.n - 1) * (ld0 - s.cov_log_det - p * np.log(s.n / (s.n - 1)))
+                         for s in fit.summaries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,12 +232,13 @@ class SpecifiedMeanCov(Hypothesis):
         return standardize(y, self.mu0, self.lambda0)
 
     def lrt(self, fit: ConstrainedFit) -> float:
-        """:meth:`plain_w` plus ``log det V``: ``-(n - 1) log det V + n tr(M) - n p``
+        """``fit.plain_w`` plus ``log det V``: ``-(n - 1) log det V + n tr(M) - n p``
         on the standardized data, with ``V`` the covariance and ``M`` the
         second moment.  It can be negative: at ``n = p + 2`` and ``p = 1`` it
-        is for about 7% of null samples.  Such a fit is reported as degenerate.
+        is for about 8% of null samples.  Such a fit is not degenerate, but
+        its classical p-values are 1 (see ``classical_report``).
         """
-        return fit.plain_w + log_det_spd(fit.summaries[0].mle_cov)
+        return fit.plain_w + fit.summaries[0].cov_log_det
 
 
 @dataclass(frozen=True)
@@ -331,6 +307,12 @@ HYPOTHESES = {
 }
 
 
+# Rounding allowance of the degeneracy test in units of n_total p eps: exact
+# degeneracy measured up to 143, null draws at n = p + 2 no lower than 2e6.
+DEGENERATE_ROUNDING = 1000.0
+_EPS = float(np.finfo(float).eps)
+
+
 @dataclass(frozen=True, eq=False)
 class ConstrainedFit:
     """Constrained maximum likelihood fit of a hypothesis.
@@ -363,8 +345,28 @@ class ConstrainedFit:
 
     @functools.cached_property
     def plain_w(self) -> float:
-        """``hypothesis.plain_w(self)``, computed on first use."""
-        return self.hypothesis.plain_w(self)
+        """Unadjusted twice log-likelihood drop of the constrained fit (Anderson
+        2003, ch. 10), computed on first use:
+        ``sum_g n_g (log det A - log det V_g + tr(A^-1 M_g) - p)`` with ``A``
+        the constrained covariance, ``V_g`` the group's covariance,
+        ``M_g = V_g + b_g b_g'`` and ``b_g = ybar_g - mu0_g``.  The trace term
+        is 0 by the score equation of every null but c5."""
+        a_inv, ld_a = self.a_inv, self.a_factor[1]
+        w = 0.0
+        for s, mu in zip(self.summaries, self.mu0):
+            b = s.ybar - mu
+            trace = float(np.sum(a_inv * s.mle_cov)) + float(b @ a_inv @ b)
+            w += s.n * (ld_a - s.cov_log_det + trace - s.p)
+        return w
+
+    @functools.cached_property
+    def degenerate(self) -> bool:
+        """Whether the observed data sit at the null expectation, where every
+        test reports ``p = 1``: group ``g`` adds ``n_g`` times twice the
+        Kullback-Leibler divergence of ``N(ybar_g, V_g)`` from ``N(mu0_g, A)``
+        to :attr:`plain_w`, which is therefore 0 exactly when every
+        ``V_g = A`` and ``b_g = 0``, and positive otherwise."""
+        return self.plain_w <= DEGENERATE_ROUNDING * self.n_total * self.p * _EPS
 
     @functools.cached_property
     def a_inv(self) -> np.ndarray:
@@ -392,35 +394,6 @@ class ConstrainedFit:
     @property
     def n_total(self) -> int:
         return sum(s.n for s in self.summaries)
-
-
-@dataclass(frozen=True, eq=False)
-class PathPoint:
-    """Tilted estimates along the line through the null expectation (t=0)
-    and the observed data point (t=1)."""
-
-    t: float
-    lambda_t_inv: tuple[np.ndarray, ...]
-    mu_t: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class SufficientShift:
-    """Expected value of the centered sufficient statistic under the fit.
-
-    Blocks follow the half-vectorized layout: one mean block and one
-    ``vech`` block per group.  The observed statistic is zero by centering,
-    so the shift locates the ``t = 0`` end of the tilted line.
-    """
-
-    mean_blocks: tuple[np.ndarray, ...]
-    vech_blocks: tuple[np.ndarray, ...]
-
-    def max_abs(self) -> float:
-        return max(
-            max((float(np.max(np.abs(b))) for b in self.mean_blocks), default=0.0),
-            max((float(np.max(np.abs(b))) for b in self.vech_blocks), default=0.0),
-        )
 
 
 def standardize(data: np.ndarray, mu0: np.ndarray, lambda0: np.ndarray) -> np.ndarray:
@@ -549,7 +522,7 @@ def constrained_mle(hypothesis: Hypothesis, summaries: Sequence[SampleSummary]) 
 
     d = hypothesis.degrees_of_freedom(p, k)
     for s in summaries:
-        if np.min(np.diag(spd_cholesky(s.mle_cov)) ** 2 / np.diag(s.mle_cov)) <= _MIN_PIVOT_RATIO:
+        if np.min(np.diag(s.cov_cholesky) ** 2 / np.diag(s.mle_cov)) <= _MIN_PIVOT_RATIO:
             raise NotPositiveDefiniteError("sample covariance is singular: the unconstrained MLE does not exist")
     lambda0_inv, mu0 = hypothesis.estimates(summaries)
     try:
@@ -581,48 +554,3 @@ def fit_hypothesis(hypothesis: Hypothesis, data) -> ConstrainedFit:
         check_estimate_exists(g.shape[0], p)
     return constrained_mle(hypothesis, [summarize(hypothesis.prepare(g)) for g in groups])
 
-
-def expected_s_psi(fit: ConstrainedFit) -> SufficientShift:
-    """Expected centered sufficient statistic under the constrained fit.
-
-    Group ``g`` contributes the mean block ``-n_g (ybar_g - mu0_g)`` and the
-    ``vech`` block ``-n_g/2 vech(A + mu0_g mu0_g' - M_g)``, with ``A`` the
-    constrained covariance and ``M_g`` the second moment.  A shift of
-    exactly zero means the observed data sit at the null expectation; the
-    tilted line then degenerates to a point.
-    """
-    means = tuple(-s.n * (s.ybar - mu) for s, mu in zip(fit.summaries, fit.mu0))
-    vechs = tuple(
-        -0.5 * s.n * vech(fit.lambda0_inv + np.outer(mu, mu) - s.second_moment)
-        for s, mu in zip(fit.summaries, fit.mu0)
-    )
-    return SufficientShift(mean_blocks=means, vech_blocks=vechs)
-
-
-def is_degenerate(fit: ConstrainedFit) -> bool:
-    """Whether the observed point coincides with the null expectation."""
-    scale = 1.0 + max(float(np.max(np.abs(s.second_moment))) for s in fit.summaries)
-    return expected_s_psi(fit).max_abs() <= 1e-12 * fit.n_total * scale
-
-
-def path_estimates(fit: ConstrainedFit, t: float) -> PathPoint:
-    """Tilted estimates at position ``t`` along the line.
-
-    With ``b_g = ybar_g - mu0_g``, group ``g`` has covariance
-    ``(1 - t) A + t (V_g + b_g b_g') - t**2 b_g b_g'`` and mean
-    ``mu0_g + t b_g``: ``t = 0`` gives the constrained estimates and
-    ``t = 1`` the observed per-group estimates.  Raises
-    ``NotPositiveDefiniteError`` if ``t`` lies outside the interval on
-    which the tilted covariance stays positive definite.
-    """
-    t = float(t)
-    covs: list[np.ndarray] = []
-    mus: list[np.ndarray] = []
-    for s, mu in zip(fit.summaries, fit.mu0):
-        b = s.ybar - mu
-        bb = np.outer(b, b)
-        cov = symmetrize((1.0 - t) * fit.lambda0_inv + t * (s.mle_cov + bb) - t * t * bb)
-        spd_cholesky(cov)
-        covs.append(cov)
-        mus.append(mu + t * b)
-    return PathPoint(t=t, lambda_t_inv=tuple(covs), mu_t=tuple(mus))

@@ -8,8 +8,6 @@ factorization.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 from scipy.linalg import lapack
 
@@ -19,12 +17,11 @@ __all__ = [
     "symmetrize",
     "spd_cholesky",
     "is_positive_definite",
+    "cholesky_log_det",
     "log_det_spd",
+    "inv_from_cholesky",
     "inv_spd",
-    "inv_and_log_det_spd",
     "inv_cholesky",
-    "vech",
-    "vech_indices",
     "eig_pencil",
 ]
 
@@ -57,65 +54,39 @@ def is_positive_definite(m: np.ndarray) -> bool:
     return True
 
 
-def log_det_spd(m: np.ndarray) -> float:
-    """Log-determinant of an SPD matrix via its Cholesky factor.
-
-    Equals ``2 * sum(log(diag(L)))`` for the lower factor ``L``, which is
-    stable for the ill-conditioned matrices produced by near-boundary
-    parameter paths.
-    """
-    ell = spd_cholesky(m)
+def cholesky_log_det(ell: np.ndarray) -> float:
+    """Log-determinant ``2 * sum(log(diag(L)))`` of ``L @ L.T`` from its lower
+    Cholesky factor ``L``, stable for the ill-conditioned matrices produced
+    by near-boundary parameter paths."""
     return float(2.0 * np.sum(np.log(np.diag(ell))))
 
 
+def log_det_spd(m: np.ndarray) -> float:
+    """Log-determinant of an SPD matrix via its Cholesky factor."""
+    return cholesky_log_det(spd_cholesky(m))
+
+
+def inv_from_cholesky(ell: np.ndarray) -> np.ndarray:
+    """Inverse ``L^-T L^-1`` of ``L @ L.T``, symmetrized, with ``L^-1`` from
+    LAPACK's triangular inverse (under half the cost of a general solve)."""
+    ell_inv, _ = lapack.dtrtri(ell, lower=1)
+    return symmetrize(ell_inv.T @ ell_inv)
+
+
 def inv_spd(m: np.ndarray) -> np.ndarray:
-    """Inverse of an SPD matrix, symmetrized on output."""
-    return inv_and_log_det_spd(m)[0]
-
-
-def inv_and_log_det_spd(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse and log-determinant of an SPD matrix from one Cholesky factor.
-
-    The inverse is ``L^-T L^-1`` with ``L^-1`` from :func:`inv_cholesky`,
-    at less than half the cost of a general solve against the identity for
-    ``p <= 90``; the log-determinant equals :func:`log_det_spd` exactly.
-    """
-    ell_inv, log_det = inv_cholesky(m)
-    return symmetrize(ell_inv.T @ ell_inv), log_det
+    """Inverse of an SPD matrix (see :func:`inv_from_cholesky`)."""
+    return inv_from_cholesky(spd_cholesky(m))
 
 
 def inv_cholesky(m: np.ndarray) -> tuple[np.ndarray, float]:
     """``(L^-1, log det m)`` for the lower Cholesky factor ``m = L L'``.
 
-    ``L^-1`` comes from LAPACK's triangular inverse; the log-determinant
-    equals :func:`log_det_spd` exactly.  Raises ``NotPositiveDefiniteError``
-    when ``m`` is not positive definite.
+    ``L^-1`` comes from LAPACK's triangular inverse.  Raises
+    ``NotPositiveDefiniteError`` when ``m`` is not positive definite.
     """
     ell = spd_cholesky(m)
     ell_inv, _ = lapack.dtrtri(ell, lower=1)
-    return ell_inv, float(2.0 * np.sum(np.log(np.diag(ell))))
-
-
-@functools.lru_cache(maxsize=64)
-def vech_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column indices of the lower triangle in column-major order,
-    read-only and cached per ``p``.
-
-    The ordering matches the classical half-vectorization: stack the
-    columns of the lower triangle, i.e. (1,1), (2,1), ..., (p,1), (2,2), ...
-    """
-    rows, cols = np.tril_indices(p)
-    order = np.lexsort((rows, cols))
-    rows, cols = rows[order], cols[order]
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-def vech(m: np.ndarray) -> np.ndarray:
-    """Half-vectorization of a symmetric matrix (column-major lower triangle)."""
-    m = np.asarray(m)
-    rows, cols = vech_indices(m.shape[0])
-    return m[rows, cols]
+    return ell_inv, cholesky_log_det(ell)
 
 
 def eig_pencil(a_chol_inv: np.ndarray, m: np.ndarray, b: np.ndarray | None = None):

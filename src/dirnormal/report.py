@@ -47,6 +47,14 @@ def _float_repr(x: float) -> str:
     return repr(float(x))
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _csv_rows(text: str):
     """Yield ``(line, cells)`` for each row of ``text`` with a non-blank cell:
     the cells as ``csv.reader`` splits them and the physical line the row
@@ -79,9 +87,7 @@ def read_data_csv(path) -> tuple[np.ndarray, list[str] | None]:
         raise ParseError(f"{path}: file is empty")
 
     names: list[str] | None = None
-    try:
-        [float(c) for c in rows[0]]
-    except ValueError:
+    if not all(map(_is_number, rows[0])):
         names = [c.strip() for c in rows.pop(0)]
     if not rows:
         raise ParseError(f"{path}: no data rows below the header")
@@ -161,8 +167,21 @@ def read_pattern_csv(path) -> tuple[tuple[int, int], ...]:
 
 
 def write_data_csv(path, values: np.ndarray, names: list[str] | None = None) -> None:
-    """Write a matrix as CSV at full precision (round-trips bit-exactly)."""
+    """Write a matrix as CSV at full precision (round-trips bit-exactly).
+
+    Raises ``ValueError`` for ``names`` that would not read back: one with
+    whitespace at either end or a line break, all numbers or all empty (a
+    data row or a blank line to the reader), or not one name per column.
+    """
     values = np.atleast_2d(np.asarray(values, dtype=float))
+    if names is not None:
+        for name in names:
+            if name != name.strip() or "\n" in name or "\r" in name:
+                raise ValueError(f"column name {name!r} has whitespace at either end or a line break")
+        if all(map(_is_number, names)) or not any(names):
+            raise ValueError(f"column names {names!r} would read back as a data row or a blank line")
+        if len(names) != values.shape[1]:
+            raise ValueError(f"{len(names)} column names for {values.shape[1]} columns")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if names is not None:

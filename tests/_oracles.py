@@ -9,7 +9,9 @@ never the other way around.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +19,35 @@ from scipy.optimize import brentq, minimize
 
 from dirnormal.directional import ENDPOINT_DROP, DirectionalEvaluator
 from dirnormal.exceptions import NoConvergenceError, NotPositiveDefiniteError, ParseError
-from dirnormal.hypotheses import ZeroPattern, path_estimates
-from dirnormal.linalg import inv_spd, is_positive_definite, symmetrize, vech, vech_indices
+from dirnormal.hypotheses import ZeroPattern
+from dirnormal.linalg import inv_spd, is_positive_definite, spd_cholesky, symmetrize
 
 try:
     trapezoid = np.trapezoid
 except AttributeError:  # numpy < 2
     trapezoid = np.trapz
+
+
+@functools.lru_cache(maxsize=64)
+def vech_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row/column indices of the lower triangle in column-major order,
+    read-only and cached per ``p``.
+
+    The ordering matches the classical half-vectorization: stack the
+    columns of the lower triangle, i.e. (1,1), (2,1), ..., (p,1), (2,2), ...
+    """
+    rows, cols = np.tril_indices(p)
+    order = np.lexsort((rows, cols))
+    rows, cols = rows[order], cols[order]
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def vech(m: np.ndarray) -> np.ndarray:
+    """Half-vectorization of a symmetric matrix (column-major lower triangle)."""
+    m = np.asarray(m)
+    rows, cols = vech_indices(m.shape[0])
+    return m[rows, cols]
 
 
 def duplication_matrix(p: int) -> np.ndarray:
@@ -121,7 +145,7 @@ def brute_log_gamma(fit) -> float:
         j_hat[off:off + m, off:off + m] = jh
         off += m
 
-    w = fit.hypothesis.plain_w(fit)
+    w = fit.plain_w
     quad = float(v @ np.linalg.solve(j_psi, v))
     inner = float(dphi @ v)
     ld_psi = np.linalg.slogdet(j_psi)[1]
@@ -133,6 +157,84 @@ def brute_log_gamma(fit) -> float:
         - np.log(inner)
         + 0.5 * (ld_psi - ld_hat)
     )
+
+
+# -- the sufficient shift and the tilted path, assembled per group ------------
+
+@dataclass(frozen=True, eq=False)
+class SufficientShift:
+    """Expected value of the centered sufficient statistic under the fit.
+
+    Blocks follow the half-vectorized layout: one mean block and one
+    ``vech`` block per group.  The observed statistic is zero by centering,
+    so the shift locates the ``t = 0`` end of the tilted line.
+    """
+
+    mean_blocks: tuple[np.ndarray, ...]
+    vech_blocks: tuple[np.ndarray, ...]
+
+    def max_abs(self) -> float:
+        return max(
+            max((float(np.max(np.abs(b))) for b in self.mean_blocks), default=0.0),
+            max((float(np.max(np.abs(b))) for b in self.vech_blocks), default=0.0),
+        )
+
+
+def expected_s_psi(fit) -> SufficientShift:
+    """Expected centered sufficient statistic under the constrained fit.
+
+    Group ``g`` contributes the mean block ``-n_g (ybar_g - mu0_g)`` and the
+    ``vech`` block ``-n_g/2 vech(A + mu0_g mu0_g' - M_g)``, with ``A`` the
+    constrained covariance and ``M_g`` the second moment.  A shift of
+    exactly zero means the observed data sit at the null expectation; the
+    tilted line then degenerates to a point.
+    """
+    means = tuple(-s.n * (s.ybar - mu) for s, mu in zip(fit.summaries, fit.mu0))
+    vechs = tuple(
+        -0.5 * s.n * vech(fit.lambda0_inv + np.outer(mu, mu) - s.second_moment)
+        for s, mu in zip(fit.summaries, fit.mu0)
+    )
+    return SufficientShift(mean_blocks=means, vech_blocks=vechs)
+
+
+def is_degenerate(fit) -> bool:
+    """The shift rule: whether the sufficient shift is zero to rounding,
+    relative to the size of the second moments."""
+    scale = 1.0 + max(float(np.max(np.abs(s.second_moment))) for s in fit.summaries)
+    return expected_s_psi(fit).max_abs() <= 1e-12 * fit.n_total * scale
+
+
+@dataclass(frozen=True, eq=False)
+class PathPoint:
+    """Tilted estimates along the line through the null expectation (t=0)
+    and the observed data point (t=1)."""
+
+    t: float
+    lambda_t_inv: tuple[np.ndarray, ...]
+    mu_t: tuple[np.ndarray, ...]
+
+
+def path_estimates(fit, t: float) -> PathPoint:
+    """Tilted estimates at position ``t`` along the line.
+
+    With ``b_g = ybar_g - mu0_g``, group ``g`` has covariance
+    ``(1 - t) A + t (V_g + b_g b_g') - t**2 b_g b_g'`` and mean
+    ``mu0_g + t b_g``: ``t = 0`` gives the constrained estimates and
+    ``t = 1`` the observed per-group estimates.  Raises
+    ``NotPositiveDefiniteError`` if ``t`` lies outside the interval on
+    which the tilted covariance stays positive definite.
+    """
+    t = float(t)
+    covs: list[np.ndarray] = []
+    mus: list[np.ndarray] = []
+    for s, mu in zip(fit.summaries, fit.mu0):
+        b = s.ybar - mu
+        bb = np.outer(b, b)
+        cov = symmetrize((1.0 - t) * fit.lambda0_inv + t * (s.mle_cov + bb) - t * t * bb)
+        spd_cholesky(cov)
+        covs.append(cov)
+        mus.append(mu + t * b)
+    return PathPoint(t=t, lambda_t_inv=tuple(covs), mu_t=tuple(mus))
 
 
 def _stacked_logdet(mats: np.ndarray) -> np.ndarray:

@@ -25,12 +25,11 @@ from dirnormal.hypotheses import (
     SpecifiedMeanCov,
     ZeroPattern,
     fit_hypothesis,
-    path_estimates,
 )
 from dirnormal.linalg import is_positive_definite, symmetrize
 from dirnormal.simulation import Extreme, Null, ScenarioSpec, run_study
 
-from _oracles import info_matrix, trapezoid_pvalue
+from _oracles import info_matrix, path_estimates, trapezoid_pvalue
 
 MASTER_SEED = 20260811
 REPS = 2000

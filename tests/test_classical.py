@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from dirnormal.classical import (
-    DEGENERATE_W,
     bartlett_rescale,
     chisq_upper_tail,
     classical_report,
@@ -104,9 +103,9 @@ class TestLrt:
         for s, mu0 in zip(fit.summaries, fit.mu0):
             lam_hat = inv_spd(s.mle_cov)
             drop += canonical_loglik(lam_hat @ s.ybar, lam_hat, s) - canonical_loglik(lam0 @ mu0, lam0, s)
-        assert hyp.plain_w(fit) == pytest.approx(2.0 * drop, rel=1e-8, abs=1e-10)
+        assert fit.plain_w == pytest.approx(2.0 * drop, rel=1e-8, abs=1e-10)
         if not isinstance(hyp, (EqualCovariances, SpecifiedMeanCov)):  # their own forms are below
-            assert hyp.lrt(fit) == hyp.plain_w(fit)
+            assert hyp.lrt(fit) == fit.plain_w
 
     def test_scale_invariance_proportional_case(self):
         rng = np.random.default_rng(42)
@@ -270,10 +269,18 @@ class TestClassicalReport:
         # is positive, but the data sit at the null expectation
         y = np.random.default_rng(93).standard_normal((10, 2))
         fit = fit_hypothesis(EqualCovariances(), [y, np.vstack([y, y])])
-        assert fit.hypothesis.lrt(fit) > DEGENERATE_W
+        assert fit.hypothesis.lrt(fit) > 1e-10
         rep = classical_report(fit, ("lrt", "sko1", "sko2"))
         assert rep.degenerate
         assert rep.pvalues == {"lrt": 1.0, "sko1": 1.0, "sko2": 1.0}
+
+    def test_negative_statistic_reports_unit_pvalues(self):
+        # c5 at p = 1, n = 3 with V = 2/3 and mean 0: W = 2 log 1.5 - 1 < 0
+        fit = fit_hypothesis(SpecifiedMeanCov(np.zeros(1), np.eye(1)), np.array([[1.0], [0.0], [-1.0]]))
+        rep = classical_report(fit, ("lrt", "bc", "sko1", "sko2"), e_w_hat=2.0)
+        assert rep.w < 0.0
+        assert not rep.degenerate
+        assert rep.pvalues == dict.fromkeys(("lrt", "bc", "sko1", "sko2"), 1.0)
 
     def test_statistics_recomputable_from_stored_fields(self):
         rng = np.random.default_rng(51)

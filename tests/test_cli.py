@@ -97,6 +97,25 @@ class TestReadDataCsv:
         np.testing.assert_array_equal(back, values)
         assert names == ["a", "b", "c"]
 
+    def test_legal_names_read_back(self, tmp_path):
+        names = ["a", "b c", "x,y", '"q"', "1", "", "nan-ish"]
+        values = np.random.default_rng(95).standard_normal((4, len(names)))
+        f = tmp_path / "d.csv"
+        write_data_csv(f, values, names=names)
+        back, back_names = read_data_csv(f)
+        np.testing.assert_array_equal(back, values)
+        assert back_names == names
+
+    @pytest.mark.parametrize("names, named", [
+        (["1", "2"], "'1'"), ([" a", "b"], "' a'"), (["a\nb", "c"], "'a\\nb'"), (["", ""], "''"),
+        (["a"], "1 column names for 2 columns"),
+    ])
+    def test_names_that_would_not_read_back_are_refused(self, tmp_path, names, named):
+        f = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            write_data_csv(f, np.eye(2), names=names)
+        assert not f.exists()
+
 
 class TestAuxiliaryReaders:
     def test_vector_column_or_row(self, tmp_path):
@@ -239,6 +258,24 @@ class TestTestCommand:
         assert report["degenerate"] is True
         assert {m: e["p_value"] for m, e in report["methods"].items()} == dict.fromkeys(
             ("dt", "lrt", "sko1", "sko2"), 1.0)
+
+    def test_negative_c5_statistic_is_not_degenerate(self, tmp_path, capsys):
+        # p = 1, n = 3: the n - 1 weighting gives W = 2 log 1.5 - 1 < 0; the
+        # classical p-values are 1, the data are not at the null expectation
+        data, mu0, lambda0, out = (tmp_path / f for f in ("d.csv", "mu0.csv", "lambda0.csv", "r.json"))
+        write_data_csv(data, np.array([[1.0], [0.0], [-1.0]]))
+        write_data_csv(mu0, np.zeros((1, 1)))
+        write_data_csv(lambda0, np.ones((1, 1)))
+        assert main(["test", "--case", "c5", "--data", str(data), "--mu0", str(mu0),
+                     "--lambda0", str(lambda0), "--methods", "dt,lrt,bc,sko1,sko2", "--bc-reps", "50",
+                     "--out", str(out), "--pretty"]) == 0
+        assert "all p-values are 1" not in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert report["degenerate"] is False
+        assert report["w"] == pytest.approx(2.0 * np.log(1.5) - 1.0, rel=1e-14)
+        pvalues = {m: e["p_value"] for m, e in report["methods"].items()}
+        assert 0.0 < pvalues.pop("dt") < 1.0
+        assert pvalues == dict.fromkeys(("lrt", "bc", "sko1", "sko2"), 1.0)
 
     def test_degenerate_data_skip_the_bootstrap(self, tmp_path, monkeypatch):
         def no_draws(*args, **kwargs):

@@ -22,7 +22,6 @@ from dirnormal.hypotheses import (
     ZeroPattern,
     constrained_mle,
     fit_hypothesis,
-    path_estimates,
 )
 from dirnormal.linalg import is_positive_definite, log_det_spd
 from dirnormal.simulation import ks_uniformity
@@ -32,6 +31,7 @@ from _oracles import (
     doubling_interval,
     feasible_sup_scan,
     log_gbar_with_rank_one,
+    path_estimates,
     trapezoid_pvalue,
 )
 from test_hypotheses import make_summary
@@ -504,3 +504,52 @@ class TestDirectionalPvalue:
             assert diag.curvature_at_t_hat < 0.0
             assert 1 <= diag.peak_evals <= 10
             assert 0.0 <= diag.quad_error <= 1e-8 * diag.denominator
+
+
+class TestInvariance:
+    """The directional p-value does not move under the maps of the data
+    that carry each null into itself."""
+
+    @staticmethod
+    def _pvalue(hyp, data):
+        p, _ = directional_pvalue(fit_hypothesis(hyp, data))
+        assert 1e-3 < p < 0.999  # away from the ends, where every map agrees
+        return p
+
+    @pytest.mark.parametrize("hyp", [EqualDistributions(), EqualCovariances()])
+    def test_grouped_nulls_under_one_affine_map(self, hyp):
+        rng = np.random.default_rng(130)
+        p = 4
+        groups = [rng.standard_normal((n, p)) * (1.0 + 0.1 * i) + 0.1 * i for i, n in enumerate((15, 20, 25))]
+        a = np.eye(p) + 0.4 * rng.standard_normal((p, p))
+        c = 3.0 * rng.standard_normal(p)
+        moved = [y @ a.T + c for y in groups]
+        assert self._pvalue(hyp, moved) == pytest.approx(self._pvalue(hyp, groups), abs=1e-10)
+
+    def test_complete_independence_under_column_scaling_and_permutation(self):
+        rng = np.random.default_rng(131)
+        y = rng.standard_normal((20, 5)) @ (np.eye(5) + 0.1 * rng.standard_normal((5, 5)))
+        perm, scales = rng.permutation(5), np.logspace(-2, 2, 5)
+        base = self._pvalue(CompleteIndependence(), y)
+        assert self._pvalue(CompleteIndependence(), y * scales) == pytest.approx(base, abs=1e-10)
+        assert self._pvalue(CompleteIndependence(), y[:, perm]) == pytest.approx(base, abs=1e-10)
+
+    def test_block_independence_under_block_permutation_and_maps(self):
+        rng = np.random.default_rng(132)
+        y = rng.standard_normal((20, 5)) @ (np.eye(5) + 0.1 * rng.standard_normal((5, 5)))
+        base = self._pvalue(BlockIndependence((2, 3)), y)
+        swapped = np.hstack([y[:, 2:], y[:, :2]])
+        assert self._pvalue(BlockIndependence((3, 2)), swapped) == pytest.approx(base, abs=1e-10)
+        within = np.hstack([y[:, :2] @ (np.eye(2) + 0.5 * rng.standard_normal((2, 2))) + 1.0,
+                            y[:, 2:] @ (np.eye(3) + 0.5 * rng.standard_normal((3, 3))) - 2.0])
+        assert self._pvalue(BlockIndependence((2, 3)), within) == pytest.approx(base, abs=1e-10)
+
+    def test_zero_pattern_under_a_joint_permutation(self):
+        rng = np.random.default_rng(133)
+        y = rng.standard_normal((20, 5)) @ (np.eye(5) + 0.1 * rng.standard_normal((5, 5)))
+        pairs = ((0, 2), (0, 4), (1, 3), (2, 4))
+        perm = rng.permutation(5)  # column k of the permuted data is column perm[k]
+        where = np.argsort(perm)
+        moved_pairs = tuple((int(where[i]), int(where[j])) for i, j in pairs)
+        base = self._pvalue(ZeroPattern(pairs), y)
+        assert self._pvalue(ZeroPattern(moved_pairs), y[:, perm]) == pytest.approx(base, abs=1e-10)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from _oracles import ips_zero_pattern, zero_pattern_kkt_residuals
+from _oracles import (
+    expected_s_psi,
+    ips_zero_pattern,
+    is_degenerate,
+    path_estimates,
+    vech,
+    zero_pattern_kkt_residuals,
+)
 from dirnormal import hypotheses
 from dirnormal.core import sample_mvn, summarize
 from dirnormal.exceptions import DimensionError, NoConvergenceError, NotPositiveDefiniteError
@@ -17,14 +24,11 @@ from dirnormal.hypotheses import (
     SpecifiedMeanCov,
     ZeroPattern,
     constrained_mle,
-    expected_s_psi,
     fit_hypothesis,
     fit_zero_pattern,
-    is_degenerate,
-    path_estimates,
     standardize,
 )
-from dirnormal.linalg import is_positive_definite, vech
+from dirnormal.linalg import is_positive_definite
 
 
 def make_summary(mle_cov, n=30, ybar=None):
@@ -305,6 +309,163 @@ class TestExpectedSPsi:
             np.testing.assert_allclose(
                 vech_b, -0.5 * s.n * vech(fit.lambda0_inv - s.mle_cov), atol=1e-12
             )
+
+
+def _exact_null_data(p: int, scale: float) -> np.ndarray:
+    """Rows ``+-scale sqrt(p) e_i``, repeated until there are ``p + 2``: mean
+    0 and covariance ``scale**2`` times the identity, up to rounding."""
+    y = np.vstack([np.eye(p), -np.eye(p)]) * np.sqrt(p) * scale
+    while y.shape[0] < p + 2:
+        y = np.vstack([y, y])
+    return y
+
+
+class TestDegenerate:
+    """``ConstrainedFit.degenerate``, the one degeneracy rule, against the
+    sufficient-shift rule of the oracles."""
+
+    @staticmethod
+    def _units(fit) -> float:
+        return fit.plain_w / (fit.n_total * fit.p * np.finfo(float).eps)
+
+    def test_exactly_degenerate_fits_agree_with_the_shift_rule(self):
+        # k copies of one sample, on unit scales, on column scales from 1e-3
+        # to 1e3 and with means up to 5e3 standard deviations from 0; and
+        # one-sample data whose covariance meets each null exactly
+        rng = np.random.default_rng(120)
+        worst = 0.0
+        for p in (1, 2, 5, 30, 90):
+            scales = np.logspace(-3, 3, p)
+            for n in (p + 2, 3 * p + 5):
+                for scaled, shifted in ((False, False), (True, False), (False, True), (True, True)):
+                    y = rng.standard_normal((n, p))
+                    y = y * scales if scaled else y
+                    y = y + rng.uniform(-5e3, 5e3, p) * (scales if scaled else 1.0) if shifted else y
+                    for hyp, k in ((EqualDistributions(), 2), (EqualDistributions(), 3),
+                                   (EqualCovariances(), 2), (EqualCovariances(), 3)):
+                        fit = fit_hypothesis(hyp, [y] * k)
+                        assert fit.degenerate and is_degenerate(fit), (hyp.tag, p, n, scaled, shifted)
+                        worst = max(worst, abs(self._units(fit)))
+            for scale in (1e-3, 1.0, 1e3):
+                y = _exact_null_data(p, scale)
+                hyps = [CompleteIndependence(), SpecifiedMeanCov(np.zeros(p), np.eye(p) / scale**2)]
+                if p > 1:
+                    hyps += [ProportionalIdentity(), BlockIndependence((1, p - 1)), ZeroPattern(((0, p - 1),))]
+                for hyp in hyps:
+                    fit = fit_hypothesis(hyp, y)
+                    assert fit.degenerate and is_degenerate(fit), (hyp.tag, p, scale)
+                    worst = max(worst, abs(self._units(fit)))
+        # the measured rounding (143 units, at p = 90, n = p + 2, scaled and
+        # shifted) against the allowance of the rule
+        assert worst <= hypotheses.DEGENERATE_ROUNDING / 5
+
+    def test_fits_off_the_null_expectation_are_not_degenerate(self):
+        rng = np.random.default_rng(121)
+        for p in (1, 5, 30):
+            y, z = rng.standard_normal((p + 10, p)), rng.standard_normal((p + 12, p))
+            for hyp in (EqualDistributions(), EqualCovariances()):
+                fit = fit_hypothesis(hyp, [y, z])
+                assert not fit.degenerate and not is_degenerate(fit)
+            fit = fit_hypothesis(SpecifiedMeanCov(np.zeros(p), np.eye(p)), y)
+            assert not fit.degenerate and not is_degenerate(fit)
+
+    def test_no_null_draw_is_flagged(self):
+        # 2,100 draws at n = p + 2, where the statistic is smallest
+        rng = np.random.default_rng(122)
+        draws, smallest = 0, np.inf
+        for tag, low in (("c1", 2), ("c2", 2), ("c3", 1), ("c4", 1), ("c5", 1), ("c6", 2), ("pattern", 2)):
+            for i in range(300):
+                p = low + i % 4
+                n = p + 2
+                if tag in ("c3", "c4"):
+                    hyp = EqualDistributions() if tag == "c3" else EqualCovariances()
+                    data = [rng.standard_normal((n, p)) for _ in range(2)]
+                else:
+                    hyp = {"c1": ProportionalIdentity, "c2": lambda: BlockIndependence((1, p - 1)),
+                           "c5": lambda: SpecifiedMeanCov(np.zeros(p), np.eye(p)), "c6": CompleteIndependence,
+                           "pattern": lambda: ZeroPattern(((0, p - 1),))}[tag]()
+                    data = rng.standard_normal((n, p))
+                fit = fit_hypothesis(hyp, data)
+                assert not fit.degenerate, (tag, p, i)
+                smallest = min(smallest, self._units(fit))
+                draws += 1
+        assert draws >= 2000
+        assert smallest > 100 * hypotheses.DEGENERATE_ROUNDING
+
+    def test_negative_c5_statistic_is_not_degenerate(self):
+        # p = 1, n = 3: V = 2/3 and mean 0 give W = -2 log(2/3) + 2 - 3 < 0
+        fit = fit_hypothesis(SpecifiedMeanCov(np.zeros(1), np.eye(1)), np.array([[1.0], [0.0], [-1.0]]))
+        assert fit.hypothesis.lrt(fit) == pytest.approx(2.0 * np.log(1.5) - 1.0, rel=1e-14)
+        assert fit.plain_w > 0.0
+        assert not fit.degenerate
+
+
+class TestPivotCheck:
+    """The singularity check of ``constrained_mle`` reads each summary's
+    cached Cholesky factor: for ``V = [[1, r], [r, 1]]`` the second pivot
+    ratio is ``1 - r**2``."""
+
+    @staticmethod
+    def _summary(ratio):
+        r = np.sqrt(1.0 - ratio)
+        return make_summary(np.array([[1.0, r], [r, 1.0]]), n=30)
+
+    @pytest.mark.parametrize("hyp", [ProportionalIdentity(), CompleteIndependence()])
+    def test_accepted_just_above_the_threshold(self, hyp):
+        from dirnormal.directional import directional_pvalue
+
+        s = self._summary(2e-10)
+        fit = constrained_mle(hyp, [s])
+        assert "cov_cholesky" in s.__dict__
+        assert s.cov_cholesky[1, 1] ** 2 == pytest.approx(2e-10, rel=1e-5)
+        p, _ = directional_pvalue(fit)
+        assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("hyp", [ProportionalIdentity(), CompleteIndependence()])
+    def test_rejected_below_the_threshold(self, hyp):
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="sample covariance is singular: the unconstrained MLE does not exist"):
+            constrained_mle(hyp, [self._summary(5e-11)])
+
+
+class TestFactorizationCount:
+    """Each covariance is factored once: count the Cholesky factorizations."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        original = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or original(m))
+        return calls
+
+    @pytest.mark.parametrize("tag, expected", [("c1", 2), ("c3", 4), ("c4", 4), ("c5", 3)])
+    def test_fit_report_and_pvalue(self, monkeypatch, tag, expected):
+        # one per group covariance and one for A; c5 adds its lambda0
+        from dirnormal.classical import classical_report
+        from dirnormal.directional import directional_pvalue
+
+        rng = np.random.default_rng(123)
+        p, n = 10, 40
+        hyp = {"c1": ProportionalIdentity(), "c3": EqualDistributions(), "c4": EqualCovariances(),
+               "c5": SpecifiedMeanCov(np.zeros(p), np.eye(p))}[tag]
+        data = [rng.standard_normal((n, p)) for _ in range(3)] if hyp.grouped else rng.standard_normal((n, p))
+        calls = self._counting(monkeypatch)
+        fit = fit_hypothesis(hyp, data)
+        classical_report(fit, ("lrt", "sko1", "sko2"))
+        directional_pvalue(fit)
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("hyp, k", [
+        (ProportionalIdentity(), 1), (BlockIndependence((2, 3)), 1), (EqualDistributions(), 3),
+        (EqualCovariances(), 3), (SpecifiedMeanCov(np.zeros(5), np.eye(5)), 1), (CompleteIndependence(), 1),
+    ])
+    def test_bartlett_draw(self, monkeypatch, hyp, k):
+        # a calibration draw refits its summaries and reads only W
+        rng = np.random.default_rng(124)
+        summaries = [summarize(rng.standard_normal((20, 5))) for _ in range(k)]
+        calls = self._counting(monkeypatch)
+        hyp.lrt(constrained_mle(hyp, summaries))
+        assert len(calls) == k + 1
 
 
 class TestPathEstimates:

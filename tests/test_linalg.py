@@ -10,10 +10,9 @@ from dirnormal.linalg import (
     inv_spd,
     log_det_spd,
     symmetrize,
-    vech,
 )
 
-from _oracles import duplication_matrix, naive_det
+from _oracles import duplication_matrix, naive_det, vech
 
 
 def random_spd(rng, p, jitter=0.5):
