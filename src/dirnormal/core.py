@@ -42,10 +42,10 @@ class SampleSummary:
     ybar : ndarray, shape (p,)
         Sample mean.
     second_moment : ndarray, shape (p, p)
-        ``y.T @ y / n``.
+        ``y.T @ y / n``, formed as ``mle_cov + ybar ybar.T``.
     mle_cov : ndarray, shape (p, p)
-        Maximum likelihood covariance ``second_moment - ybar ybar.T``;
-        the estimate of ``inv(Lambda)``.
+        Maximum likelihood covariance, from the centered rows; the
+        estimate of ``inv(Lambda)``.
     centered_ssq : ndarray, shape (p, p)
         Centered sum of squares ``n * mle_cov``.
     """
@@ -111,13 +111,17 @@ def summarize(data: np.ndarray) -> SampleSummary:
     -----
     A degenerate sample (e.g. identical rows) yields a positive
     semidefinite ``mle_cov``; positive definiteness is checked downstream
-    where an invertible estimate is actually required.
+    where an invertible estimate is actually required.  The covariance is
+    taken from the centered rows: the second moment minus the mean's
+    outer product would lose about ``log10(mean**2 / variance)`` digits
+    to a large mean.
     """
     y = validate_data(data)
     n, p = y.shape
     ybar = y.mean(axis=0)
-    second_moment = symmetrize(y.T @ y / n)
-    mle_cov = symmetrize(second_moment - np.outer(ybar, ybar))
+    centered = y - ybar
+    mle_cov = symmetrize(centered.T @ centered / n)
+    second_moment = mle_cov + np.outer(ybar, ybar)
     return SampleSummary(
         n=n,
         p=p,

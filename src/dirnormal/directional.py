@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .exceptions import NoConvergenceError
 from .hypotheses import ConstrainedFit
@@ -44,7 +42,7 @@ INTERVAL_HALFWIDTH = 5.0
 QUAD_REL_TOL = 1e-9
 QUAD_ABS_TOL = 1e-14
 _TSUP_HUGE = 1e8
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 # Gauss-Legendre nodes per panel, and panels per side of t = 1 in the
 # coarser of the two compared resolutions (the finer one doubles them).
 _GL_NODES = 24
@@ -55,40 +53,61 @@ _DOUBLINGS = 2.0 ** np.arange(64)
 _DOUBLINGS.flags.writeable = False
 # Peak search: largest number of fused evaluations before giving up.
 _PEAK_MAX_EVALS = 100
+# t_sup search: largest number of evaluations before giving up.  It took at
+# most 22 on 13,766 c3 and c5 fits (p from 1 to 90, n from p + 2 to 100,
+# shifted, scaled and nearly collinear samples among them).
+_TSUP_MAX_EVALS = 100
 
 
-def _rank_one_margin(t: float, mu: np.ndarray, c2: np.ndarray) -> float:
-    """Smallest rank-one factor ``1 - t**2 sum c_j**2 / f_j`` over the groups
-    at ``t``; ``-1`` once a linear factor ``f_j = 1 - t + t mu_j`` is not
-    positive."""
-    f = 1.0 - t + t * mu
-    if np.any(f <= 0.0):
-        return -1.0
-    return float(np.min(1.0 - t * t * np.sum(c2 / f, axis=1)))
-
-
-def _feasible_sup(mu: np.ndarray, c2: np.ndarray) -> float:
+def _feasible_sup(mu: np.ndarray, c2: np.ndarray) -> tuple[float, int]:
     """End of the positive definite range of the path with pencil
-    eigenvalues ``mu`` (k, p) and squared rank-one coordinates ``c2``."""
-    nu_min = float(mu.min())
-    t_lin = 1.0 / (1.0 - nu_min) if nu_min < 1.0 - 1e-12 else math.inf
+    eigenvalues ``mu`` (k, p) and squared rank-one coordinates ``c2``, and
+    the number of evaluations of ``H`` (below) that found it.
+
+    The linear factors ``f_j = 1 - t + t mu_j`` stay positive up to
+    ``t_lin = 1 / (1 - min mu)``.  Below it each group's rank-one factor
+    ``1 - t**2 sum c_j**2 / f_j`` decreases from 1 (its derivative is
+    ``-t sum c_j**2 (1 + f_j) / f_j**2``), so the range ends at the first
+    root of the smallest one, or at ``t_lin`` when there is none.  With
+    ``u = 1 / t`` the factor ``f_j / t`` is ``u + mu_j - 1``, and group
+    ``g``'s root solves ``H_g(u) = 1 / psi_g(u) - 1 / u = 0`` for
+    ``psi_g = sum c_j**2 / (u + mu_j - 1)``.  The reciprocal of ``psi_g`` is
+    a harmonic mean of functions linear in ``u``, so each ``H_g``, and their
+    minimum ``H``, is concave and increasing in ``u``; as a function of
+    ``t`` the same ``H`` is convex and decreasing when every ``mu_j >= 1``.
+    Newton steps on ``H`` therefore rise monotonically to the root: in
+    ``u`` from just past the pole at ``1 / t_lin``, where ``H < 0`` unless
+    the rank-one factor outlasts the linear ones, and in ``t`` from the
+    observed point ``t = 1`` when ``t_lin`` is infinite.  The search stops
+    once a step is at most 4 ulps or points back (rounding at the root);
+    a root past ``_TSUP_HUGE`` reads as an unbounded range.
+    """
+    mu_min = float(mu.min())
+    t_lin = 1.0 / (1.0 - mu_min) if mu_min < 1.0 - 1e-12 else math.inf
     if not np.any(c2 > 0.0):
-        return t_lin
-    # On (0, t_lin) every f_j is positive and t**2 / f_j increases, so each
-    # rank-one factor decreases from 1: the range ends at the first root of
-    # the smallest one.
-    hi = t_lin
-    if not math.isfinite(hi):
-        hi = 2.0
-        while _rank_one_margin(hi, mu, c2) > 0.0:
-            hi *= 2.0
-            if hi > _TSUP_HUGE:
-                return math.inf
-    elif _rank_one_margin(hi, mu, c2) > 0.0:
-        return hi
-    # brentq keeps its function in a reference cycle; a bound method there
-    # would pin the evaluator and its fit until the garbage collector runs
-    return brentq(_rank_one_margin, 0.0, hi, args=(mu, c2), xtol=1e-14, rtol=4 * _EPS)
+        return t_lin, 0
+    nu = mu - 1.0
+    in_u = math.isfinite(t_lin)
+    x = (1.0 - mu_min) * (1.0 + 4.0 * _EPS) if in_u else 1.0
+    for evals in range(1, _TSUP_MAX_EVALS + 1):
+        u = x if in_u else 1.0 / x
+        d = u + nu
+        w = c2 / d
+        psi = w.sum(axis=1)
+        g = int(psi.argmax())  # the group with the smallest 1 / psi_g
+        psi_g = float(psi[g])
+        h = 1.0 / psi_g - 1.0 / u
+        slope = float(np.sum(w[g] / d[g])) / psi_g / psi_g + 1.0 / (u * u)  # dH/du
+        step = -h / slope if in_u else h * x * x / slope
+        if step <= 4.0 * _EPS * x:
+            if in_u and evals == 1 and h >= 0.0:
+                return t_lin, evals
+            x += max(step, 0.0)
+            return (1.0 / x if in_u else x), evals
+        x += step
+        if not in_u and x > _TSUP_HUGE:
+            return math.inf, evals
+    raise NoConvergenceError(f"t_sup search did not converge in {_TSUP_MAX_EVALS} evaluations")
 
 
 class DirectionalEvaluator:
@@ -139,7 +158,7 @@ class DirectionalEvaluator:
         self._rank_one = bool(np.any(self._c2 > 0.0))
         self._mu_minus_one = self._mu - 1.0
         self._offset = float(self._weights.sum()) * log_det_a
-        self.t_sup = _feasible_sup(self._mu, self._c2)
+        self.t_sup = _feasible_sup(self._mu, self._c2)[0]
 
     # -- log-integrand and its derivatives -----------------------------------
 
@@ -362,6 +381,8 @@ def _gauss_legendre(panels: int) -> tuple[np.ndarray, np.ndarray]:
 def _adaptive(f, a: float, b: float, pts) -> tuple[float, int, float]:
     """Adaptive quadrature of ``f`` on ``[a, b]``: ``(value, evaluations,
     error estimate)``."""
+    from scipy.integrate import quad  # deferred: most calls never escalate
+
     if b <= a:
         return 0.0, 0, 0.0
     inner = [x for x in pts if a < x < b]

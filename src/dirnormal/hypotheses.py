@@ -289,7 +289,8 @@ class ZeroPattern(Hypothesis):
         return len(self.zero_pairs)
 
     def covariance(self, v: np.ndarray) -> np.ndarray:
-        return fit_zero_pattern(v, self.zero_pairs)
+        # constrained_mle has found v positive definite already
+        return fit_zero_pattern(v, self.zero_pairs, check=False)
 
 
 # Every null, keyed by its case tag.
@@ -414,6 +415,8 @@ def fit_zero_pattern(
     mle_cov: np.ndarray,
     zero_pairs: Sequence[tuple[int, int]],
     tol: float = 1e-12,
+    *,
+    check: bool = True,
 ) -> np.ndarray:
     """Constrained covariance estimate under a concentration zero pattern.
 
@@ -431,11 +434,13 @@ def fit_zero_pattern(
     by ``sqrt(Y_ii Y_jj)``: a correlation mismatch in the primal, a fitted
     partial correlation in the dual.  Raises ``NotPositiveDefiniteError``
     for a ``mle_cov`` that is not positive definite and
-    ``NoConvergenceError`` at the iteration cap.
+    ``NoConvergenceError`` at the iteration cap.  ``check=False`` skips the
+    positive definiteness test, a Cholesky factorization, for a caller
+    that has made it already.
     """
     s = symmetrize(np.asarray(mle_cov, dtype=float))
     p = s.shape[0]
-    if not is_positive_definite(s):
+    if check and not is_positive_definite(s):
         raise NotPositiveDefiniteError("sample covariance is not positive definite")
     zero = ZeroPattern(tuple((i, j) for i, j in zero_pairs)).mask(p) if zero_pairs else np.zeros((p, p), bool)
     if not zero.any():
@@ -522,7 +527,11 @@ def constrained_mle(hypothesis: Hypothesis, summaries: Sequence[SampleSummary]) 
 
     d = hypothesis.degrees_of_freedom(p, k)
     for s in summaries:
-        if np.min(np.diag(s.cov_cholesky) ** 2 / np.diag(s.mle_cov)) <= _MIN_PIVOT_RATIO:
+        try:
+            singular = np.min(np.diag(s.cov_cholesky) ** 2 / np.diag(s.mle_cov)) <= _MIN_PIVOT_RATIO
+        except NotPositiveDefiniteError:  # no factor at all
+            singular = True
+        if singular:
             raise NotPositiveDefiniteError("sample covariance is singular: the unconstrained MLE does not exist")
     lambda0_inv, mu0 = hypothesis.estimates(summaries)
     try:

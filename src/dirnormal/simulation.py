@@ -18,13 +18,12 @@ runs one OpenBLAS thread; the calling process keeps its own setting.
 
 from __future__ import annotations
 
-import ctypes
+import atexit
 import functools
 import math
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Union
@@ -346,6 +345,9 @@ def _worker_cap() -> int:
     return workers
 
 
+# The process pool (concurrent.futures.process, which loads multiprocessing)
+# and ctypes are imported when the pool is first made: a study at one
+# worker, or a process that only runs tests, never needs them.
 _pool: ProcessPoolExecutor | None = None
 _pool_lock = threading.Lock()
 # The OpenBLAS copies that numpy and scipy bundle, as (package, library glob
@@ -360,6 +362,8 @@ def _one_blas_thread() -> None:
     """Pool initializer: one OpenBLAS thread per worker, so the workers do
     not share the cores with each other's BLAS threads.  A library or
     symbol that is not there is skipped."""
+    import ctypes
+
     for package, pattern, symbol in _OPENBLAS:
         libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
         for path in libs.glob(pattern):
@@ -370,6 +374,18 @@ def _one_blas_thread() -> None:
             setter.argtypes = [ctypes.c_int]
             setter.restype = None
             setter(1)
+
+
+def _drop_pool() -> None:
+    """Exit hook: release the pool, whose workers concurrent.futures has
+    joined by then, while the modules it needs are still loaded.  Imported
+    after this module, concurrent.futures.process would be torn down first,
+    and collecting the executor then reports an error."""
+    global _pool
+    _pool = None
+
+
+atexit.register(_drop_pool)
 
 
 def _map(fn, items: list):
@@ -387,6 +403,8 @@ def _map(fn, items: list):
             _pool.shutdown(wait=True, cancel_futures=True)
             _pool = None
         if _pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             _pool = ProcessPoolExecutor(max_workers=cap, initializer=_one_blas_thread)
         return _pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8)))
 

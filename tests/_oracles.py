@@ -349,6 +349,46 @@ def brentq_peak(ev, t_cap: float) -> float:
     return brentq(_loop_derivative, lo, hi, args=(ev,), xtol=_EPS * lo, rtol=4 * _EPS)
 
 
+_TSUP_HUGE = 1e8
+
+
+def _rank_one_margin(t: float, mu: np.ndarray, c2: np.ndarray) -> float:
+    """Smallest rank-one factor ``1 - t**2 sum c_j**2 / f_j`` over the groups
+    at ``t``; ``-1`` once a linear factor ``f_j = 1 - t + t mu_j`` is not
+    positive."""
+    f = 1.0 - t + t * mu
+    if np.any(f <= 0.0):
+        return -1.0
+    return float(np.min(1.0 - t * t * np.sum(c2 / f, axis=1)))
+
+
+def brentq_feasible_sup(mu: np.ndarray, c2: np.ndarray) -> tuple[float, int]:
+    """End of the positive definite range by ``brentq`` on the smallest
+    rank-one factor, and the number of factor evaluations: ``t_lin`` when
+    the factor outlasts the linear ones, infinite when it is still positive
+    at the first power of two past ``_TSUP_HUGE``."""
+    calls = []
+
+    def margin(t):
+        calls.append(t)
+        return _rank_one_margin(t, mu, c2)
+
+    nu_min = float(mu.min())
+    t_lin = 1.0 / (1.0 - nu_min) if nu_min < 1.0 - 1e-12 else math.inf
+    if not np.any(c2 > 0.0):
+        return t_lin, 0
+    hi = t_lin
+    if not math.isfinite(hi):
+        hi = 2.0
+        while margin(hi) > 0.0:
+            hi *= 2.0
+            if hi > _TSUP_HUGE:
+                return math.inf, len(calls)
+    elif margin(hi) > 0.0:
+        return hi, len(calls)
+    return brentq(margin, 0.0, hi, xtol=1e-14, rtol=4 * _EPS), len(calls)
+
+
 def _widen(ev, t_hat: float, g_hat: float, start: float, lower: bool, bound: float) -> float:
     half = start
     for _ in range(64):

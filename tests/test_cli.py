@@ -216,7 +216,7 @@ class TestTestCommand:
 
     def test_collinear_data_exit_one(self, tmp_path, capsys):
         y = np.random.default_rng(0).standard_normal((12, 5))
-        y[:, 3] = y[:, 0]  # a Cholesky factorization of this covariance succeeds
+        y[:, 3] = y[:, 0]  # exactly collinear: the sample covariance is singular
         f = tmp_path / "d.csv"
         write_data_csv(f, y)
         code = main(["test", "--case", "c6", "--data", str(f), "--out", str(tmp_path / "r.json")])
@@ -258,6 +258,20 @@ class TestTestCommand:
         assert report["degenerate"] is True
         assert {m: e["p_value"] for m, e in report["methods"].items()} == dict.fromkeys(
             ("dt", "lrt", "sko1", "sko2"), 1.0)
+
+    def test_equal_covariances_under_large_means_exit_two(self, tmp_path):
+        # exactly equal covariances far from the origin (see
+        # test_hypotheses.py, TestDegenerate)
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((32, 30)) + rng.uniform(-5e3, 5e3, 30)
+        out = tmp_path / "r.json"
+        argv = ["test", "--case", "c4", "--out", str(out)]
+        for g, data in enumerate([y, y, np.vstack([y, y])]):
+            f = tmp_path / f"d{g}.csv"
+            write_data_csv(f, data)
+            argv += ["--data", str(f)]
+        assert main(argv) == 2
+        assert json.loads(out.read_text())["degenerate"] is True
 
     def test_negative_c5_statistic_is_not_degenerate(self, tmp_path, capsys):
         # p = 1, n = 3: the n - 1 weighting gives W = 2 log 1.5 - 1 < 0; the

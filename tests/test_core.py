@@ -47,6 +47,16 @@ class TestSummarize:
         np.testing.assert_allclose(a.mle_cov, b.mle_cov, atol=1e-13)
         np.testing.assert_allclose(a.ybar, b.ybar, atol=1e-14)
 
+    def test_large_mean_costs_no_digits(self):
+        # second moments minus the mean's outer product would leave errors
+        # of about 1e12 eps here
+        rng = np.random.default_rng(14)
+        y = rng.standard_normal((50, 4))
+        shifted = summarize(y + 1e6)
+        np.testing.assert_allclose(shifted.mle_cov, summarize(y).mle_cov, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(shifted.second_moment,
+                                   shifted.mle_cov + np.outer(shifted.ybar, shifted.ybar), rtol=1e-15)
+
     def test_relations_between_fields(self):
         rng = np.random.default_rng(13)
         y = rng.standard_normal((20, 3))

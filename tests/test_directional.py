@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from dirnormal.core import sample_mvn
 from dirnormal.exceptions import NotPositiveDefiniteError
-from dirnormal.directional import DirectionalEvaluator, directional_pvalue, integration_interval
+from dirnormal.directional import DirectionalEvaluator, _feasible_sup, directional_pvalue, integration_interval
 from dirnormal.hypotheses import (
     BlockIndependence,
     CompleteIndependence,
@@ -27,6 +27,7 @@ from dirnormal.linalg import is_positive_definite, log_det_spd
 from dirnormal.simulation import ks_uniformity
 
 from _oracles import (
+    brentq_feasible_sup,
     brentq_peak,
     doubling_interval,
     feasible_sup_scan,
@@ -197,6 +198,80 @@ class TestTSup:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def _quadratic_path_fits():
+    """``(label, fit)`` for c3 with two and three groups and for c5: at
+    moderate n, at ``n = p + 2``, at ``p = 1``, with ``t_sup`` just above 1,
+    and c5 fits whose rank-one coordinate is 0 at the smallest pencil
+    eigenvalue (the rank-one factor ending just before ``t_lin``, or
+    outlasting it) or whose root lies past ``1e8``."""
+    c5 = SpecifiedMeanCov
+    out = []
+    for i, (name, hyp, n, p) in enumerate([
+        ("c3 k=2", EqualDistributions(), (15, 18), 3),
+        ("c3 k=3", EqualDistributions(), (12, 15, 18), 4),
+        ("c5", c5(np.zeros(4), np.eye(4)), 20, 4),
+    ]):
+        smallest = tuple(p + 2 for _ in n) if isinstance(n, tuple) else p + 2
+        one = tuple(3 + j for j in range(len(n))) if isinstance(n, tuple) else 6
+        hyp1 = c5(np.zeros(1), np.eye(1)) if name == "c5" else hyp
+        for seed in range(4):
+            out.append((f"{name} n={n}", _sampled_fit(hyp, n, p, seed=130 + 10 * i + seed, shift=0.2 * seed)))
+            out.append((f"{name} n=p+2", _sampled_fit(hyp, smallest, p, seed=170 + 10 * i + seed)))
+            out.append((f"{name} p=1", _sampled_fit(hyp1, one, 1, seed=210 + 10 * i + seed,
+                                                    scale=0.5 + 0.5 * seed)))
+            out.append((f"{name} t_sup near 1", _near_collinear_fit(hyp, n, p, seed=250 + 10 * i + seed)))
+    for b in (0.4, 2.0):
+        s = make_summary(np.diag([2.0, 1.5, 0.3]), n=12, ybar=[b, 0.0, 0.0])
+        out.append((f"c5 zero c at the smallest eigenvalue, b={b}",
+                    constrained_mle(c5(np.zeros(3), np.eye(3)), [s])))
+    s = make_summary(np.array([[1.5]]), n=8, ybar=[1e-5])
+    out.append(("c5 root past 1e8", constrained_mle(c5(np.zeros(1), np.eye(1)), [s])))
+    return out
+
+
+class TestTSupNewton:
+    """The Newton search for ``t_sup`` against the ``brentq`` search it
+    replaced (tests/_oracles.py)."""
+
+    # Evaluations of the Newton search, at most; the most seen on 13,766
+    # c3 and c5 fits with p up to 90 was 22.
+    MAX_EVALS = 25
+
+    def test_fits_cover_the_regimes(self):
+        fits = _quadratic_path_fits()
+        evs = [DirectionalEvaluator(fit) for _, fit in fits]
+        assert all(fit.pencil_eigs is None for _, fit in fits)
+        assert {fit.k for _, fit in fits} == {1, 2, 3}
+        assert min(fit.p for _, fit in fits) == 1
+        assert any(min(s.n for s in fit.summaries) == fit.p + 2 for _, fit in fits)
+        sups = [ev.t_sup for ev in evs]
+        assert min(sups) < 1.0 + 1e-6 and math.inf in sups
+        lins = [1.0 / (1.0 - m) if m < 1.0 else math.inf for m in (float(ev._mu.min()) for ev in evs)]
+        # ranges ended by the linear factors, and by the rank-one factor
+        # short of a finite and of an infinite t_lin
+        assert any(t == lin for t, lin in zip(sups, lins) if math.isfinite(lin))
+        assert any(t < lin for t, lin in zip(sups, lins) if math.isfinite(lin))
+        assert any(math.isfinite(t) for t, lin in zip(sups, lins) if math.isinf(lin))
+        zero = [ev._c2[0, np.argmin(ev._mu[0])] == 0.0 for ev in evs[-3:-1]]
+        assert all(zero)
+
+    def test_matches_brentq_search_in_fewer_evaluations(self):
+        ours, theirs = 0, 0
+        for label, fit in _quadratic_path_fits():
+            ev = DirectionalEvaluator(fit)
+            got, evals = _feasible_sup(ev._mu, ev._c2)
+            want, oracle_evals = brentq_feasible_sup(ev._mu, ev._c2)
+            assert got == ev.t_sup, label
+            if math.isinf(want):
+                assert got == want, label
+            else:
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), label
+            assert 1 <= evals <= self.MAX_EVALS, label
+            ours += evals
+            theirs += oracle_evals
+        assert ours < 0.6 * theirs
 
 
 def _assert_brackets_feasibility(fit):

@@ -392,6 +392,16 @@ class TestDegenerate:
         assert draws >= 2000
         assert smallest > 100 * hypotheses.DEGENERATE_ROUNDING
 
+    def test_equal_covariances_degenerate_under_large_means(self):
+        # equal covariances, the third group the first stacked twice: from
+        # second moments minus the mean's outer product, plain_w read 4,605
+        # units of n p eps at this seed
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((32, 30)) + rng.uniform(-5e3, 5e3, 30)
+        fit = fit_hypothesis(EqualCovariances(), [y, y, np.vstack([y, y])])
+        assert fit.degenerate and is_degenerate(fit)
+        assert abs(self._units(fit)) <= hypotheses.DEGENERATE_ROUNDING / 10
+
     def test_negative_c5_statistic_is_not_degenerate(self):
         # p = 1, n = 3: V = 2/3 and mean 0 give W = -2 log(2/3) + 2 - 3 < 0
         fit = fit_hypothesis(SpecifiedMeanCov(np.zeros(1), np.eye(1)), np.array([[1.0], [0.0], [-1.0]]))
@@ -454,6 +464,22 @@ class TestFactorizationCount:
         classical_report(fit, ("lrt", "sko1", "sko2"))
         directional_pvalue(fit)
         assert len(calls) == expected
+
+    def test_zero_pattern_fit_checks_the_sample_covariance_once(self, monkeypatch):
+        # the sample covariance and A once each, plus one inverse per damped
+        # Newton step: fit_zero_pattern's own check is for direct callers
+        from dirnormal.classical import classical_report
+        from dirnormal.directional import directional_pvalue
+
+        y = np.random.default_rng(123).standard_normal((20, 10))
+        calls = self._counting(monkeypatch)
+        steps = []
+        inv_spd = hypotheses.inv_spd
+        monkeypatch.setattr(hypotheses, "inv_spd", lambda m: steps.append(1) or inv_spd(m))
+        fit = fit_hypothesis(ZeroPattern(((0, 1), (2, 3))), y)
+        classical_report(fit, ("lrt", "sko1", "sko2"))
+        directional_pvalue(fit)
+        assert len(calls) == 2 + len(steps) == 8
 
     @pytest.mark.parametrize("hyp, k", [
         (ProportionalIdentity(), 1), (BlockIndependence((2, 3)), 1), (EqualDistributions(), 3),
