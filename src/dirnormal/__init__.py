@@ -53,7 +53,6 @@ from .hypotheses import (
     constrained_mle,
     fit_hypothesis,
     fit_zero_pattern,
-    standardize,
 )
 from .linalg import eig_pencil, log_det_spd
 from .simulation import (

@@ -19,7 +19,6 @@ from .linalg import cholesky_log_det, inv_from_cholesky, log_det_spd, spd_choles
 
 __all__ = [
     "SampleSummary",
-    "validate_data",
     "check_estimate_exists",
     "summarize",
     "info_log_det",
@@ -41,21 +40,15 @@ class SampleSummary:
         Number of observations and of variables.
     ybar : ndarray, shape (p,)
         Sample mean.
-    second_moment : ndarray, shape (p, p)
-        ``y.T @ y / n``, formed as ``mle_cov + ybar ybar.T``.
     mle_cov : ndarray, shape (p, p)
         Maximum likelihood covariance, from the centered rows; the
         estimate of ``inv(Lambda)``.
-    centered_ssq : ndarray, shape (p, p)
-        Centered sum of squares ``n * mle_cov``.
     """
 
     n: int
     p: int
     ybar: np.ndarray
-    second_moment: np.ndarray
     mle_cov: np.ndarray
-    centered_ssq: np.ndarray
 
     @functools.cached_property
     def cov_cholesky(self) -> np.ndarray:
@@ -74,25 +67,6 @@ class SampleSummary:
         return inv_from_cholesky(self.cov_cholesky)
 
 
-def validate_data(data: np.ndarray) -> np.ndarray:
-    """Validate a raw data matrix and return it as a float array.
-
-    Rows are observations, columns variables.  Raises ``NonFiniteError`` on
-    NaN/Inf entries and ``DimensionError`` on wrong shape or fewer than
-    ``MIN_ROWS`` rows.
-    """
-    y = np.asarray(data, dtype=float)
-    if y.ndim != 2:
-        raise DimensionError(f"data must be a 2-d observations-by-variables matrix, got ndim={y.ndim}")
-    if y.shape[0] < MIN_ROWS:
-        raise DimensionError(f"need at least {MIN_ROWS} observations, got {y.shape[0]}")
-    if y.shape[1] < 1:
-        raise DimensionError("data must have at least one column")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteError("data contain NaN or infinite entries")
-    return y
-
-
 def check_estimate_exists(n: int, p: int) -> None:
     """Require ``n >= p + 2``, the condition for a nondegenerate fit.
 
@@ -107,6 +81,10 @@ def check_estimate_exists(n: int, p: int) -> None:
 def summarize(data: np.ndarray) -> SampleSummary:
     """Compute the sufficient statistics of a sample.
 
+    Rows are observations, columns variables.  Raises ``NonFiniteError`` on
+    NaN/Inf entries and ``DimensionError`` on wrong shape or fewer than
+    ``MIN_ROWS`` rows.
+
     Notes
     -----
     A degenerate sample (e.g. identical rows) yields a positive
@@ -116,20 +94,19 @@ def summarize(data: np.ndarray) -> SampleSummary:
     outer product would lose about ``log10(mean**2 / variance)`` digits
     to a large mean.
     """
-    y = validate_data(data)
+    y = np.asarray(data, dtype=float)
+    if y.ndim != 2:
+        raise DimensionError(f"data must be a 2-d observations-by-variables matrix, got ndim={y.ndim}")
+    if y.shape[0] < MIN_ROWS:
+        raise DimensionError(f"need at least {MIN_ROWS} observations, got {y.shape[0]}")
+    if y.shape[1] < 1:
+        raise DimensionError("data must have at least one column")
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteError("data contain NaN or infinite entries")
     n, p = y.shape
     ybar = y.mean(axis=0)
     centered = y - ybar
-    mle_cov = symmetrize(centered.T @ centered / n)
-    second_moment = mle_cov + np.outer(ybar, ybar)
-    return SampleSummary(
-        n=n,
-        p=p,
-        ybar=ybar,
-        second_moment=second_moment,
-        mle_cov=mle_cov,
-        centered_ssq=n * mle_cov,
-    )
+    return SampleSummary(n=n, p=p, ybar=ybar, mle_cov=symmetrize(centered.T @ centered / n))
 
 
 def info_log_det(concentration: np.ndarray, n: int) -> float:

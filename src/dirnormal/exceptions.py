@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["DirnormalError", "DimensionError", "NonFiniteError", "NotPositiveDefiniteError", "NoConvergenceError",
+           "DegenerateNullError", "InvalidScenarioError", "ParseError"]
+
 
 class DirnormalError(Exception):
     """Base class for all package-specific errors."""

@@ -17,7 +17,9 @@ covariance when the zero pairs are).
 Each class is the one place that states how its null differs from the
 others: its degrees of freedom, its constrained estimates, whether it
 compares groups, whether the mean is free, and its likelihood ratio
-statistic.  :data:`HYPOTHESES` maps each case tag to its class.
+statistic.  :data:`HYPOTHESES` maps each case tag to its class.  Every
+null is fitted on the data as given: the fully specified null, too, whose
+constrained estimates are its own ``mu0`` and ``inv(lambda0)``.
 
 A :class:`ConstrainedFit` bundles the per-group sufficient statistics with
 the constrained estimates and the degrees of freedom ``d``, from which the
@@ -30,19 +32,19 @@ reads.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import SampleSummary, check_estimate_exists, summarize, validate_data
+from .core import SampleSummary, check_estimate_exists, summarize
 from .exceptions import (
     DimensionError,
     NoConvergenceError,
     NotPositiveDefiniteError,
 )
-from .linalg import eig_pencil, inv_cholesky, inv_spd, is_positive_definite, spd_cholesky, symmetrize
+from .linalg import eig_pencil, inv_cholesky, inv_spd, is_positive_definite, symmetrize
 
 __all__ = [
     "ProportionalIdentity",
@@ -58,7 +60,6 @@ __all__ = [
     "constrained_mle",
     "fit_hypothesis",
     "fit_zero_pattern",
-    "standardize",
 ]
 
 
@@ -92,17 +93,12 @@ class Hypothesis:
         (s,) = summaries
         return self.covariance(s.mle_cov), (s.ybar,)
 
-    def prepare(self, y: np.ndarray) -> np.ndarray:
-        """One group's data on the scale the fit works on (unchanged but
-        for the fully specified null)."""
-        return y
-
     def lrt(self, fit: ConstrainedFit) -> float:
         """Likelihood ratio statistic reported for the hypothesis.
 
         This is ``fit.plain_w`` except for two nulls: equal covariances
         (c4) report the pooled variant built from bias-adjusted estimates,
-        and the fully specified null (c5) weights ``log det V`` by
+        and the fully specified null (c5) weights ``log det(A^-1 V)`` by
         ``n - 1`` instead of ``n``.
         """
         return fit.plain_w
@@ -167,7 +163,7 @@ class EqualDistributions(Hypothesis):
         # the mean's outer product would lose digits to a large mean
         n = sum(s.n for s in summaries)
         ybar = sum(s.n * s.ybar for s in summaries) / n
-        scatter = sum(s.centered_ssq + s.n * np.outer(s.ybar - ybar, s.ybar - ybar) for s in summaries)
+        scatter = sum(s.n * s.mle_cov + s.n * np.outer(s.ybar - ybar, s.ybar - ybar) for s in summaries)
         return symmetrize(scatter / n), tuple(ybar for _ in summaries)
 
 
@@ -183,7 +179,7 @@ class EqualCovariances(Hypothesis):
 
     def estimates(self, summaries):
         n = sum(s.n for s in summaries)
-        return symmetrize(sum(s.centered_ssq for s in summaries) / n), tuple(s.ybar for s in summaries)
+        return symmetrize(sum(s.n * s.mle_cov for s in summaries) / n), tuple(s.ybar for s in summaries)
 
     def lrt(self, fit: ConstrainedFit) -> float:
         """Pooled variant with divisors ``n_g - 1`` and ``n - k``, the form
@@ -201,44 +197,46 @@ class EqualCovariances(Hypothesis):
 class SpecifiedMeanCov(Hypothesis):
     """Fully specified mean vector and concentration matrix.
 
-    Data are standardized internally to the equivalent hypothesis with zero
-    mean and identity concentration, so ``lambda0`` is the *concentration*
-    under the null, not the covariance.
+    ``lambda0`` is the *concentration* under the null, not the covariance.
+    Its inverse, the constrained covariance of every fit, is computed once
+    per hypothesis, which raises ``NotPositiveDefiniteError`` for a
+    ``lambda0`` that is not positive definite.
     """
 
     mu0: np.ndarray
     lambda0: np.ndarray
+    cov0: np.ndarray = field(init=False, repr=False)
     tag = "c5"
     free_mean = False
 
     def __post_init__(self):
-        mu0 = np.atleast_1d(np.asarray(self.mu0, dtype=float))
+        mu0 = np.atleast_1d(np.array(self.mu0, dtype=float))
         lambda0 = np.asarray(self.lambda0, dtype=float)
         if lambda0.shape != (mu0.shape[0], mu0.shape[0]):
             raise DimensionError("lambda0 must be p x p with p = len(mu0)")
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "lambda0", symmetrize(lambda0))
+        object.__setattr__(self, "cov0", inv_spd(self.lambda0))
 
     def degrees_of_freedom(self, p: int, k: int = 1) -> int:
         return p * (p + 3) // 2
 
     def estimates(self, summaries):
         (s,) = summaries
-        return np.eye(s.p), (np.zeros(s.p),)
-
-    def prepare(self, y: np.ndarray) -> np.ndarray:
-        if self.mu0.shape[0] != y.shape[1]:
-            raise DimensionError(f"hypothesis is {self.mu0.shape[0]}-dimensional, data has p={y.shape[1]}")
-        return standardize(y, self.mu0, self.lambda0)
+        if self.mu0.shape[0] != s.p:
+            raise DimensionError(f"hypothesis is {self.mu0.shape[0]}-dimensional, data has p={s.p}")
+        return self.cov0, (self.mu0,)
 
     def lrt(self, fit: ConstrainedFit) -> float:
-        """``fit.plain_w`` plus ``log det V``: ``-(n - 1) log det V + n tr(M) - n p``
-        on the standardized data, with ``V`` the covariance and ``M`` the
-        second moment.  It can be negative: at ``n = p + 2`` and ``p = 1`` it
-        is for about 8% of null samples.  Such a fit is not degenerate, but
-        its classical p-values are 1 (see ``classical_report``).
+        """``fit.plain_w`` plus ``log det V - log det A``:
+        ``-(n - 1) log det(A^-1 V) + n tr(A^-1 M) - n p`` with ``A`` the
+        null covariance, ``V`` the sample covariance and ``M = V + b b'``
+        for ``b = ybar - mu0``.  It can be negative: at ``n = p + 2`` and
+        ``p = 1`` it is for about 8% of null samples.  Such a fit is not
+        degenerate, but its classical p-values are 1 (see
+        ``classical_report``).
         """
-        return fit.plain_w + fit.summaries[0].cov_log_det
+        return fit.plain_w + fit.summaries[0].cov_log_det - fit.a_factor[1]
 
 
 @dataclass(frozen=True)
@@ -397,24 +395,13 @@ class ConstrainedFit:
         return sum(s.n for s in self.summaries)
 
 
-def standardize(data: np.ndarray, mu0: np.ndarray, lambda0: np.ndarray) -> np.ndarray:
-    """Transform data so a specified-mean/concentration null becomes
-    zero-mean/identity.
-
-    Uses ``L.T @ (y - mu0)`` rowwise with ``lambda0 = L @ L.T``; any square
-    root works since the null covariance of the transform is exactly the
-    identity.
-    """
-    y = validate_data(data)
-    mu0 = np.asarray(mu0, dtype=float)
-    ell = spd_cholesky(symmetrize(np.asarray(lambda0, dtype=float)))
-    return (y - mu0) @ ell
+# Convergence tolerance of the zero-pattern fit (see fit_zero_pattern).
+PATTERN_TOL = 1e-12
 
 
 def fit_zero_pattern(
     mle_cov: np.ndarray,
     zero_pairs: Sequence[tuple[int, int]],
-    tol: float = 1e-12,
     *,
     check: bool = True,
 ) -> np.ndarray:
@@ -430,13 +417,13 @@ def fit_zero_pattern(
     dual moves the covariance on the zero pairs from ``R`` to maximize its
     log-determinant, and the fit is that covariance.
 
-    ``tol`` bounds each remaining gradient entry divided by its weight and
-    by ``sqrt(Y_ii Y_jj)``: a correlation mismatch in the primal, a fitted
-    partial correlation in the dual.  Raises ``NotPositiveDefiniteError``
-    for a ``mle_cov`` that is not positive definite and
-    ``NoConvergenceError`` at the iteration cap.  ``check=False`` skips the
-    positive definiteness test, a Cholesky factorization, for a caller
-    that has made it already.
+    ``PATTERN_TOL`` bounds each remaining gradient entry divided by its
+    weight and by ``sqrt(Y_ii Y_jj)``: a correlation mismatch in the
+    primal, a fitted partial correlation in the dual.  Raises
+    ``NotPositiveDefiniteError`` for a ``mle_cov`` that is not positive
+    definite and ``NoConvergenceError`` at the iteration cap.
+    ``check=False`` skips the positive definiteness test, a Cholesky
+    factorization, for a caller that has made it already.
     """
     s = symmetrize(np.asarray(mle_cov, dtype=float))
     p = s.shape[0]
@@ -450,10 +437,10 @@ def fit_zero_pattern(
     r = s / np.outer(scale, scale)
     rows, cols = np.nonzero(np.triu(zero))
     if rows.size < p + (p * (p - 1) // 2 - rows.size):
-        fit, _ = _newton_logdet(r, np.zeros((p, p)), rows, cols, tol)
+        fit, _ = _newton_logdet(r, np.zeros((p, p)), rows, cols)
     else:
         rows, cols = np.nonzero(np.triu(~zero))
-        _, fit = _newton_logdet(np.eye(p), r, rows, cols, tol)
+        _, fit = _newton_logdet(np.eye(p), r, rows, cols)
     return fit * np.outer(scale, scale)
 
 
@@ -462,7 +449,7 @@ def fit_zero_pattern(
 _MAX_NEWTON_STEPS = 200
 
 
-def _newton_logdet(x, target, rows, cols, tol):
+def _newton_logdet(x, target, rows, cols):
     """Minimize ``-log det X + <target, X>`` over symmetric ``X`` that moves
     only on the entries ``(rows, cols)``, ``rows <= cols``, from the positive
     definite start ``x``, which is updated in place.  Returns ``X`` and its
@@ -483,7 +470,7 @@ def _newton_logdet(x, target, rows, cols, tol):
         y = inv_spd(x)
         resid = t - y[rows, cols]
         root = np.sqrt(np.diag(y))
-        if np.max(np.abs(resid) / (root[rows] * root[cols])) <= tol:
+        if np.max(np.abs(resid) / (root[rows] * root[cols])) <= PATTERN_TOL:
             return x, y
         grad = w * resid
         hess = (y[np.ix_(rows, rows)] * y[np.ix_(cols, cols)]
@@ -508,9 +495,10 @@ def constrained_mle(hypothesis: Hypothesis, summaries: Sequence[SampleSummary]) 
     """Constrained maximum likelihood estimates under the hypothesis.
 
     ``summaries`` holds one entry per group; one-sample hypotheses require
-    exactly one.  For the fully specified case the summaries must come from
-    data already standardized with :func:`standardize`.  Raises
-    ``NotPositiveDefiniteError`` when an estimate is singular.
+    exactly one.  This is the one check of a fit's input: it raises
+    ``DimensionError`` for a wrong number of groups, groups of unequal
+    ``p`` or a group with ``n < p + 2``, and ``NotPositiveDefiniteError``
+    when an estimate is singular.
     """
     summaries = tuple(summaries)
     if not summaries:
@@ -527,6 +515,7 @@ def constrained_mle(hypothesis: Hypothesis, summaries: Sequence[SampleSummary]) 
 
     d = hypothesis.degrees_of_freedom(p, k)
     for s in summaries:
+        check_estimate_exists(s.n, s.p)
         try:
             singular = np.min(np.diag(s.cov_cholesky) ** 2 / np.diag(s.mle_cov)) <= _MIN_PIVOT_RATIO
         except NotPositiveDefiniteError:  # no factor at all
@@ -547,19 +536,8 @@ def fit_hypothesis(hypothesis: Hypothesis, data) -> ConstrainedFit:
 
     ``data`` is a single observations-by-variables matrix for one-sample
     hypotheses and a sequence of such matrices for the group hypotheses.
-    Each group must satisfy ``n >= p + 2``.  Data for the fully specified
-    case are standardized here before summarizing.
+    :func:`summarize` checks each matrix, :func:`constrained_mle` the
+    groups together.
     """
-    if hypothesis.grouped:
-        groups = [validate_data(g) for g in data]
-        if len(groups) < 2:
-            raise DimensionError("group hypotheses need at least two groups")
-    else:
-        groups = [validate_data(data)]
-    p = groups[0].shape[1]
-    if any(g.shape[1] != p for g in groups):
-        raise DimensionError("all groups must share the same number of variables")
-    for g in groups:
-        check_estimate_exists(g.shape[0], p)
-    return constrained_mle(hypothesis, [summarize(hypothesis.prepare(g)) for g in groups])
-
+    groups = data if hypothesis.grouped else [data]
+    return constrained_mle(hypothesis, [summarize(g) for g in groups])

@@ -8,6 +8,7 @@ Pretty rendering for humans is a separate, lossy view.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -222,20 +223,8 @@ def build_report(
     """Assemble the machine-readable test report (schema ``report-v1``)."""
     diag = None
     if diagnostics is not None:
-        diag = {
-            "t_sup": diagnostics.t_sup,
-            "t_cap": diagnostics.t_cap,
-            "t_hat": diagnostics.t_hat,
-            "curvature_at_t_hat": diagnostics.curvature_at_t_hat,
-            "t_min": diagnostics.t_min,
-            "t_max": diagnostics.t_max,
-            "numerator": diagnostics.numerator,
-            "denominator": diagnostics.denominator,
-            "n_evals": diagnostics.n_evals,
-            "quad_escalations": diagnostics.quad_escalations,
-            "peak_evals": diagnostics.peak_evals,
-            "quad_error": diagnostics.quad_error,
-        }
+        diag = dataclasses.asdict(diagnostics)
+        del diag["p_value"], diag["degenerate"]  # reported under methods and at the top level
     report = {
         "schema": SCHEMA_ID,
         "case": case,

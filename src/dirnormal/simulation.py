@@ -35,7 +35,7 @@ from scipy.special import kolmogorov
 from .classical import classical_report
 from .core import sample_groups, summarize
 from .directional import directional_pvalue
-from .exceptions import DimensionError, DirnormalError, InvalidScenarioError
+from .exceptions import DimensionError, InvalidScenarioError, NotPositiveDefiniteError
 from .hypotheses import (HYPOTHESES, BlockIndependence, ConstrainedFit, Hypothesis, SpecifiedMeanCov,
                          constrained_mle, fit_hypothesis)
 from .linalg import spd_cholesky
@@ -135,7 +135,7 @@ class ScenarioSpec:
             if n_i < self.p + 2:
                 raise InvalidScenarioError(f"need n >= p + 2 per group (got n={n_i}, p={self.p})")
         hypothesis_for(self)
-        scenario_params(self)
+        _scenario_factors(self)
 
     @property
     def group_sizes(self) -> tuple[int, ...]:
@@ -158,8 +158,10 @@ def default_blocks(p: int) -> tuple[int, int, int]:
     return (a, a, third)
 
 
+@functools.lru_cache(maxsize=64)
 def hypothesis_for(spec: ScenarioSpec) -> Hypothesis:
-    """The null hypothesis object a scenario is testing."""
+    """The null hypothesis object a scenario is testing, built once per
+    cell."""
     if spec.case == "c2":
         return BlockIndependence(default_blocks(spec.p))
     if spec.case == "c5":
@@ -199,8 +201,9 @@ def _half_ones(p: int, value: float) -> np.ndarray:
 def scenario_params(spec: ScenarioSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-group ``(mean, covariance)`` pairs of the sampling distribution.
 
-    Raises ``InvalidScenarioError`` when a requested alternative does not
-    yield a positive definite covariance for this ``(p, delta, eta)``.
+    Raises ``InvalidScenarioError`` when a requested alternative is not
+    defined for this ``(p, k, delta, eta)``; :func:`_scenario_factors`
+    checks that each covariance is positive definite.
     """
     p = spec.p
     alt = spec.alternative
@@ -286,20 +289,18 @@ def scenario_params(spec: ScenarioSpec) -> list[tuple[np.ndarray, np.ndarray]]:
         else:
             cov = _case5_like_cov(p, alt, n_total)
         params = [(zero, cov)]
-
-    for _, cov in params:
-        try:
-            spd_cholesky(cov)
-        except DirnormalError as exc:
-            raise InvalidScenarioError(f"scenario covariance is not positive definite: {exc}") from exc
     return params
 
 
 @functools.lru_cache(maxsize=64)
 def _scenario_factors(spec: ScenarioSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per-group ``(mean, Cholesky factor)`` of the sampling distribution,
-    computed once per cell and read-only."""
-    factors = tuple((mu, spd_cholesky(cov)) for mu, cov in scenario_params(spec))
+    computed once per cell and read-only.  Raises ``InvalidScenarioError``
+    for a covariance that is not positive definite."""
+    try:
+        factors = tuple((mu, spd_cholesky(cov)) for mu, cov in scenario_params(spec))
+    except NotPositiveDefiniteError as exc:
+        raise InvalidScenarioError(f"scenario covariance is not positive definite: {exc}") from exc
     for mu, ell in factors:
         mu.flags.writeable = ell.flags.writeable = False
     return factors
@@ -472,15 +473,15 @@ class StudyResult:
     corrected_power: dict[str, float] | None = None
 
 
-def _mean_lrt(hyp: Hypothesis, params, sizes, prefix: tuple[int, ...], reps: int) -> float:
+def _mean_lrt(hyp: Hypothesis, factors, sizes, prefix: tuple[int, ...], reps: int) -> float:
     """Mean likelihood ratio statistic of ``hyp`` over ``reps`` samples of
-    normal groups with ``(mean, covariance)`` ``params`` and ``sizes`` rows.
+    normal groups with ``(mean, Cholesky factor of the covariance)``
+    ``factors`` and ``sizes`` rows.
 
     Draw ``b`` takes its groups from the stream keyed ``prefix + (b,)``.  The
     draws run through the worker pool and are summed in draw order, so the
     estimate is the same at any worker count.
     """
-    factors = [(mu, spd_cholesky(cov)) for mu, cov in params]
     # The partial carries the parameters to a worker once per chunk of draws.
     draw = functools.partial(_lrt_draw, hyp, factors, sizes, prefix)
     total = 0.0
@@ -490,8 +491,6 @@ def _mean_lrt(hyp: Hypothesis, params, sizes, prefix: tuple[int, ...], reps: int
 
 
 def _lrt_draw(hyp: Hypothesis, factors, sizes, prefix, b: int) -> float:
-    # The draws are on the scale the fit works on: no ``prepare``, which for
-    # the fully specified null would standardize them a second time.
     groups = sample_groups(factors, sizes, prefix + (b,))
     return hyp.lrt(constrained_mle(hyp, [summarize(y) for y in groups]))
 
@@ -505,7 +504,7 @@ def calibrate_bartlett_expectation(spec: ScenarioSpec, reps: int | None = None) 
     ``(seed, case id, 2, b)``.
     """
     null_spec = replace(spec, alternative=Null())
-    return _mean_lrt(hypothesis_for(null_spec), scenario_params(null_spec), spec.group_sizes,
+    return _mean_lrt(hypothesis_for(null_spec), _scenario_factors(null_spec), spec.group_sizes,
                      (spec.seed, _CASE_IDS[spec.case], _STREAM_BC), spec.bootstrap_reps if reps is None else reps)
 
 
@@ -518,7 +517,8 @@ def bartlett_bootstrap(fit: ConstrainedFit, reps: int, seed: int) -> float:
     ``seed``: draw ``b`` uses the stream ``(seed, 710, b)``.  Pass the result
     to ``classical_report(..., e_w_hat=...)``.
     """
-    return _mean_lrt(fit.hypothesis, [(mu, fit.lambda0_inv) for mu in fit.mu0],
+    ell = spd_cholesky(fit.lambda0_inv)  # the groups share the constrained covariance
+    return _mean_lrt(fit.hypothesis, [(mu, ell) for mu in fit.mu0],
                      [s.n for s in fit.summaries], (seed, 710), reps)
 
 

@@ -93,6 +93,12 @@ def info_matrix(xi: np.ndarray, lam_inv: np.ndarray, n: int) -> np.ndarray:
     return np.vstack([np.hstack([j11, j12]), np.hstack([j12.T, j22])])
 
 
+def second_moment(summary) -> np.ndarray:
+    """``y.T @ y / n`` of the summarized sample: its covariance plus the
+    mean's outer product."""
+    return summary.mle_cov + np.outer(summary.ybar, summary.ybar)
+
+
 def dtvec(m: np.ndarray) -> np.ndarray:
     """``D.T @ vec(m)`` (column-major vec)."""
     dup = duplication_matrix(m.shape[0])
@@ -106,7 +112,7 @@ def canonical_loglik(xi: np.ndarray, lam: np.ndarray, summary) -> float:
     assert sign > 0
     return float(
         n * xi @ summary.ybar
-        - 0.5 * n * np.sum(lam * summary.second_moment)
+        - 0.5 * n * np.sum(lam * second_moment(summary))
         + 0.5 * n * logdet
         - 0.5 * n * xi @ np.linalg.solve(lam, xi)
     )
@@ -127,7 +133,7 @@ def brute_log_gamma(fit) -> float:
         xi_hat = lam_hat @ s.ybar
         xi_0 = lam0 @ mu0
         v_mean = n * (s.ybar - mu0)
-        v_vech = 0.5 * n * dtvec(fit.lambda0_inv + np.outer(mu0, mu0) - s.second_moment)
+        v_vech = 0.5 * n * dtvec(fit.lambda0_inv + np.outer(mu0, mu0) - second_moment(s))
         blocks_v.append(np.concatenate([v_mean, v_vech]))
         blocks_dphi.append(np.concatenate([xi_hat - xi_0, vech(lam_hat) - vech(lam0)]))
         js_psi.append(info_matrix(xi_0, fit.lambda0_inv, n))
@@ -191,7 +197,7 @@ def expected_s_psi(fit) -> SufficientShift:
     """
     means = tuple(-s.n * (s.ybar - mu) for s, mu in zip(fit.summaries, fit.mu0))
     vechs = tuple(
-        -0.5 * s.n * vech(fit.lambda0_inv + np.outer(mu, mu) - s.second_moment)
+        -0.5 * s.n * vech(fit.lambda0_inv + np.outer(mu, mu) - second_moment(s))
         for s, mu in zip(fit.summaries, fit.mu0)
     )
     return SufficientShift(mean_blocks=means, vech_blocks=vechs)
@@ -200,7 +206,7 @@ def expected_s_psi(fit) -> SufficientShift:
 def is_degenerate(fit) -> bool:
     """The shift rule: whether the sufficient shift is zero to rounding,
     relative to the size of the second moments."""
-    scale = 1.0 + max(float(np.max(np.abs(s.second_moment))) for s in fit.summaries)
+    scale = 1.0 + max(float(np.max(np.abs(second_moment(s)))) for s in fit.summaries)
     return expected_s_psi(fit).max_abs() <= 1e-12 * fit.n_total * scale
 
 
@@ -257,17 +263,15 @@ def dense_log_gbar(fit, ts: np.ndarray, chunk: int = 100_000) -> np.ndarray:
         t = ts[start:start + chunk]
         tt = t[:, None, None]
         acc = np.zeros(len(t))
-        if isinstance(hyp, SpecifiedMeanCov):
-            s = fit.summaries[0]
-            mats = (1 - tt) * np.eye(p) + tt * s.mle_cov + tt * (1 - tt) * np.outer(s.ybar, s.ybar)
-            acc += 0.5 * (s.n - p - 2) * _stacked_logdet(mats)
-            acc += 0.5 * s.n * (p - np.trace(s.second_moment)) * t
-        elif isinstance(hyp, EqualDistributions):
-            ybar = fit.mu0[0]
-            for s in fit.summaries:
-                b = s.ybar - ybar
+        if isinstance(hyp, (SpecifiedMeanCov, EqualDistributions)):
+            for s, mu in zip(fit.summaries, fit.mu0):
+                b = s.ybar - mu
                 mats = (1 - tt) * fit.lambda0_inv + tt * s.mle_cov + tt * (1 - tt) * np.outer(b, b)
                 acc += 0.5 * (s.n - p - 2) * _stacked_logdet(mats)
+            if isinstance(hyp, SpecifiedMeanCov):
+                s = fit.summaries[0]
+                m = s.mle_cov + np.outer(s.ybar - fit.mu0[0], s.ybar - fit.mu0[0])
+                acc += 0.5 * s.n * (p - np.trace(np.linalg.solve(fit.lambda0_inv, m))) * t
         else:
             for s in fit.summaries:
                 mats = (1 - tt) * fit.lambda0_inv + tt * s.mle_cov

@@ -127,7 +127,7 @@ class TestLrt:
         rng = np.random.default_rng(44)
         groups = [rng.standard_normal((12, 2)), rng.standard_normal((16, 2)) * 1.3]
         fit = fit_hypothesis(EqualCovariances(), groups)
-        a = [s.centered_ssq for s in fit.summaries]
+        a = [s.n * s.mle_cov for s in fit.summaries]
         pooled = (a[0] + a[1]) / (12 + 16 - 2)
         expected = sum(
             (n_i - 1) * (np.linalg.slogdet(pooled)[1] - np.linalg.slogdet(a_i / (n_i - 1))[1])
@@ -136,8 +136,8 @@ class TestLrt:
         assert fit.hypothesis.lrt(fit) == pytest.approx(expected, rel=1e-12)
 
     def test_specified_mean_cov_weights_log_det_by_n_minus_one(self):
-        # standardized covariance L' V L has log det = log det V + log det lambda0,
-        # and n tr(M) of the standardized data is tr(lambda0 D'D), D = y - mu0
+        # with A = inv(lambda0): log det(A^-1 V) = log det V + log det lambda0,
+        # and n tr(A^-1 M) = tr(lambda0 D'D), D = y - mu0
         rng = np.random.default_rng(52)
         mu0 = np.array([0.2, -0.1, 0.4])
         lam0 = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]])

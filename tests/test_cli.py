@@ -1,5 +1,6 @@
 """Command-line interface: ingestion, report serialization, determinism."""
 
+import dataclasses
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 from dirnormal import cli, hypotheses
 from dirnormal.cli import main
 from dirnormal.core import sample_mvn
-from dirnormal.directional import directional_pvalue
+from dirnormal.directional import DirectionalDiagnostics, directional_pvalue
 from dirnormal.exceptions import InvalidScenarioError, ParseError
 from dirnormal.hypotheses import HYPOTHESES, CompleteIndependence, fit_hypothesis
 from dirnormal.report import (
@@ -185,6 +186,13 @@ class TestTestCommand:
                      "--out", str(out)]) == 0
         schema = json.loads(SCHEMA.read_text())
         jsonschema.validate(json.loads(out.read_text()), schema)
+
+    def test_schema_lists_every_diagnostics_field(self):
+        # the report copies every field of the diagnostics but the p-value
+        # and the degeneracy flag, which it reports under methods and at the top
+        schema = json.loads(SCHEMA.read_text())
+        fields = {f.name for f in dataclasses.fields(DirectionalDiagnostics)} - {"p_value", "degenerate"}
+        assert set(schema["properties"]["diagnostics"]["properties"]) == fields
 
     def test_bootstrap_report_same_at_any_worker_count(self, tmp_path, monkeypatch):
         f, _ = self._write_case6_file(tmp_path)

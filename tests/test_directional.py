@@ -33,6 +33,7 @@ from _oracles import (
     feasible_sup_scan,
     log_gbar_with_rank_one,
     path_estimates,
+    second_moment,
     trapezoid_pvalue,
 )
 from test_hypotheses import make_summary
@@ -292,7 +293,7 @@ class TestLogGbar:
             )
             if isinstance(hyp, SpecifiedMeanCov):
                 s = fit.summaries[0]
-                expected += 0.5 * s.n * (p - np.trace(s.second_moment))
+                expected += 0.5 * s.n * (p - np.trace(second_moment(s)))
             assert math.isfinite(val)
             assert val == pytest.approx(expected, rel=1e-10)
 
@@ -322,7 +323,7 @@ class TestLogGbar:
         slope = 0.0
         if isinstance(hyp, SpecifiedMeanCov):
             s = fit.summaries[0]
-            slope = 0.5 * s.n * (p - np.trace(s.second_moment))
+            slope = 0.5 * s.n * (p - np.trace(second_moment(s)))
         rng = np.random.default_rng(81)
         for t in rng.uniform(0.0, ev.t_sup * 0.999, size=50):
             direct = path_estimates(fit, t).lambda_t_inv

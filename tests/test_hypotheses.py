@@ -9,11 +9,14 @@ from _oracles import (
     ips_zero_pattern,
     is_degenerate,
     path_estimates,
+    second_moment,
     vech,
     zero_pattern_kkt_residuals,
 )
 from dirnormal import hypotheses
-from dirnormal.core import sample_mvn, summarize
+from dirnormal.classical import classical_report
+from dirnormal.core import SampleSummary, summarize
+from dirnormal.directional import directional_pvalue
 from dirnormal.exceptions import DimensionError, NoConvergenceError, NotPositiveDefiniteError
 from dirnormal.hypotheses import (
     BlockIndependence,
@@ -26,26 +29,17 @@ from dirnormal.hypotheses import (
     constrained_mle,
     fit_hypothesis,
     fit_zero_pattern,
-    standardize,
 )
+from dirnormal.simulation import bartlett_bootstrap
 from dirnormal.linalg import is_positive_definite
 
 
 def make_summary(mle_cov, n=30, ybar=None):
-    """Consistent sufficient statistics with exactly the given covariance."""
-    from dirnormal.core import SampleSummary
-
+    """Sufficient statistics with exactly the given covariance."""
     mle_cov = np.asarray(mle_cov, dtype=float)
     p = mle_cov.shape[0]
     ybar = np.zeros(p) if ybar is None else np.asarray(ybar, dtype=float)
-    return SampleSummary(
-        n=n,
-        p=p,
-        ybar=ybar,
-        second_moment=mle_cov + np.outer(ybar, ybar),
-        mle_cov=mle_cov,
-        centered_ssq=n * mle_cov,
-    )
+    return SampleSummary(n=n, p=p, ybar=ybar, mle_cov=mle_cov)
 
 
 class TestDegreesOfFreedom:
@@ -146,6 +140,16 @@ class TestConstrainedMle:
         with pytest.raises(DimensionError):
             fit_hypothesis(ProportionalIdentity(), np.ones((3, 2)))  # n < p + 2
 
+    @pytest.mark.parametrize("hyp, k", [(ProportionalIdentity(), 1), (SpecifiedMeanCov(np.zeros(5), np.eye(5)), 1),
+                                        (EqualCovariances(), 2)])
+    def test_summary_with_n_below_p_plus_two_rejected(self, hyp, k):
+        # n = p + 1 gives an invertible sample covariance, but no maximum
+        # likelihood estimate of the tilted density
+        rng = np.random.default_rng(9)
+        summaries = [summarize(rng.standard_normal((n, 5))) for n in (7, 6)[-k:]]
+        with pytest.raises(DimensionError, match=r"n >= p \+ 2"):
+            constrained_mle(hyp, summaries)
+
     @pytest.mark.parametrize("hyp", [CompleteIndependence(), ProportionalIdentity()])
     def test_collinear_sample_rejected(self, hyp):
         # a duplicated column, or a combination of two, leaves the sample
@@ -204,7 +208,7 @@ class TestZeroPattern:
         rng = np.random.default_rng(10)
         v = summarize(rng.standard_normal((30, 3))).mle_cov
         pairs = ((0, 2),)
-        fitted = fit_zero_pattern(v, pairs, tol=1e-12)
+        fitted = fit_zero_pattern(v, pairs)
 
         # restricted-likelihood oracle: maximize log det(K) - tr(K V) over
         # concentrations K with K[0, 2] = 0
@@ -233,7 +237,7 @@ class TestZeroPattern:
         rng = np.random.default_rng(11)
         v = summarize(rng.standard_normal((40, 5))).mle_cov
         pairs = ((0, 1), (2, 4))
-        fitted = fit_zero_pattern(v, pairs, tol=1e-11)
+        fitted = fit_zero_pattern(v, pairs)
         conc = np.linalg.inv(fitted)
         for i, j in pairs:
             assert abs(conc[i, j]) < 1e-9
@@ -263,7 +267,7 @@ class TestZeroPattern:
         p, pairs = self.PATTERNS[branch]
         v = summarize(np.random.default_rng(12).standard_normal((200, p))).mle_cov
         np.testing.assert_allclose(
-            fit_zero_pattern(v, pairs, tol=1e-12), ips_zero_pattern(v, pairs, tol=1e-11), rtol=0, atol=1e-8)
+            fit_zero_pattern(v, pairs), ips_zero_pattern(v, pairs, tol=1e-11), rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("branch", sorted(PATTERNS))
     def test_optimality_conditions(self, branch):
@@ -295,7 +299,7 @@ class TestExpectedSPsi:
         # rows chosen so the mean is zero and the second moment exactly I
         y = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]) * np.sqrt(2)
         s = summarize(y)
-        np.testing.assert_allclose(s.second_moment, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(second_moment(s), np.eye(2), atol=1e-15)
         fit = constrained_mle(SpecifiedMeanCov(np.zeros(2), np.eye(2)), [s])
         assert expected_s_psi(fit).max_abs() <= 1e-15
 
@@ -448,9 +452,10 @@ class TestFactorizationCount:
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or original(m))
         return calls
 
-    @pytest.mark.parametrize("tag, expected", [("c1", 2), ("c3", 4), ("c4", 4), ("c5", 3)])
+    @pytest.mark.parametrize("tag, expected", [("c1", 2), ("c3", 4), ("c4", 4), ("c5", 2)])
     def test_fit_report_and_pvalue(self, monkeypatch, tag, expected):
-        # one per group covariance and one for A; c5 adds its lambda0
+        # one per group covariance and one for A; c5 inverts its lambda0
+        # when the hypothesis is built
         from dirnormal.classical import classical_report
         from dirnormal.directional import directional_pvalue
 
@@ -534,7 +539,7 @@ class TestPathEstimates:
         fit = fit_hypothesis(SpecifiedMeanCov(np.zeros(2), np.eye(2)), y)
         s = fit.summaries[0]
         t = 0.5
-        target = s.second_moment * t + (1 - t) * np.eye(2)
+        target = second_moment(s) * t + (1 - t) * np.eye(2)
 
         def tilted_neg(theta):
             xi = theta[:2]
@@ -567,24 +572,67 @@ class TestPathEstimates:
             path_estimates(fit, beyond)
 
 
-class TestStandardize:
-    def test_identity_transform(self):
-        rng = np.random.default_rng(18)
-        y = rng.standard_normal((10, 3))
-        np.testing.assert_allclose(standardize(y, np.zeros(3), np.eye(3)), y, atol=1e-15)
+class TestSpecifiedScale:
+    """The fully specified null is fitted on the data as given: every
+    statistic equals that of the data standardized to ``(0, I)``."""
 
-    def test_scalar_case(self):
-        # concentration 4 means standard deviation 1/2: y -> 2 (y - 2)
-        y = np.array([[3.0], [1.0]])
-        out = standardize(y, np.array([2.0]), np.array([[4.0]]))
-        np.testing.assert_allclose(out, [[2.0], [-2.0]])
+    @staticmethod
+    def _null(rng, p):
+        # column scales from e^-3 to e^3, correlated, and a mean up to 50
+        # standard deviations from 0
+        scales = np.exp(rng.uniform(-3.0, 3.0, p))
+        root = np.eye(p) + 0.3 * rng.standard_normal((p, p)) / np.sqrt(p)
+        cov0 = scales[:, None] * (root @ root.T) * scales
+        return rng.uniform(-50.0, 50.0, p) * scales, np.linalg.inv(cov0), cov0
 
-    def test_null_covariance_becomes_identity(self):
-        rng = np.random.default_rng(19)
-        cov = np.array([[2.0, 0.7, 0.0], [0.7, 1.0, -0.3], [0.0, -0.3, 0.5]])
-        lam0 = np.linalg.inv(cov)
-        mu0 = np.array([1.0, -2.0, 0.5])
-        y = sample_mvn(mu0, cov, 100_000, seed=20)
-        out = standardize(y, mu0, lam0)
-        assert np.max(np.abs(np.cov(out, rowvar=False) - np.eye(3))) < 0.05
-        assert np.max(np.abs(out.mean(axis=0))) < 0.02
+    @staticmethod
+    def _statistics(fit):
+        report = classical_report(fit, ("lrt", "sko1", "sko2"))
+        stats = dict(report.pvalues, w=report.w, log_gamma=report.log_gamma)
+        stats["dt"], _ = directional_pvalue(fit)
+        return stats
+
+    @pytest.mark.parametrize("p", [1, 5, 30])
+    def test_raw_data_match_data_standardized_by_the_test(self, monkeypatch, p):
+        monkeypatch.setenv("DIRNORMAL_THREADS", "1")
+        rng = np.random.default_rng(200 + p)
+        # null samples, and one off the null in mean and scale
+        for n, shift, spread in ((p + 2, 0.0, 1.0), (2 * p + 10, 0.0, 1.0), (2 * p + 10, 0.3, 1.2)):
+            mu0, lambda0, cov0 = self._null(rng, p)
+            ell0 = np.linalg.cholesky(cov0)
+            y = mu0 + shift * np.sqrt(np.diag(cov0)) + spread * rng.standard_normal((n, p)) @ ell0.T
+            raw = fit_hypothesis(SpecifiedMeanCov(mu0, lambda0), y)
+            std = fit_hypothesis(SpecifiedMeanCov(np.zeros(p), np.eye(p)),
+                                 (y - mu0) @ np.linalg.cholesky(lambda0))
+            assert raw.degenerate == std.degenerate
+            got, want = self._statistics(raw), self._statistics(std)
+            for method in ("dt", "lrt", "sko1", "sko2"):
+                assert got[method] == pytest.approx(want[method], rel=0, abs=1e-10), (method, n, shift)
+            for stat in ("w", "log_gamma"):
+                assert got[stat] == pytest.approx(want[stat], rel=1e-10), (stat, n, shift)
+            e_raw, e_std = bartlett_bootstrap(raw, 20, seed=7), bartlett_bootstrap(std, 20, seed=7)
+            assert e_raw == pytest.approx(e_std, rel=1e-12, abs=0)
+
+    def test_collinear_samples_rejected_at_any_column_scale(self):
+        # one column an exact combination of 2 to 9 others, the columns on
+        # scales from 1e-2 to 1e2: the pivot test sees the raw scales
+        rng = np.random.default_rng(210)
+        for _ in range(200):
+            p = int(rng.integers(10, 21))
+            n = p + int(rng.integers(2, 21))
+            scales = 10.0 ** rng.uniform(-2.0, 2.0, p)
+            y = rng.standard_normal((n, p)) * scales
+            j, *others = rng.permutation(p)[: 1 + int(rng.integers(2, 10))]
+            y[:, j] = y[:, others] @ (rng.standard_normal(len(others)) * scales[j] / scales[others])
+            hyp = SpecifiedMeanCov(rng.standard_normal(p) * scales, np.diag(scales ** -2.0))
+            with pytest.raises(NotPositiveDefiniteError):
+                fit_hypothesis(hyp, y)
+
+    def test_dimension_mismatch_rejected(self):
+        y = np.random.default_rng(211).standard_normal((10, 3))
+        with pytest.raises(DimensionError):
+            fit_hypothesis(SpecifiedMeanCov(np.zeros(2), np.eye(2)), y)
+
+    def test_lambda0_not_positive_definite_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            SpecifiedMeanCov(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
