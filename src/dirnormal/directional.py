@@ -43,10 +43,12 @@ QUAD_REL_TOL = 1e-9
 QUAD_ABS_TOL = 1e-14
 _TSUP_HUGE = 1e8
 _EPS = float(np.finfo(float).eps)
-# Gauss-Legendre nodes per panel, and panels per side of t = 1 in the
-# coarser of the two compared resolutions (the finer one doubles them).
+# Gauss-Legendre nodes per panel, panels per side of t = 1 in the coarser of
+# the two compared resolutions (the finer one doubles them), and the most
+# panels a side is refined to before the quadrature gives up.
 _GL_NODES = 24
 _GL_PANELS = 2
+_GL_MAX_PANELS = 256
 # Half-widths, in units of the first, of the candidate endpoints of the
 # integration interval: up to 64 doublings.
 _DOUBLINGS = 2.0 ** np.arange(64)
@@ -317,12 +319,11 @@ class DirectionalDiagnostics:
     denominator: float
     p_value: float
     degenerate: bool = False
-    n_evals: int = 0  # integrand points of the quadrature, escalations included
-    quad_escalations: int = 0  # sides of t = 1 handed to adaptive quadrature (0-2)
+    n_evals: int = 0  # integrand points of the quadrature, refinements included
+    quad_escalations: int = 0  # sides of t = 1 refined past the base pair (0-2)
     peak_evals: int = 0  # slope_and_curvature calls of the peak search
-    # Error estimate of the denominator: the gap between the two resolutions
-    # (adaptive quadrature's own estimate on an escalated side) plus the
-    # concavity bound on each tail left outside [t_min, t_max].
+    # Error estimate of the denominator: each side's gap between its last two
+    # resolutions plus the concavity bound on each tail outside [t_min, t_max].
     quad_error: float = 0.0
 
 
@@ -367,33 +368,29 @@ def integration_interval(
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_legendre(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of ``panels`` equal ``_GL_NODES``-point panels on
-    ``[0, 1]``, read-only."""
+def _gauss_legendre(*panel_counts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on ``[0, 1]`` of ``m`` equal ``_GL_NODES``-point
+    panels for each ``m`` of ``panel_counts`` in turn, read-only."""
     x, w = np.polynomial.legendre.leggauss(_GL_NODES)
-    start = np.arange(panels)[:, None] / panels
-    nodes = (start + 0.5 * (x + 1.0) / panels).ravel()
-    weights = np.tile(0.5 * w / panels, panels)
+    nodes = np.concatenate([(np.arange(m)[:, None] + 0.5 * (x + 1.0)).ravel() / m for m in panel_counts])
+    weights = np.concatenate([np.tile(0.5 * w / m, m) for m in panel_counts])
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-def _adaptive(f, a: float, b: float, pts) -> tuple[float, int, float]:
-    """Adaptive quadrature of ``f`` on ``[a, b]``: ``(value, evaluations,
-    error estimate)``."""
-    from scipy.integrate import quad  # deferred: most calls never escalate
-
-    if b <= a:
-        return 0.0, 0, 0.0
-    inner = [x for x in pts if a < x < b]
-    evals = 0
-    for limit in (200, 800):
-        out = quad(f, a, b, points=inner or None, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
-                   limit=limit, full_output=1)
-        evals += int(out[2]["neval"])
-        if len(out) < 4:  # no warning appended: converged
-            return float(out[0]), evals, float(out[1])
-    raise NoConvergenceError(f"quadrature failed on [{a}, {b}]: {out[3]}")
+def _rule(ends: np.ndarray, panels: tuple[int, ...], t_sup: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in ``t`` and weights of :func:`_gauss_legendre` on each row
+    ``(a, b)`` of ``ends``, laid out in ``s = sqrt(t_sup - t)`` when
+    ``t_sup`` is given.  There ``dt = 2 s ds``, and each factor of the
+    integrand that vanishes at ``t_sup`` is an integer or half-integer
+    power of ``t_sup - t``, so it is smooth in ``s``."""
+    x, w = _gauss_legendre(*panels)
+    a, b = ends[:, :1], ends[:, 1:]
+    if t_sup is None:
+        return a + (b - a) * x, (b - a) * w
+    s_lo, s_hi = np.sqrt(t_sup - b), np.sqrt(t_sup - a)
+    s = s_lo + (s_hi - s_lo) * x
+    return t_sup - s * s, 2.0 * (s_hi - s_lo) * s * w
 
 
 def directional_pvalue(fit: ConstrainedFit) -> tuple[float, DirectionalDiagnostics]:
@@ -404,13 +401,15 @@ def directional_pvalue(fit: ConstrainedFit) -> tuple[float, DirectionalDiagnosti
     denominator from ``t_min``, sharing the upper piece so the ratio lies
     in [0, 1] by construction.  Each side of ``t = 1`` is integrated by
     composite Gauss-Legendre at two resolutions, all nodes evaluated in one
-    vectorized ``log_gbar`` call.  The finer value is kept when the two
-    agree to ``QUAD_REL_TOL`` (or ``QUAD_ABS_TOL``); otherwise that side is
-    recomputed by adaptive quadrature at the same tolerances, which
-    ``diagnostics.quad_escalations`` counts.  ``diagnostics.quad_error``
-    adds the two values' gap (the adaptive estimate on an escalated side)
-    to the concavity bound ``exp(g(t_max) - g_hat) / |g'(t_max)|`` on the
-    tail above ``t_max`` and its mirror below ``t_min``, 0 at a range bound.
+    vectorized ``log_gbar`` call, with the nodes in ``sqrt(t_sup - t)``
+    when the interval ends at ``t_sup`` (see :func:`_rule`).  The finer
+    value is kept when the two agree to ``QUAD_REL_TOL`` (or
+    ``QUAD_ABS_TOL``); otherwise that side doubles its panels until the
+    last two agree, and gives up past ``_GL_MAX_PANELS``.
+    ``diagnostics.quad_escalations`` counts the refined sides;
+    ``diagnostics.quad_error`` adds each side's last gap to the concavity
+    bound ``exp(g(t_max) - g_hat) / |g'(t_max)|`` on the tail above
+    ``t_max`` and its mirror below ``t_min``, 0 at a range bound.
 
     Returns ``(p_value, diagnostics)``.  A degenerate fit (observed data
     exactly at the null expectation, ``fit.degenerate``) reports ``p = 1``
@@ -432,32 +431,32 @@ def directional_pvalue(fit: ConstrainedFit) -> tuple[float, DirectionalDiagnosti
     curv = ev.curvature(t_hat)
     t_min, t_max = integration_interval(ev, t_hat, g_hat, curv, INTERVAL_HALFWIDTH, t_cap)
 
-    def f(t):
-        return np.exp(ev.log_gbar(t) - g_hat)
-
-    sides = ((t_min, 1.0), (1.0, t_max))
-    x_c, w_c = _gauss_legendre(_GL_PANELS)
-    x_f, w_f = _gauss_legendre(2 * _GL_PANELS)
-    ts = np.concatenate([a + (b - a) * x for a, b in sides for x in (x_c, x_f)])
+    sides = np.array([[t_min, 1.0], [1.0, t_max]])
+    end_sup = ev.t_sup if t_max == ev.t_sup else None  # the interval ends at t_sup
+    ts, ws = _rule(sides, (_GL_PANELS, 2 * _GL_PANELS), end_sup)
     n_evals = ts.size
     # the endpoints ride along for the tail bounds
-    logs = ev.log_gbar(np.concatenate([ts, (t_min, t_max)]))
+    logs = ev.log_gbar(np.append(ts, (t_min, t_max)))
     quad_error = 0.0
     for end, bound, g_end in zip((t_min, t_max), (0.0, t_cap), logs[n_evals:]):
         if end != bound:
             slope = ev.slope_and_curvature(end)[0]
             quad_error += math.exp(g_end - g_hat) / abs(slope) if slope else math.inf
+    terms = np.exp(logs[:n_evals].reshape(ts.shape) - g_hat) * ws
+    sums = np.add.reduceat(terms, (0, _GL_NODES * _GL_PANELS), axis=1)  # coarse, fine per side
     escalations = 0
     integrals = []
-    for (a, b), v in zip(sides, np.exp(logs[:n_evals] - g_hat).reshape(2, -1)):
-        coarse = (b - a) * float(v[:x_c.size] @ w_c)
-        fine = (b - a) * float(v[x_c.size:] @ w_f)
-        gap = abs(fine - coarse)
-        if gap > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(fine)):
-            fine, evals, gap = _adaptive(f, a, b, (t_hat,))
-            n_evals += evals
-            escalations += 1
-        quad_error += gap
+    for side, (coarse, fine) in zip(sides, sums.tolist()):
+        panels = 2 * _GL_PANELS
+        while abs(fine - coarse) > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(fine)):
+            if panels == _GL_MAX_PANELS:
+                raise NoConvergenceError(f"quadrature on {side} did not converge in {panels} panels")
+            panels *= 2
+            t, w = _rule(side[None], (panels,), end_sup)
+            coarse, fine = fine, float(np.sum(np.exp(ev.log_gbar(t) - g_hat) * w))
+            n_evals += t.size
+        escalations += panels > 2 * _GL_PANELS
+        quad_error += abs(fine - coarse)
         integrals.append(fine)
     lower, upper = integrals
     denominator = lower + upper

@@ -495,7 +495,7 @@ def _lrt_draw(hyp: Hypothesis, factors, sizes, prefix, b: int) -> float:
     return hyp.lrt(constrained_mle(hyp, [summarize(y) for y in groups]))
 
 
-def calibrate_bartlett_expectation(spec: ScenarioSpec, reps: int | None = None) -> float:
+def calibrate_bartlett_expectation(spec: ScenarioSpec) -> float:
     """Mean likelihood ratio statistic over replications of the null.
 
     Shared across a study cell: under a simulation null the fit is known,
@@ -505,7 +505,7 @@ def calibrate_bartlett_expectation(spec: ScenarioSpec, reps: int | None = None) 
     """
     null_spec = replace(spec, alternative=Null())
     return _mean_lrt(hypothesis_for(null_spec), _scenario_factors(null_spec), spec.group_sizes,
-                     (spec.seed, _CASE_IDS[spec.case], _STREAM_BC), spec.bootstrap_reps if reps is None else reps)
+                     (spec.seed, _CASE_IDS[spec.case], _STREAM_BC), spec.bootstrap_reps)
 
 
 def bartlett_bootstrap(fit: ConstrainedFit, reps: int, seed: int) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import brentq, minimize
 
 from dirnormal.directional import ENDPOINT_DROP, DirectionalEvaluator
@@ -325,6 +326,35 @@ def trapezoid_pvalue(fit, nodes: int = 1_000_001) -> float:
     g_num = dense_log_gbar(fit, ts_num)
     num = trapezoid(np.exp(g_num - g_max), ts_num)
     return float(num / den)
+
+
+def quad_integral(f, a: float, b: float, points=()) -> float:
+    """Integral of the scalar function ``f`` over ``[a, b]`` by adaptive
+    QUADPACK quadrature at tight tolerances, split at the ``points`` inside;
+    raises when QUADPACK reports that it did not converge."""
+    inner = [x for x in points if a < x < b] or None
+    out = quad(f, a, b, points=inner, epsabs=1e-15, epsrel=1e-13, limit=500, full_output=1)
+    if len(out) > 3:
+        raise NoConvergenceError(f"quad on [{a}, {b}]: {out[3]}")
+    return float(out[0])
+
+
+def quad_pvalue(fit) -> float:
+    """Directional p-value of the engine's integrand by adaptive quadrature
+    over the whole range: ``[0, 1]`` and ``[1, t_cap]``, split at the peak
+    found by :func:`brentq_peak`.  It shares only ``log_gbar`` and
+    ``integration_cap`` with the engine, not its interval or its rule."""
+    ev = DirectionalEvaluator(fit)
+    cap = ev.integration_cap()
+    t_hat = brentq_peak(ev, cap)
+    g_hat = ev.log_gbar(t_hat)
+
+    def f(t):
+        return math.exp(ev.log_gbar(t) - g_hat)
+
+    lower = quad_integral(f, 0.0, 1.0, (t_hat,))
+    upper = quad_integral(f, 1.0, cap, (t_hat,))
+    return upper / (lower + upper)
 
 
 # -- the peak search, interval and integrand the engine replaced ---------------

@@ -13,6 +13,7 @@ from dirnormal.core import sample_mvn
 from dirnormal.exceptions import NotPositiveDefiniteError
 from dirnormal.directional import DirectionalEvaluator, _feasible_sup, directional_pvalue, integration_interval
 from dirnormal.hypotheses import (
+    HYPOTHESES,
     BlockIndependence,
     CompleteIndependence,
     EqualCovariances,
@@ -24,7 +25,7 @@ from dirnormal.hypotheses import (
     fit_hypothesis,
 )
 from dirnormal.linalg import is_positive_definite, log_det_spd
-from dirnormal.simulation import ks_uniformity
+from dirnormal.simulation import ScenarioSpec, generate_scenario, hypothesis_for, ks_uniformity
 
 from _oracles import (
     brentq_feasible_sup,
@@ -33,6 +34,8 @@ from _oracles import (
     feasible_sup_scan,
     log_gbar_with_rank_one,
     path_estimates,
+    quad_integral,
+    quad_pvalue,
     second_moment,
     trapezoid_pvalue,
 )
@@ -500,9 +503,9 @@ class TestDirectionalPvalue:
         p_engine, _ = directional_pvalue(fit)
         assert p_engine == pytest.approx(trapezoid_pvalue(fit), abs=1e-7)
 
-    def test_disagreeing_resolutions_escalate_to_adaptive(self, monkeypatch):
+    def test_disagreeing_resolutions_double_the_panels(self, monkeypatch):
         # a bump on the upper side too narrow for either Gauss-Legendre
-        # resolution sends that side, and only that side, to quad
+        # resolution makes that side, and only that side, double its panels
         fit = _sampled_fit(CompleteIndependence(), 20, 3, seed=76)
         _, base = directional_pvalue(fit)
         assert base.quad_escalations == 0 and base.n_evals > 0
@@ -526,9 +529,8 @@ class TestDirectionalPvalue:
             return math.exp(ev.log_gbar(t) - g_hat)
 
         assert 1.0 < diag.t_hat < diag.t_max
-        upper = quad(f, 1.0, diag.t_max, points=[centre, diag.t_hat], epsabs=1e-15,
-                     epsrel=1e-13, limit=500)[0]
-        lower = quad(f, diag.t_min, 1.0, epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+        upper = quad_integral(f, 1.0, diag.t_max, (centre, diag.t_hat))
+        lower = quad_integral(f, diag.t_min, 1.0)
         assert p_val == pytest.approx(upper / (upper + lower), abs=1e-12)
 
     def test_uniform_under_null_small_study(self):
@@ -580,6 +582,52 @@ class TestDirectionalPvalue:
             assert diag.curvature_at_t_hat < 0.0
             assert 1 <= diag.peak_evals <= 10
             assert 0.0 <= diag.quad_error <= 1e-8 * diag.denominator
+
+
+def _null_fit(case, p, n, rep=0, seed=16):
+    """Fit of null data with ``n`` rows in every group: the simulation's
+    scenario for c1-c6 (three groups for c3 and c4), standard normal data
+    under two zero pairs for ``pattern``."""
+    if case == "pattern":
+        rng = np.random.default_rng((seed, p, n, rep))
+        return fit_hypothesis(ZeroPattern(((0, 2), (1, 3))), rng.standard_normal((n, p)))
+    spec = ScenarioSpec(case=case, n=(n,) * 3 if HYPOTHESES[case].grouped else n, p=p, seed=seed)
+    return fit_hypothesis(hypothesis_for(spec), generate_scenario(spec, rep))
+
+
+class TestMleBoundary:
+    """At ``n = p + 2`` and ``p + 3`` the integrand peaks on or hard against
+    ``t_sup``, where it vanishes like a half-integer power of
+    ``t_sup - t`` (or, at ``n = p + 2``, does not vanish at all)."""
+
+    CASES = ("c1", "c2", "c3", "c4", "c5", "c6", "pattern")
+
+    def test_base_pair_matches_quad_oracle(self):
+        fits = [(f"{case} p={p} n={n}", _null_fit(case, p, n))
+                for case in self.CASES for p in (5, 30, 90) for n in (p + 2, p + 3)]
+        # the nodes at the upper end are in sqrt(t_sup - t) on both sides,
+        # which matters most when t_sup lies just above 1
+        fits.append(("c1 p=90 n=93 t_sup near 1", _null_fit("c1", 90, 93, rep=9)))
+        near_one = 0
+        for label, fit in fits:
+            p_val, diag = directional_pvalue(fit)
+            assert diag.quad_escalations == 0, label
+            assert p_val == pytest.approx(quad_pvalue(fit), abs=1e-8), label
+            assert diag.quad_error <= 1e-8 * diag.denominator, label
+            near_one += diag.t_sup - 1.0 < 1e-4
+        assert near_one >= 1
+
+    @pytest.mark.parametrize("case", ["c1", "c2", "c3", "c4", "c6", "pattern"])
+    def test_closed_form_at_smallest_n(self, case):
+        # Every weight (n - p - 2) / 2 is 0, and so is the linear term of
+        # these nulls, so the integrand is t**(d - 1) on [0, t_sup] and
+        # p = 1 - t_sup**-d: no quadrature needed.
+        for p in (5, 30, 90):
+            for rep in range(20):
+                fit = _null_fit(case, p, p + 2, rep)
+                p_val, diag = directional_pvalue(fit)
+                closed = -math.expm1(-fit.d * math.log(diag.t_sup))
+                assert p_val == pytest.approx(closed, abs=1e-10), (p, rep)
 
 
 class TestInvariance:

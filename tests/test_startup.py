@@ -2,8 +2,8 @@
 
 ``scipy.optimize`` and ``scipy.integrate`` take about a fifth of the
 import time of the package; neither is needed for a fit, a test or a
-study.  The check runs in a fresh interpreter, since the test suite itself
-imports both.
+study, at the smallest sample sizes included.  The check runs in a fresh
+interpreter, since the test suite itself imports both.
 """
 
 import os
@@ -26,7 +26,9 @@ def test_fits_tests_and_studies_load_no_optimize_or_integrate():
         rng = np.random.default_rng(7)
         c3 = dn.fit_hypothesis(dn.EqualDistributions(), [rng.standard_normal((12, 3)) for _ in range(3)])
         c5 = dn.fit_hypothesis(dn.SpecifiedMeanCov(np.zeros(3), np.eye(3)), rng.standard_normal((12, 3)) + 0.3)
-        for fit in (c3, c5):
+        # at n = p + 2 and p + 3 the peak sits on or against the range bound
+        edge = [dn.fit_hypothesis(dn.CompleteIndependence(), rng.standard_normal((n, 5))) for n in (7, 8)]
+        for fit in (c3, c5, *edge):
             p, diag = dn.directional_pvalue(fit)
             assert 0.0 <= p <= 1.0 and diag.quad_escalations == 0
         dn.classical_report(c3, ("lrt", "sko1", "sko2"))
