@@ -8,9 +8,12 @@ expectation of the sufficient statistic (``t = 0``) and the observed point
     ``p = integral(1 .. t_sup) / integral(0 .. t_sup)``,
 
 with ``t_sup`` the largest ``t`` for which the tilted covariance estimates
-remain positive definite.  ``gbar`` is evaluated up to an additive constant,
-which cancels in the ratio, and the integrand is rescaled by its maximum so
-the quadrature never overflows.
+remain positive definite.  For every null each group's tilted covariance
+has the determinant of a pencil linear in ``t``, so ``gbar``, its
+derivatives and ``t_sup`` follow from that pencil's eigenvalues alone
+(see :class:`DirectionalEvaluator`).  ``gbar`` is evaluated up to an
+additive constant, which cancels in the ratio, and the integrand is
+rescaled by its maximum so the quadrature never overflows.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ INTERVAL_HALFWIDTH = 5.0
 # Tolerances of the quadrature (see directional_pvalue).
 QUAD_REL_TOL = 1e-9
 QUAD_ABS_TOL = 1e-14
-_TSUP_HUGE = 1e8
 _EPS = float(np.finfo(float).eps)
 # Gauss-Legendre nodes per panel, panels per side of t = 1 in the coarser of
 # the two compared resolutions (the finer one doubles them), and the most
@@ -55,82 +57,30 @@ _DOUBLINGS = 2.0 ** np.arange(64)
 _DOUBLINGS.flags.writeable = False
 # Peak search: largest number of fused evaluations before giving up.
 _PEAK_MAX_EVALS = 100
-# t_sup search: largest number of evaluations before giving up.  It took at
-# most 22 on 13,766 c3 and c5 fits (p from 1 to 90, n from p + 2 to 100,
-# shifted, scaled and nearly collinear samples among them).
-_TSUP_MAX_EVALS = 100
-
-
-def _feasible_sup(mu: np.ndarray, c2: np.ndarray) -> tuple[float, int]:
-    """End of the positive definite range of the path with pencil
-    eigenvalues ``mu`` (k, p) and squared rank-one coordinates ``c2``, and
-    the number of evaluations of ``H`` (below) that found it.
-
-    The linear factors ``f_j = 1 - t + t mu_j`` stay positive up to
-    ``t_lin = 1 / (1 - min mu)``.  Below it each group's rank-one factor
-    ``1 - t**2 sum c_j**2 / f_j`` decreases from 1 (its derivative is
-    ``-t sum c_j**2 (1 + f_j) / f_j**2``), so the range ends at the first
-    root of the smallest one, or at ``t_lin`` when there is none.  With
-    ``u = 1 / t`` the factor ``f_j / t`` is ``u + mu_j - 1``, and group
-    ``g``'s root solves ``H_g(u) = 1 / psi_g(u) - 1 / u = 0`` for
-    ``psi_g = sum c_j**2 / (u + mu_j - 1)``.  The reciprocal of ``psi_g`` is
-    a harmonic mean of functions linear in ``u``, so each ``H_g``, and their
-    minimum ``H``, is concave and increasing in ``u``; as a function of
-    ``t`` the same ``H`` is convex and decreasing when every ``mu_j >= 1``.
-    Newton steps on ``H`` therefore rise monotonically to the root: in
-    ``u`` from just past the pole at ``1 / t_lin``, where ``H < 0`` unless
-    the rank-one factor outlasts the linear ones, and in ``t`` from the
-    observed point ``t = 1`` when ``t_lin`` is infinite.  The search stops
-    once a step is at most 4 ulps or points back (rounding at the root);
-    a root past ``_TSUP_HUGE`` reads as an unbounded range.
-    """
-    mu_min = float(mu.min())
-    t_lin = 1.0 / (1.0 - mu_min) if mu_min < 1.0 - 1e-12 else math.inf
-    if not np.any(c2 > 0.0):
-        return t_lin, 0
-    nu = mu - 1.0
-    in_u = math.isfinite(t_lin)
-    x = (1.0 - mu_min) * (1.0 + 4.0 * _EPS) if in_u else 1.0
-    for evals in range(1, _TSUP_MAX_EVALS + 1):
-        u = x if in_u else 1.0 / x
-        d = u + nu
-        w = c2 / d
-        psi = w.sum(axis=1)
-        g = int(psi.argmax())  # the group with the smallest 1 / psi_g
-        psi_g = float(psi[g])
-        h = 1.0 / psi_g - 1.0 / u
-        slope = float(np.sum(w[g] / d[g])) / psi_g / psi_g + 1.0 / (u * u)  # dH/du
-        step = -h / slope if in_u else h * x * x / slope
-        if step <= 4.0 * _EPS * x:
-            if in_u and evals == 1 and h >= 0.0:
-                return t_lin, evals
-            x += max(step, 0.0)
-            return (1.0 / x if in_u else x), evals
-        x += step
-        if not in_u and x > _TSUP_HUGE:
-            return math.inf, evals
-    raise NoConvergenceError(f"t_sup search did not converge in {_TSUP_MAX_EVALS} evaluations")
 
 
 class DirectionalEvaluator:
     """Single-instance evaluator of the log-integrand and its derivatives.
 
-    Every case shares one representation.  Group ``g``'s tilted covariance
-    is ``(1 - t) A + t M_g - t**2 b_g b_g'`` with ``A`` the constrained
-    covariance, ``b_g`` the observed group mean minus its constrained mean
-    and ``M_g`` the group's covariance plus ``b_g b_g'``.  Construction
-    factors each group once: ``mu`` are the eigenvalues of the ``(A, M_g)``
-    pencil and ``c = Q' L^-1 b_g``, with ``A = L L'`` and ``Q`` the
-    eigenvectors of ``L^-1 M_g L^-T``.  The matrix determinant lemma gives
+    Every case shares one representation: each group's tilted covariance
+    has the determinant of a pencil that is linear in ``t``, so with ``mu``
+    that pencil's eigenvalues
 
-        ``log det = log det A + sum log f_j + log(1 - t**2 sum c_j**2 / f_j)``
+        ``log det = log det A + sum log f_j``,  ``f_j = 1 - t + t mu_j``,
 
-    with ``f_j = 1 - t + t mu_j``, so each evaluation costs O(k p) and
-    takes whole arrays of ``t``.  When every ``b_g`` is zero (the cases
-    whose path is linear in ``t``) the fit's ``pencil_eigs`` are used and
-    the rank-one term, ``log 1``, is skipped; otherwise
-    :func:`~dirnormal.linalg.eig_pencil` factors each group.  Both reuse
-    the fit's one factor of ``A``.  Instances are immutable after
+    each evaluation costs O(k p) and takes whole arrays of ``t``, and the
+    positive definite range ends at ``t_sup = 1 / (1 - min mu)``.  For the
+    nulls whose mean is free the tilted covariance is ``(1 - t) A + t V_g``
+    with ``A`` the constrained covariance and ``V_g`` the group's
+    covariance, and ``mu`` are the fit's ``pencil_eigs``.  For the others
+    (c3, c5) it is ``(1 - t) A + t M_g - t**2 b_g b_g'`` with ``b_g`` the
+    observed group mean minus its constrained mean and
+    ``M_g = V_g + b_g b_g'``.  That is the Schur complement of the unit
+    corner of ``(1 - t) diag(A, 1) + t [[M_g, b_g], [b_g', 1]]``, so the
+    bordered pencil has the same determinant and is positive definite for
+    the same ``t``: construction takes its ``p + 1`` eigenvalues from
+    :func:`~dirnormal.linalg.eig_pencil`, whitening by ``diag(L^-1, 1)``
+    for the fit's one factor ``A = L L'``.  Instances are immutable after
     construction and safe to share across workers.
     """
 
@@ -147,20 +97,20 @@ class DirectionalEvaluator:
         self._slope = 0.0
         if fit.pencil_eigs is not None:
             self._mu = np.asarray(fit.pencil_eigs)  # (k, p)
-            self._c2 = np.zeros_like(self._mu)
         else:
-            bs = [s.ybar - mu0 for s, mu0 in zip(fit.summaries, fit.mu0)]
-            mus, cs = zip(*(eig_pencil(a_chol_inv, s.mle_cov + np.outer(b, b), b)
-                            for s, b in zip(fit.summaries, bs)))
-            self._mu = np.array(mus)
-            self._c2 = np.array(cs) ** 2
+            corner = np.ones((1, 1))
+            factor = np.block([[a_chol_inv, np.zeros((p, 1))], [np.zeros((1, p)), corner]])
+            bs = [(s.ybar - mu0)[:, None] for s, mu0 in zip(fit.summaries, fit.mu0)]
+            self._mu = np.array([eig_pencil(factor, np.block([[s.mle_cov + b @ b.T, b], [b.T, corner]]))
+                                 for s, b in zip(fit.summaries, bs)])  # (k, p + 1)
+            # group g's row of mu sums to 1 + tr(A^-1 M_g)
             self._slope = 0.5 * sum(
-                s.n * (p - float(np.sum(mu))) for s, mu in zip(fit.summaries, self._mu)
+                s.n * (p + 1 - float(np.sum(mu))) for s, mu in zip(fit.summaries, self._mu)
             )
-        self._rank_one = bool(np.any(self._c2 > 0.0))
         self._mu_minus_one = self._mu - 1.0
         self._offset = float(self._weights.sum()) * log_det_a
-        self.t_sup = _feasible_sup(self._mu, self._c2)[0]
+        mu_min = float(self._mu.min())
+        self.t_sup = 1.0 / (1.0 - mu_min) if mu_min < 1.0 - 1e-12 else math.inf
 
     # -- log-integrand and its derivatives -----------------------------------
 
@@ -172,16 +122,11 @@ class DirectionalEvaluator:
         """
         t_arr = np.asarray(t, dtype=float)
         tv = t_arr.reshape(-1)
-        f = 1.0 - tv[:, None, None] + tv[:, None, None] * self._mu  # (m, k, p)
+        f = 1.0 - tv[:, None, None] + tv[:, None, None] * self._mu  # (m, k, p) or (m, k, p + 1)
         ok = tv >= 0.0 if self.d == 1 else tv > 0.0
         ok &= np.all(f > 0.0, axis=(1, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.sum(np.log(f), axis=2)  # (m, k)
-            if self._rank_one:
-                r = 1.0 - tv[:, None] ** 2 * np.sum(self._c2 / f, axis=2)
-                logs += np.log(r)
-                ok &= np.all(r > 0.0, axis=1)
-            vals = logs @ self._weights + self._offset + self._slope * tv
+            vals = np.sum(np.log(f), axis=2) @ self._weights + self._offset + self._slope * tv
             if self.d > 1:
                 vals += (self.d - 1) * np.log(tv)
         out = np.where(ok, vals, -math.inf)
@@ -190,23 +135,14 @@ class DirectionalEvaluator:
     def slope_and_curvature(self, t: float) -> tuple[float, float]:
         """Closed-form first and second derivatives of ``log_gbar`` at ``t``.
 
-        With ``x_j = (mu_j - 1) / f_j`` the linear factors add ``sum x_j`` and
-        ``-sum x_j**2``.  With ``s = t**2 sum c_j**2 / f_j`` the rank-one
-        factor is ``1 - s``, ``s' = t sum c_j**2 (1 + f_j) / f_j**2`` and
-        ``s'' = 2 sum c_j**2 / f_j**3``; it adds ``-s' / (1 - s)`` and
-        ``-(s'' / (1 - s) + (s' / (1 - s))**2)``.
+        With ``x_j = (mu_j - 1) / f_j`` each group's factors add ``sum x_j``
+        and ``-sum x_j**2``.
         """
         t = float(t)
         f = 1.0 - t + t * self._mu
         x = self._mu_minus_one / f
         slope = np.sum(x, axis=1)
         curv = np.sum(x * x, axis=1)
-        if self._rank_one:
-            c2f = self._c2 / f
-            r = 1.0 - t * t * np.sum(c2f, axis=1)
-            q = t * np.sum(c2f * (1.0 + f) / f, axis=1) / r
-            slope = slope - q
-            curv = curv + 2.0 * np.sum(c2f / (f * f), axis=1) / r + q * q
         return (float((self.d - 1) / t + self._slope + self._weights @ slope),
                 float(-(self.d - 1) / (t * t) - self._weights @ curv))
 

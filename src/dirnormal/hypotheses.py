@@ -93,6 +93,11 @@ class Hypothesis:
         (s,) = summaries
         return self.covariance(s.mle_cov), (s.ybar,)
 
+    def a_factor(self, a: np.ndarray) -> tuple[np.ndarray, float]:
+        """``(L^-1, log det A)`` for the Cholesky factor ``A = L L'`` of the
+        constrained covariance that :meth:`estimates` gave."""
+        return inv_cholesky(a)
+
     def lrt(self, fit: ConstrainedFit) -> float:
         """Likelihood ratio statistic reported for the hypothesis.
 
@@ -198,14 +203,16 @@ class SpecifiedMeanCov(Hypothesis):
     """Fully specified mean vector and concentration matrix.
 
     ``lambda0`` is the *concentration* under the null, not the covariance.
-    Its inverse, the constrained covariance of every fit, is computed once
-    per hypothesis, which raises ``NotPositiveDefiniteError`` for a
-    ``lambda0`` that is not positive definite.
+    Its inverse, the constrained covariance of every fit, and that
+    inverse's factor are computed once per hypothesis, which raises
+    ``NotPositiveDefiniteError`` for a ``lambda0`` that is not positive
+    definite.
     """
 
     mu0: np.ndarray
     lambda0: np.ndarray
     cov0: np.ndarray = field(init=False, repr=False)
+    cov0_factor: tuple[np.ndarray, float] = field(init=False, repr=False)
     tag = "c5"
     free_mean = False
 
@@ -216,7 +223,11 @@ class SpecifiedMeanCov(Hypothesis):
             raise DimensionError("lambda0 must be p x p with p = len(mu0)")
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "lambda0", symmetrize(lambda0))
-        object.__setattr__(self, "cov0", inv_spd(self.lambda0))
+        cov0 = inv_spd(self.lambda0)
+        factor = inv_cholesky(cov0)
+        cov0.flags.writeable = factor[0].flags.writeable = False  # every fit shares them
+        object.__setattr__(self, "cov0", cov0)
+        object.__setattr__(self, "cov0_factor", factor)
 
     def degrees_of_freedom(self, p: int, k: int = 1) -> int:
         return p * (p + 3) // 2
@@ -226,6 +237,9 @@ class SpecifiedMeanCov(Hypothesis):
         if self.mu0.shape[0] != s.p:
             raise DimensionError(f"hypothesis is {self.mu0.shape[0]}-dimensional, data has p={s.p}")
         return self.cov0, (self.mu0,)
+
+    def a_factor(self, a: np.ndarray) -> tuple[np.ndarray, float]:
+        return self.cov0_factor
 
     def lrt(self, fit: ConstrainedFit) -> float:
         """``fit.plain_w`` plus ``log det V - log det A``:
@@ -524,7 +538,7 @@ def constrained_mle(hypothesis: Hypothesis, summaries: Sequence[SampleSummary]) 
             raise NotPositiveDefiniteError("sample covariance is singular: the unconstrained MLE does not exist")
     lambda0_inv, mu0 = hypothesis.estimates(summaries)
     try:
-        a_factor = inv_cholesky(lambda0_inv)
+        a_factor = hypothesis.a_factor(lambda0_inv)
     except NotPositiveDefiniteError:
         raise NotPositiveDefiniteError("constrained covariance estimate is not positive definite") from None
     return ConstrainedFit(hypothesis=hypothesis, summaries=summaries, lambda0_inv=lambda0_inv, mu0=mu0, d=d,

@@ -89,7 +89,7 @@ def inv_cholesky(m: np.ndarray) -> tuple[np.ndarray, float]:
     return ell_inv, cholesky_log_det(ell)
 
 
-def eig_pencil(a_chol_inv: np.ndarray, m: np.ndarray, b: np.ndarray | None = None):
+def eig_pencil(a_chol_inv: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Eigenvalues of the ``(A, m)`` pencil, i.e. of ``inv(A) @ m``, ascending.
 
     ``a_chol_inv`` is ``L^-1`` for the Cholesky factor ``A = L L'`` (see
@@ -98,15 +98,8 @@ def eig_pencil(a_chol_inv: np.ndarray, m: np.ndarray, b: np.ndarray | None = Non
     similar to the symmetric matrix ``L^-1 @ m @ L^-T``, so the eigenvalues
     are real and positive and no nonsymmetric eigensolver is needed.  They
     are invariant under a simultaneous congruence of ``A`` and ``m``.
-
-    Given a vector ``b``, returns ``(mu, c)`` with ``c = Q' L^-1 b`` for the
-    eigenvectors ``Q`` of that symmetric matrix.
     """
-    sym = symmetrize(a_chol_inv @ m @ a_chol_inv.T)
     try:
-        if b is None:
-            return np.linalg.eigvalsh(sym)
-        mu, q = np.linalg.eigh(sym)
+        return np.linalg.eigvalsh(symmetrize(a_chol_inv @ m @ a_chol_inv.T))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvalsh rarely fails
         raise NotPositiveDefiniteError(str(exc)) from exc
-    return mu, q.T @ (a_chol_inv @ b)

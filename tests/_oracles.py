@@ -346,7 +346,7 @@ def quad_pvalue(fit) -> float:
     ``integration_cap`` with the engine, not its interval or its rule."""
     ev = DirectionalEvaluator(fit)
     cap = ev.integration_cap()
-    t_hat = brentq_peak(ev, cap)
+    t_hat = brentq_peak(fit, cap)
     g_hat = ev.log_gbar(t_hat)
 
     def f(t):
@@ -357,33 +357,97 @@ def quad_pvalue(fit) -> float:
     return upper / (lower + upper)
 
 
-# -- the peak search, interval and integrand the engine replaced ---------------
+# -- the representation, peak search and interval the engine replaced --------
 
 _EPS = np.finfo(float).eps
 
 
-def _loop_derivative(t: float, ev) -> float:
-    """First derivative of ``log_gbar`` with the rank-one term computed
-    whatever ``c``."""
-    f = 1.0 - t + t * ev._mu
-    linear = np.sum((ev._mu - 1.0) / f, axis=1)
-    r = 1.0 - t * t * np.sum(ev._c2 / f, axis=1)
-    s1 = t * np.sum(ev._c2 * (1.0 + f) / f**2, axis=1)
-    return float((ev.d - 1) / t + ev._slope + ev._weights @ (linear - s1 / r))
+@dataclass(frozen=True, eq=False)
+class RankOneForm:
+    """The log-integrand by the matrix determinant lemma.
+
+    Group ``g``'s tilted covariance is ``(1 - t) A + t M_g - t**2 b_g b_g'``.
+    With ``mu`` (k, p) the eigenvalues of the ``(A, M_g)`` pencil and
+    ``c = Q' L^-1 b_g`` for its eigenvectors ``Q`` and ``A = L L'``,
+
+        ``log det = log det A + sum log f_j + log(1 - t**2 sum c_j**2 / f_j)``
+
+    with ``f_j = 1 - t + t mu_j``.  ``c2`` holds the ``c_j**2``.
+    """
+
+    mu: np.ndarray
+    c2: np.ndarray
+    weights: np.ndarray
+    offset: float
+    slope: float
+    d: int
+
+    def log_gbar(self, t):
+        """Log radial integrand up to the engine's additive constant, with
+        the rank-one factor computed whatever ``c``; ``-inf`` outside the
+        positive definite range."""
+        t_arr = np.asarray(t, dtype=float)
+        tv = t_arr.reshape(-1)
+        f = 1.0 - tv[:, None, None] + tv[:, None, None] * self.mu
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = 1.0 - tv[:, None] ** 2 * np.sum(self.c2 / f, axis=2)
+            logs = np.sum(np.log(f), axis=2) + np.log(r)
+            vals = logs @ self.weights + self.offset + self.slope * tv
+            if self.d > 1:
+                vals += (self.d - 1) * np.log(tv)
+        ok = tv >= 0.0 if self.d == 1 else tv > 0.0
+        ok &= np.all(f > 0.0, axis=(1, 2)) & np.all(r > 0.0, axis=1)
+        out = np.where(ok, vals, -math.inf)
+        return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+
+    def derivative(self, t: float) -> float:
+        """First derivative of :meth:`log_gbar` at ``t``."""
+        f = 1.0 - t + t * self.mu
+        linear = np.sum((self.mu - 1.0) / f, axis=1)
+        r = 1.0 - t * t * np.sum(self.c2 / f, axis=1)
+        s1 = t * np.sum(self.c2 * (1.0 + f) / f**2, axis=1)
+        return float((self.d - 1) / t + self.slope + self.weights @ (linear - s1 / r))
 
 
-def brentq_peak(ev, t_cap: float) -> float:
-    """Maximizer of ``log_gbar`` on ``[1e-9, t_cap (1 - 1e-9)]`` by the
-    endpoint rules, then ``brentq`` on the derivative to a few ulps."""
+def rank_one_form(fit) -> RankOneForm:
+    """:class:`RankOneForm` of the fit, each group's pencil solved with its
+    eigenvectors by ``np.linalg.eigh``.  A linear path (every ``b_g = 0``)
+    gets the fit's ``pencil_eigs``, ``c = 0`` and the engine's slope 0."""
+    p = fit.p
+    weights = np.array([0.5 * (s.n - p - 2) for s in fit.summaries])
+    ell_inv, log_det_a = fit.a_factor
+    if fit.pencil_eigs is not None:
+        mu = np.asarray(fit.pencil_eigs)
+        c2 = np.zeros_like(mu)
+        slope = 0.0
+    else:
+        mus, cs = [], []
+        for s, mu0 in zip(fit.summaries, fit.mu0):
+            b = s.ybar - mu0
+            vals, q = np.linalg.eigh(symmetrize(ell_inv @ (s.mle_cov + np.outer(b, b)) @ ell_inv.T))
+            mus.append(vals)
+            cs.append(q.T @ (ell_inv @ b))
+        mu, c2 = np.array(mus), np.array(cs) ** 2
+        slope = 0.5 * sum(s.n * (p - float(np.sum(m))) for s, m in zip(fit.summaries, mu))
+    return RankOneForm(mu=mu, c2=c2, weights=weights, offset=float(weights.sum()) * log_det_a,
+                       slope=slope, d=fit.d)
+
+
+def brentq_peak(fit, t_cap: float) -> float:
+    """Maximizer of the fit's log-integrand on ``[1e-9, t_cap (1 - 1e-9)]``
+    by the endpoint rules, then ``brentq`` on the derivative of its
+    :func:`rank_one_form` to a few ulps."""
+    derivative = rank_one_form(fit).derivative
     lo, hi = 1e-9, t_cap * (1.0 - 1e-9)
-    if _loop_derivative(hi, ev) >= 0.0:
+    if derivative(hi) >= 0.0:
         return hi
-    if _loop_derivative(lo, ev) <= 0.0:
+    if derivative(lo) <= 0.0:
         return lo
-    return brentq(_loop_derivative, lo, hi, args=(ev,), xtol=_EPS * lo, rtol=4 * _EPS)
+    return brentq(derivative, lo, hi, xtol=_EPS * lo, rtol=4 * _EPS)
 
 
-_TSUP_HUGE = 1e8
+# Roots of the rank-one margin past this read as an unbounded range.
+TSUP_HORIZON = 1e8
 
 
 def _rank_one_margin(t: float, mu: np.ndarray, c2: np.ndarray) -> float:
@@ -396,31 +460,25 @@ def _rank_one_margin(t: float, mu: np.ndarray, c2: np.ndarray) -> float:
     return float(np.min(1.0 - t * t * np.sum(c2 / f, axis=1)))
 
 
-def brentq_feasible_sup(mu: np.ndarray, c2: np.ndarray) -> tuple[float, int]:
-    """End of the positive definite range by ``brentq`` on the smallest
-    rank-one factor, and the number of factor evaluations: ``t_lin`` when
-    the factor outlasts the linear ones, infinite when it is still positive
-    at the first power of two past ``_TSUP_HUGE``."""
-    calls = []
-
-    def margin(t):
-        calls.append(t)
-        return _rank_one_margin(t, mu, c2)
-
+def brentq_feasible_sup(mu: np.ndarray, c2: np.ndarray) -> float:
+    """End of the positive definite range of a :class:`RankOneForm` by
+    ``brentq`` on the smallest rank-one factor: ``t_lin`` when the factor
+    outlasts the linear ones, infinite when it is still positive at the
+    first power of two past ``TSUP_HORIZON``."""
     nu_min = float(mu.min())
     t_lin = 1.0 / (1.0 - nu_min) if nu_min < 1.0 - 1e-12 else math.inf
     if not np.any(c2 > 0.0):
-        return t_lin, 0
+        return t_lin
     hi = t_lin
     if not math.isfinite(hi):
         hi = 2.0
-        while margin(hi) > 0.0:
+        while _rank_one_margin(hi, mu, c2) > 0.0:
             hi *= 2.0
-            if hi > _TSUP_HUGE:
-                return math.inf, len(calls)
-    elif margin(hi) > 0.0:
-        return hi, len(calls)
-    return brentq(margin, 0.0, hi, xtol=1e-14, rtol=4 * _EPS), len(calls)
+            if hi > TSUP_HORIZON:
+                return math.inf
+    elif _rank_one_margin(hi, mu, c2) > 0.0:
+        return hi
+    return brentq(_rank_one_margin, 0.0, hi, args=(mu, c2), xtol=1e-14, rtol=4 * _EPS)
 
 
 def _widen(ev, t_hat: float, g_hat: float, start: float, lower: bool, bound: float) -> float:
@@ -444,24 +502,6 @@ def doubling_interval(ev, t_hat: float, curvature_at_t_hat: float, halfwidth: fl
     t_min = _widen(ev, t_hat, g_hat, halfwidth * sigma, lower=True, bound=0.0)
     t_max = _widen(ev, t_hat, g_hat, halfwidth * sigma, lower=False, bound=t_cap)
     return min(t_min, 1.0), max(t_max, min(1.0, t_cap))
-
-
-def log_gbar_with_rank_one(ev, t):
-    """``log_gbar`` with the rank-one factor ``log(1 - t**2 sum c**2 / f)``
-    computed whatever ``c``."""
-    t_arr = np.asarray(t, dtype=float)
-    tv = t_arr.reshape(-1)
-    f = 1.0 - tv[:, None, None] + tv[:, None, None] * ev._mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = 1.0 - tv[:, None] ** 2 * np.sum(ev._c2 / f, axis=2)
-        logs = np.sum(np.log(f), axis=2) + np.log(r)
-        vals = logs @ ev._weights + ev._offset + ev._slope * tv
-        if ev.d > 1:
-            vals += (ev.d - 1) * np.log(tv)
-    ok = tv >= 0.0 if ev.d == 1 else tv > 0.0
-    ok &= np.all(f > 0.0, axis=(1, 2)) & np.all(r > 0.0, axis=1)
-    out = np.where(ok, vals, -math.inf)
-    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def maximize_loglik_moment(summary, constrain_diag: bool = False) -> float:

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from dirnormal.core import sample_mvn
 from dirnormal.exceptions import NotPositiveDefiniteError
-from dirnormal.directional import DirectionalEvaluator, _feasible_sup, directional_pvalue, integration_interval
+from dirnormal.directional import DirectionalEvaluator, directional_pvalue, integration_interval
 from dirnormal.hypotheses import (
     HYPOTHESES,
     BlockIndependence,
@@ -28,14 +28,15 @@ from dirnormal.linalg import is_positive_definite, log_det_spd
 from dirnormal.simulation import ScenarioSpec, generate_scenario, hypothesis_for, ks_uniformity
 
 from _oracles import (
+    TSUP_HORIZON,
     brentq_feasible_sup,
     brentq_peak,
     doubling_interval,
     feasible_sup_scan,
-    log_gbar_with_rank_one,
     path_estimates,
     quad_integral,
     quad_pvalue,
+    rank_one_form,
     second_moment,
     trapezoid_pvalue,
 )
@@ -100,9 +101,9 @@ def _edge_fits():
 
 
 class TestAgainstReplacedSearches:
-    """The Newton peak search, the one-call interval and the rank-one skip
-    against the brentq search, the doubling loop and the full integrand
-    they replaced (tests/_oracles.py)."""
+    """The Newton peak search, the one-call interval and the one pencil
+    form against the brentq search, the doubling loop and the rank-one
+    form they replaced (tests/_oracles.py)."""
 
     def test_edge_fits_cover_the_regimes(self):
         fits = [fit for _, fit in _edge_fits()]
@@ -117,7 +118,7 @@ class TestAgainstReplacedSearches:
             ev = DirectionalEvaluator(fit)
             cap = ev.integration_cap()
             t_hat, evals = ev.maximize(cap)
-            assert t_hat == pytest.approx(brentq_peak(ev, cap), rel=1e-12), label
+            assert t_hat == pytest.approx(brentq_peak(fit, cap), rel=1e-12), label
             assert 1 <= evals <= 10, label
 
     def test_one_call_interval_equals_doubling_loop(self):
@@ -133,17 +134,18 @@ class TestAgainstReplacedSearches:
                 assert got == doubling_interval(ev, t_hat, curv, halfwidth, cap), (label, halfwidth)
 
     def test_linear_path_skips_rank_one_bitwise(self):
+        # on a linear path the rank-one factor is log 1 = 0 exactly
         linear = 0
         for label, fit in _edge_fits():
             if fit.pencil_eigs is None:
                 continue
             linear += 1
-            ev = DirectionalEvaluator(fit)
+            ev, form = DirectionalEvaluator(fit), rank_one_form(fit)
             cap = ev.integration_cap()
             ts = np.concatenate([np.linspace(-0.5, 1.5 * cap, 997), [0.0, 1.0, cap]])
-            assert ev.log_gbar(ts).tobytes() == log_gbar_with_rank_one(ev, ts).tobytes(), label
+            assert ev.log_gbar(ts).tobytes() == form.log_gbar(ts).tobytes(), label
             for t in (0.0, 0.5, 1.0, cap):
-                assert ev.log_gbar(t) == log_gbar_with_rank_one(ev, t), label
+                assert ev.log_gbar(t) == form.log_gbar(t), label
         assert linear >= 15
 
 
@@ -209,7 +211,7 @@ def _quadratic_path_fits():
     moderate n, at ``n = p + 2``, at ``p = 1``, with ``t_sup`` just above 1,
     and c5 fits whose rank-one coordinate is 0 at the smallest pencil
     eigenvalue (the rank-one factor ending just before ``t_lin``, or
-    outlasting it) or whose root lies past ``1e8``."""
+    outlasting it) or whose root lies past ``TSUP_HORIZON``."""
     c5 = SpecifiedMeanCov
     out = []
     for i, (name, hyp, n, p) in enumerate([
@@ -235,47 +237,39 @@ def _quadratic_path_fits():
     return out
 
 
-class TestTSupNewton:
-    """The Newton search for ``t_sup`` against the ``brentq`` search it
-    replaced (tests/_oracles.py)."""
-
-    # Evaluations of the Newton search, at most; the most seen on 13,766
-    # c3 and c5 fits with p up to 90 was 22.
-    MAX_EVALS = 25
+class TestTSupRankOneMargin:
+    """``t_sup`` from the bordered pencil's eigenvalues against the
+    ``brentq`` root of the rank-one margin (tests/_oracles.py)."""
 
     def test_fits_cover_the_regimes(self):
         fits = _quadratic_path_fits()
-        evs = [DirectionalEvaluator(fit) for _, fit in fits]
         assert all(fit.pencil_eigs is None for _, fit in fits)
         assert {fit.k for _, fit in fits} == {1, 2, 3}
         assert min(fit.p for _, fit in fits) == 1
         assert any(min(s.n for s in fit.summaries) == fit.p + 2 for _, fit in fits)
-        sups = [ev.t_sup for ev in evs]
+        forms = [rank_one_form(fit) for _, fit in fits]
+        sups = [brentq_feasible_sup(form.mu, form.c2) for form in forms]
+        lins = [1.0 / (1.0 - m) if m < 1.0 else math.inf for m in (float(form.mu.min()) for form in forms)]
         assert min(sups) < 1.0 + 1e-6 and math.inf in sups
-        lins = [1.0 / (1.0 - m) if m < 1.0 else math.inf for m in (float(ev._mu.min()) for ev in evs)]
-        # ranges ended by the linear factors, and by the rank-one factor
-        # short of a finite and of an infinite t_lin
-        assert any(t == lin for t, lin in zip(sups, lins) if math.isfinite(lin))
-        assert any(t < lin for t, lin in zip(sups, lins) if math.isfinite(lin))
+        # ranges ended by the linear factors (brentq stops a rounding short
+        # of t_lin), and by the rank-one factor short of a finite and of an
+        # infinite t_lin
+        assert any(t == pytest.approx(lin, rel=1e-13) for t, lin in zip(sups, lins) if math.isfinite(lin))
+        assert any(t < (1.0 - 1e-6) * lin for t, lin in zip(sups, lins) if math.isfinite(lin))
         assert any(math.isfinite(t) for t, lin in zip(sups, lins) if math.isinf(lin))
-        zero = [ev._c2[0, np.argmin(ev._mu[0])] == 0.0 for ev in evs[-3:-1]]
-        assert all(zero)
+        assert all(form.c2[0, np.argmin(form.mu[0])] == 0.0 for form in forms[-3:-1])
 
-    def test_matches_brentq_search_in_fewer_evaluations(self):
-        ours, theirs = 0, 0
+    def test_matches_brentq_search(self):
         for label, fit in _quadratic_path_fits():
-            ev = DirectionalEvaluator(fit)
-            got, evals = _feasible_sup(ev._mu, ev._c2)
-            want, oracle_evals = brentq_feasible_sup(ev._mu, ev._c2)
-            assert got == ev.t_sup, label
+            got = DirectionalEvaluator(fit).t_sup
+            form = rank_one_form(fit)
+            want = brentq_feasible_sup(form.mu, form.c2)
             if math.isinf(want):
-                assert got == want, label
+                # a root past the oracle's horizon, which the bordered
+                # pencil's smallest eigenvalue places there too, finite
+                assert TSUP_HORIZON < got < math.inf, label
             else:
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0), label
-            assert 1 <= evals <= self.MAX_EVALS, label
-            ours += evals
-            theirs += oracle_evals
-        assert ours < 0.6 * theirs
 
 
 def _assert_brackets_feasibility(fit):
@@ -317,9 +311,13 @@ class TestLogGbar:
     @pytest.mark.parametrize("hyp, n, p", [
         (SpecifiedMeanCov(np.zeros(5), np.eye(5)), 25, 5),
         (EqualDistributions(), (12, 15, 20), 4),
+        (SpecifiedMeanCov(np.zeros(1), np.eye(1)), 8, 1),
+        (EqualDistributions(), (3, 5), 1),
+        (SpecifiedMeanCov(np.zeros(5), np.eye(5)), 7, 5),  # n = p + 2
+        (EqualDistributions(), (6, 6, 6), 4),  # n = p + 2
     ])
     def test_rank_one_form_matches_direct_determinant(self, hyp, n, p):
-        # determinant-lemma evaluation against a per-t factorization of the
+        # bordered-pencil evaluation against a per-t factorization of the
         # quadratic path
         fit = _sampled_fit(hyp, n, p, seed=80, shift=0.3)
         ev = DirectionalEvaluator(fit)
@@ -334,6 +332,26 @@ class TestLogGbar:
                 0.5 * (s.n - p - 2) * log_det_spd(m) for s, m in zip(fit.summaries, direct)
             )
             assert ev.log_gbar(t) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("hyp, n, p", [
+        (EqualDistributions(), (15, 18), 3),
+        (EqualDistributions(), (12, 15, 18), 4),
+        (SpecifiedMeanCov(np.zeros(4), np.eye(4)), 20, 4),
+    ])
+    def test_quadratic_path_takes_eigenvalues_only(self, monkeypatch, hyp, n, p):
+        # one eigvalsh per group for the bordered pencil, no eigenvectors
+        fit = _sampled_fit(hyp, n, p, seed=82, shift=0.3)
+        directional_pvalue(fit)  # caches the Gauss-Legendre nodes, an eigenproblem too
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def forbidden(*args):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        directional_pvalue(fit)
+        assert len(calls) == fit.k
 
     def test_identical_groups_symmetric_contributions(self):
         rng = np.random.default_rng(67)

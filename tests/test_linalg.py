@@ -20,9 +20,9 @@ def random_spd(rng, p, jitter=0.5):
     return symmetrize(a.T @ a / (p + 3) + jitter * np.eye(p))
 
 
-def pencil(a, m, b=None):
+def pencil(a, m):
     """Eigenvalues of the ``(a, m)`` pencil from a fresh factor of ``a``."""
-    return eig_pencil(inv_cholesky(a)[0], m, b)
+    return eig_pencil(inv_cholesky(a)[0], m)
 
 
 class TestLogDetSpd:
@@ -115,13 +115,15 @@ class TestEigPencil:
         assert np.all(nu > 0)
         assert np.all(np.diff(nu) >= 0)
 
-    def test_rank_one_coordinates_satisfy_determinant_lemma(self):
-        # log det(M - b b') - log det A = sum log mu + log(1 - sum c^2 / mu)
+    def test_bordered_pencil_satisfies_determinant_identity(self):
+        # the unit corner of [[V + b b', b], [b', 1]] leaves the Schur
+        # complement V, so its pencil with diag(A, 1) has
+        # sum log mu = log det V - log det A
         rng = np.random.default_rng(38)
+        one = np.ones((1, 1))
         for p in (1, 3, 8):
             a, v = random_spd(rng, p), random_spd(rng, p)
-            b = rng.standard_normal(p)
-            mu, c = pencil(a, v + np.outer(b, b), b)
-            np.testing.assert_allclose(mu, pencil(a, v + np.outer(b, b)), rtol=1e-12)
-            lemma = np.sum(np.log(mu)) + np.log(1.0 - np.sum(c**2 / mu))
-            assert lemma == pytest.approx(log_det_spd(v) - log_det_spd(a), abs=1e-12)
+            b = rng.standard_normal(p)[:, None]
+            diag_a_1 = np.block([[a, np.zeros_like(b)], [np.zeros_like(b.T), one]])
+            mu = pencil(diag_a_1, np.block([[v + b @ b.T, b], [b.T, one]]))
+            assert np.sum(np.log(mu)) == pytest.approx(log_det_spd(v) - log_det_spd(a), abs=1e-12)
