@@ -54,7 +54,7 @@ from .hypotheses import (
     fit_hypothesis,
     fit_zero_pattern,
 )
-from .linalg import eig_pencil, log_det_spd
+from .linalg import eig_pencil
 from .simulation import (
     Extreme,
     Local,

@@ -81,16 +81,16 @@ def skovgaard_log_gamma(fit: ConstrainedFit) -> float:
     # n/2 tr((G A^-1)^2) to the first and n/2 (b'V^-1 b + b'A^-1 b +
     # tr(V^-1 A) + tr(A^-1 V) - 2p) to the second (checked against the
     # assembled-matrix oracle in the test suite).
-    a = fit.lambda0_inv
-    a_inv, ld_a = fit.a_inv, fit.a_factor[1]
+    a, a_inv, ld_a = fit.a_factor.matrix, fit.a_factor.inv, fit.a_factor.log_det
     for s, mu in zip(fit.summaries, fit.mu0):
         b = s.ybar - mu
         ga = (s.mle_cov + np.outer(b, b) - a) @ a_inv
         b_a = float(b @ a_inv @ b)
         quad += s.n * b_a + 0.5 * s.n * float(np.sum(ga * ga.T))
-        traces = float(np.sum(s.cov_inv * a)) + float(np.sum(a_inv * s.mle_cov))
-        inner += 0.5 * s.n * (float(b @ s.cov_inv @ b) + b_a + traces - 2 * p)
-        logdet_ratio += 0.5 * (p + 2) * (ld_a - s.cov_log_det)
+        v_inv = s.cov_factor.inv
+        traces = float(np.sum(v_inv * a)) + float(np.sum(a_inv * s.mle_cov))
+        inner += 0.5 * s.n * (float(b @ v_inv @ b) + b_a + traces - 2 * p)
+        logdet_ratio += 0.5 * (p + 2) * (ld_a - s.cov_factor.log_det)
     if quad <= 0.0 or inner <= 0.0:
         raise DegenerateNullError("degenerate correction factor")
     d = fit.d

@@ -146,7 +146,7 @@ def run_test_command(args) -> int:
 def run_simulate_command(args) -> int:
     methods = _parse_methods(args.methods)
     sizes = tuple(int(s) for s in args.n.split(","))
-    n = sizes if HYPOTHESES[args.case].grouped else sizes[0]
+    n = sizes if HYPOTHESES[args.case].grouped or len(sizes) > 1 else sizes[0]
     if args.case == "pattern":
         raise DirnormalError("simulate supports the six named cases (c1..c6)")
     if args.alt == "null":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NonFiniteError
-from .linalg import cholesky_log_det, inv_from_cholesky, log_det_spd, spd_cholesky, symmetrize
+from .linalg import SpdFactor, symmetrize
 
 __all__ = [
     "SampleSummary",
@@ -51,20 +51,10 @@ class SampleSummary:
     mle_cov: np.ndarray
 
     @functools.cached_property
-    def cov_cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor of ``mle_cov``, the one factorization that
-        every reader of the summary shares, computed on first use."""
-        return spd_cholesky(self.mle_cov)
-
-    @functools.cached_property
-    def cov_log_det(self) -> float:
-        """``log det mle_cov`` from :attr:`cov_cholesky`."""
-        return cholesky_log_det(self.cov_cholesky)
-
-    @functools.cached_property
-    def cov_inv(self) -> np.ndarray:
-        """Inverse of ``mle_cov`` from :attr:`cov_cholesky`."""
-        return inv_from_cholesky(self.cov_cholesky)
+    def cov_factor(self) -> SpdFactor:
+        """Cholesky factor of ``mle_cov``, the one factorization that every
+        reader of the summary shares, computed on first use."""
+        return SpdFactor(self.mle_cov)
 
 
 def check_estimate_exists(n: int, p: int) -> None:
@@ -119,7 +109,7 @@ def info_log_det(concentration: np.ndarray, n: int) -> float:
     lam = np.asarray(concentration, dtype=float)
     p = lam.shape[0]
     return float(
-        0.5 * p * (p + 3) * np.log(n) - p * np.log(2.0) - (p + 2) * log_det_spd(lam)
+        0.5 * p * (p + 3) * np.log(n) - p * np.log(2.0) - (p + 2) * SpdFactor(lam).log_det
     )
 
 
@@ -139,5 +129,5 @@ def sample_mvn(mu: np.ndarray, cov: np.ndarray, n: int, seed) -> np.ndarray:
     """Draw ``n`` i.i.d. ``N_p(mu, cov)`` rows, deterministic given ``seed``
     (see :func:`sample_groups`)."""
     mu = np.asarray(mu, dtype=float)
-    (y,) = sample_groups([(mu, spd_cholesky(np.asarray(cov, dtype=float)))], [n], seed)
+    (y,) = sample_groups([(mu, SpdFactor(np.asarray(cov, dtype=float)).chol)], [n], seed)
     return y

@@ -89,7 +89,6 @@ class DirectionalEvaluator:
         self.d = fit.d
         p = fit.p
         self._weights = np.array([0.5 * (s.n - p - 2) for s in fit.summaries])
-        a_chol_inv, log_det_a = fit.a_factor
         # Linear term of the exponent: 0.5 sum_g n_g (p - tr(A^-1 M_g)).  It
         # vanishes wherever the null estimates the scale (the score equation
         # of the fit), which every linear-path null does; there it is taken
@@ -99,7 +98,7 @@ class DirectionalEvaluator:
             self._mu = np.asarray(fit.pencil_eigs)  # (k, p)
         else:
             corner = np.ones((1, 1))
-            factor = np.block([[a_chol_inv, np.zeros((p, 1))], [np.zeros((1, p)), corner]])
+            factor = np.block([[fit.a_factor.chol_inv, np.zeros((p, 1))], [np.zeros((1, p)), corner]])
             bs = [(s.ybar - mu0)[:, None] for s, mu0 in zip(fit.summaries, fit.mu0)]
             self._mu = np.array([eig_pencil(factor, np.block([[s.mle_cov + b @ b.T, b], [b.T, corner]]))
                                  for s, b in zip(fit.summaries, bs)])  # (k, p + 1)
@@ -108,7 +107,7 @@ class DirectionalEvaluator:
                 s.n * (p + 1 - float(np.sum(mu))) for s, mu in zip(fit.summaries, self._mu)
             )
         self._mu_minus_one = self._mu - 1.0
-        self._offset = float(self._weights.sum()) * log_det_a
+        self._offset = float(self._weights.sum()) * fit.a_factor.log_det
         mu_min = float(self._mu.min())
         self.t_sup = 1.0 / (1.0 - mu_min) if mu_min < 1.0 - 1e-12 else math.inf
 

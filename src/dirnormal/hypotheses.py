@@ -42,9 +42,10 @@ from .core import SampleSummary, check_estimate_exists, summarize
 from .exceptions import (
     DimensionError,
     NoConvergenceError,
+    NonFiniteError,
     NotPositiveDefiniteError,
 )
-from .linalg import eig_pencil, inv_cholesky, inv_spd, is_positive_definite, symmetrize
+from .linalg import SpdFactor, eig_pencil, is_positive_definite, symmetrize
 
 __all__ = [
     "ProportionalIdentity",
@@ -83,20 +84,15 @@ class Hypothesis:
         """Number of constraints the hypothesis imposes on the free parameters."""
         raise NotImplementedError
 
-    def estimates(self, summaries) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Constrained covariance ``A``, shared by the groups, and the
-        constrained mean of each group.
+    def estimates(self, summaries) -> tuple[SpdFactor, tuple[np.ndarray, ...]]:
+        """Factor of the constrained covariance ``A``, shared by the groups,
+        and the constrained mean of each group.
 
         One-sample nulls keep the sample mean and constrain the sample
         covariance by their ``covariance`` method.
         """
         (s,) = summaries
-        return self.covariance(s.mle_cov), (s.ybar,)
-
-    def a_factor(self, a: np.ndarray) -> tuple[np.ndarray, float]:
-        """``(L^-1, log det A)`` for the Cholesky factor ``A = L L'`` of the
-        constrained covariance that :meth:`estimates` gave."""
-        return inv_cholesky(a)
+        return SpdFactor(self.covariance(s.mle_cov)), (s.ybar,)
 
     def lrt(self, fit: ConstrainedFit) -> float:
         """Likelihood ratio statistic reported for the hypothesis.
@@ -169,7 +165,7 @@ class EqualDistributions(Hypothesis):
         n = sum(s.n for s in summaries)
         ybar = sum(s.n * s.ybar for s in summaries) / n
         scatter = sum(s.n * s.mle_cov + s.n * np.outer(s.ybar - ybar, s.ybar - ybar) for s in summaries)
-        return symmetrize(scatter / n), tuple(ybar for _ in summaries)
+        return SpdFactor(symmetrize(scatter / n)), tuple(ybar for _ in summaries)
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ class EqualCovariances(Hypothesis):
 
     def estimates(self, summaries):
         n = sum(s.n for s in summaries)
-        return symmetrize(sum(s.n * s.mle_cov for s in summaries) / n), tuple(s.ybar for s in summaries)
+        return SpdFactor(symmetrize(sum(s.n * s.mle_cov for s in summaries) / n)), tuple(s.ybar for s in summaries)
 
     def lrt(self, fit: ConstrainedFit) -> float:
         """Pooled variant with divisors ``n_g - 1`` and ``n - k``, the form
@@ -193,8 +189,8 @@ class EqualCovariances(Hypothesis):
         ``V_g n_g / (n_g - 1)``, so both log-determinants follow from the
         factors the fit already holds."""
         n, p = fit.n_total, fit.p
-        ld0 = fit.a_factor[1] + p * np.log(n / (n - fit.k))
-        return float(sum((s.n - 1) * (ld0 - s.cov_log_det - p * np.log(s.n / (s.n - 1)))
+        ld0 = fit.a_factor.log_det + p * np.log(n / (n - fit.k))
+        return float(sum((s.n - 1) * (ld0 - s.cov_factor.log_det - p * np.log(s.n / (s.n - 1)))
                          for s in fit.summaries))
 
 
@@ -203,16 +199,15 @@ class SpecifiedMeanCov(Hypothesis):
     """Fully specified mean vector and concentration matrix.
 
     ``lambda0`` is the *concentration* under the null, not the covariance.
-    Its inverse, the constrained covariance of every fit, and that
-    inverse's factor are computed once per hypothesis, which raises
-    ``NotPositiveDefiniteError`` for a ``lambda0`` that is not positive
-    definite.
+    Its inverse, the constrained covariance of every fit, is factored once
+    per hypothesis (``cov0``), which raises ``NotPositiveDefiniteError``
+    for a ``lambda0`` that is not positive definite and
+    ``NonFiniteError`` for NaN or infinite entries of either parameter.
     """
 
     mu0: np.ndarray
     lambda0: np.ndarray
-    cov0: np.ndarray = field(init=False, repr=False)
-    cov0_factor: tuple[np.ndarray, float] = field(init=False, repr=False)
+    cov0: SpdFactor = field(init=False, repr=False)
     tag = "c5"
     free_mean = False
 
@@ -221,13 +216,15 @@ class SpecifiedMeanCov(Hypothesis):
         lambda0 = np.asarray(self.lambda0, dtype=float)
         if lambda0.shape != (mu0.shape[0], mu0.shape[0]):
             raise DimensionError("lambda0 must be p x p with p = len(mu0)")
+        for name, value in (("mu0", mu0), ("lambda0", lambda0)):
+            if not np.all(np.isfinite(value)):
+                raise NonFiniteError(f"{name} contains NaN or infinite entries")
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "lambda0", symmetrize(lambda0))
-        cov0 = inv_spd(self.lambda0)
-        factor = inv_cholesky(cov0)
-        cov0.flags.writeable = factor[0].flags.writeable = False  # every fit shares them
+        cov0 = SpdFactor(SpdFactor(self.lambda0).inv)
+        for m in (cov0.matrix, cov0.chol, cov0.chol_inv, cov0.inv):
+            m.flags.writeable = False  # every fit shares them
         object.__setattr__(self, "cov0", cov0)
-        object.__setattr__(self, "cov0_factor", factor)
 
     def degrees_of_freedom(self, p: int, k: int = 1) -> int:
         return p * (p + 3) // 2
@@ -238,9 +235,6 @@ class SpecifiedMeanCov(Hypothesis):
             raise DimensionError(f"hypothesis is {self.mu0.shape[0]}-dimensional, data has p={s.p}")
         return self.cov0, (self.mu0,)
 
-    def a_factor(self, a: np.ndarray) -> tuple[np.ndarray, float]:
-        return self.cov0_factor
-
     def lrt(self, fit: ConstrainedFit) -> float:
         """``fit.plain_w`` plus ``log det V - log det A``:
         ``-(n - 1) log det(A^-1 V) + n tr(A^-1 M) - n p`` with ``A`` the
@@ -250,7 +244,7 @@ class SpecifiedMeanCov(Hypothesis):
         degenerate, but its classical p-values are 1 (see
         ``classical_report``).
         """
-        return fit.plain_w + fit.summaries[0].cov_log_det - fit.a_factor[1]
+        return fit.plain_w + fit.summaries[0].cov_factor.log_det - fit.a_factor.log_det
 
 
 @dataclass(frozen=True)
@@ -336,25 +330,22 @@ class ConstrainedFit:
         The null being fitted.
     summaries : tuple of SampleSummary
         Per-group sufficient statistics (length 1 for one-sample cases).
-    lambda0_inv : ndarray
-        Constrained covariance estimate, shared across groups.
+    a_factor : SpdFactor
+        Factor of the constrained covariance ``A``, shared across groups:
+        the one factorization of ``A`` that the likelihood ratio statistic,
+        the correction factor, the pencil whitening of every group, the
+        directional integrand and the bootstrap draws share.
     mu0 : tuple of ndarray
         Per-group constrained mean estimates.
     d : int
         Degrees of freedom of the hypothesis.
-    a_factor : tuple of (ndarray, float)
-        ``(L^-1, log det A)`` for the Cholesky factor ``A = L L'`` of the
-        constrained covariance: the one factorization of ``A`` that the
-        likelihood ratio statistic, the pencil whitening of every group and
-        the directional integrand share.
     """
 
     hypothesis: Hypothesis
     summaries: tuple[SampleSummary, ...]
-    lambda0_inv: np.ndarray
+    a_factor: SpdFactor
     mu0: tuple[np.ndarray, ...]
     d: int
-    a_factor: tuple[np.ndarray, float]
 
     @functools.cached_property
     def plain_w(self) -> float:
@@ -364,12 +355,12 @@ class ConstrainedFit:
         the constrained covariance, ``V_g`` the group's covariance,
         ``M_g = V_g + b_g b_g'`` and ``b_g = ybar_g - mu0_g``.  The trace term
         is 0 by the score equation of every null but c5."""
-        a_inv, ld_a = self.a_inv, self.a_factor[1]
+        a_inv, ld_a = self.a_factor.inv, self.a_factor.log_det
         w = 0.0
         for s, mu in zip(self.summaries, self.mu0):
             b = s.ybar - mu
             trace = float(np.sum(a_inv * s.mle_cov)) + float(b @ a_inv @ b)
-            w += s.n * (ld_a - s.cov_log_det + trace - s.p)
+            w += s.n * (ld_a - s.cov_factor.log_det + trace - s.p)
         return w
 
     @functools.cached_property
@@ -382,19 +373,17 @@ class ConstrainedFit:
         return self.plain_w <= DEGENERATE_ROUNDING * self.n_total * self.p * _EPS
 
     @functools.cached_property
-    def a_inv(self) -> np.ndarray:
-        """Inverse of the constrained covariance from :attr:`a_factor`,
-        computed on first use."""
-        ell_inv = self.a_factor[0]
-        return symmetrize(ell_inv.T @ ell_inv)
-
-    @functools.cached_property
     def pencil_eigs(self) -> tuple[np.ndarray, ...] | None:
         """Per-group eigenvalues of the ``(A, V_g)`` pencil, computed on first
         use, for the nulls whose mean is free; ``None`` for the others."""
         if not self.hypothesis.free_mean:
             return None
-        return tuple(eig_pencil(self.a_factor[0], s.mle_cov) for s in self.summaries)
+        return tuple(eig_pencil(self.a_factor.chol_inv, s.mle_cov) for s in self.summaries)
+
+    @property
+    def lambda0_inv(self) -> np.ndarray:
+        """Constrained covariance estimate ``A``."""
+        return self.a_factor.matrix
 
     @property
     def k(self) -> int:
@@ -481,7 +470,7 @@ def _newton_logdet(x, target, rows, cols):
     half_ww = 0.5 * np.outer(w, w)
     t = target[rows, cols]
     for _ in range(_MAX_NEWTON_STEPS):
-        y = inv_spd(x)
+        y = SpdFactor(x).inv
         resid = t - y[rows, cols]
         root = np.sqrt(np.diag(y))
         if np.max(np.abs(resid) / (root[rows] * root[cols])) <= PATTERN_TOL:
@@ -531,18 +520,16 @@ def constrained_mle(hypothesis: Hypothesis, summaries: Sequence[SampleSummary]) 
     for s in summaries:
         check_estimate_exists(s.n, s.p)
         try:
-            singular = np.min(np.diag(s.cov_cholesky) ** 2 / np.diag(s.mle_cov)) <= _MIN_PIVOT_RATIO
+            singular = np.min(np.diag(s.cov_factor.chol) ** 2 / np.diag(s.mle_cov)) <= _MIN_PIVOT_RATIO
         except NotPositiveDefiniteError:  # no factor at all
             singular = True
         if singular:
             raise NotPositiveDefiniteError("sample covariance is singular: the unconstrained MLE does not exist")
-    lambda0_inv, mu0 = hypothesis.estimates(summaries)
     try:
-        a_factor = hypothesis.a_factor(lambda0_inv)
+        a_factor, mu0 = hypothesis.estimates(summaries)
     except NotPositiveDefiniteError:
         raise NotPositiveDefiniteError("constrained covariance estimate is not positive definite") from None
-    return ConstrainedFit(hypothesis=hypothesis, summaries=summaries, lambda0_inv=lambda0_inv, mu0=mu0, d=d,
-                          a_factor=a_factor)
+    return ConstrainedFit(hypothesis=hypothesis, summaries=summaries, a_factor=a_factor, mu0=mu0, d=d)
 
 
 def fit_hypothesis(hypothesis: Hypothesis, data) -> ConstrainedFit:

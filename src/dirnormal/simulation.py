@@ -21,6 +21,7 @@ from __future__ import annotations
 import atexit
 import functools
 import math
+import operator
 import os
 import threading
 import time
@@ -38,7 +39,7 @@ from .directional import directional_pvalue
 from .exceptions import DimensionError, InvalidScenarioError, NotPositiveDefiniteError
 from .hypotheses import (HYPOTHESES, BlockIndependence, ConstrainedFit, Hypothesis, SpecifiedMeanCov,
                          constrained_mle, fit_hypothesis)
-from .linalg import spd_cholesky
+from .linalg import SpdFactor
 
 __all__ = [
     "Null",
@@ -128,8 +129,10 @@ class ScenarioSpec:
                 raise InvalidScenarioError(f"case {self.case} needs at least two groups")
             sizes = self.n
         else:
-            if not isinstance(self.n, int):
-                raise InvalidScenarioError(f"case {self.case} takes a single sample size")
+            try:
+                object.__setattr__(self, "n", operator.index(self.n))
+            except TypeError:
+                raise InvalidScenarioError(f"case {self.case} takes a single sample size") from None
             sizes = (self.n,)
         for n_i in sizes:
             if n_i < self.p + 2:
@@ -298,7 +301,7 @@ def _scenario_factors(spec: ScenarioSpec) -> tuple[tuple[np.ndarray, np.ndarray]
     computed once per cell and read-only.  Raises ``InvalidScenarioError``
     for a covariance that is not positive definite."""
     try:
-        factors = tuple((mu, spd_cholesky(cov)) for mu, cov in scenario_params(spec))
+        factors = tuple((mu, SpdFactor(cov).chol) for mu, cov in scenario_params(spec))
     except NotPositiveDefiniteError as exc:
         raise InvalidScenarioError(f"scenario covariance is not positive definite: {exc}") from exc
     for mu, ell in factors:
@@ -517,7 +520,7 @@ def bartlett_bootstrap(fit: ConstrainedFit, reps: int, seed: int) -> float:
     ``seed``: draw ``b`` uses the stream ``(seed, 710, b)``.  Pass the result
     to ``classical_report(..., e_w_hat=...)``.
     """
-    ell = spd_cholesky(fit.lambda0_inv)  # the groups share the constrained covariance
+    ell = fit.a_factor.chol  # the groups share the constrained covariance
     return _mean_lrt(fit.hypothesis, [(mu, ell) for mu in fit.mu0],
                      [s.n for s in fit.summaries], (seed, 710), reps)
 

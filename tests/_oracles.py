@@ -16,17 +16,31 @@ from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import lapack
 from scipy.optimize import brentq, minimize
 
 from dirnormal.directional import ENDPOINT_DROP, DirectionalEvaluator
 from dirnormal.exceptions import NoConvergenceError, NotPositiveDefiniteError, ParseError
 from dirnormal.hypotheses import ZeroPattern
-from dirnormal.linalg import inv_spd, is_positive_definite, spd_cholesky, symmetrize
 
+# Nothing here comes from dirnormal.linalg: the oracles factor with numpy
+# and LAPACK directly, so a fault in the engine's factor cannot hide in them.
 try:
     trapezoid = np.trapezoid
 except AttributeError:  # numpy < 2
     trapezoid = np.trapz
+
+
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.T)
+
+
+def is_positive_definite(m: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @functools.lru_cache(maxsize=64)
@@ -129,8 +143,8 @@ def brute_log_gamma(fit) -> float:
     blocks_v, blocks_dphi, js_psi, js_hat = [], [], [], []
     for s, mu0 in zip(fit.summaries, fit.mu0):
         n = s.n
-        lam_hat = inv_spd(s.mle_cov)
-        lam0 = inv_spd(fit.lambda0_inv)
+        lam_hat = np.linalg.inv(s.mle_cov)
+        lam0 = np.linalg.inv(fit.lambda0_inv)
         xi_hat = lam_hat @ s.ybar
         xi_0 = lam0 @ mu0
         v_mean = n * (s.ybar - mu0)
@@ -238,7 +252,8 @@ def path_estimates(fit, t: float) -> PathPoint:
         b = s.ybar - mu
         bb = np.outer(b, b)
         cov = symmetrize((1.0 - t) * fit.lambda0_inv + t * (s.mle_cov + bb) - t * t * bb)
-        spd_cholesky(cov)
+        if not is_positive_definite(cov):
+            raise NotPositiveDefiniteError(f"tilted covariance at t={t} is not positive definite")
         covs.append(cov)
         mus.append(mu + t * b)
     return PathPoint(t=t, lambda_t_inv=tuple(covs), mu_t=tuple(mus))
@@ -415,7 +430,11 @@ def rank_one_form(fit) -> RankOneForm:
     gets the fit's ``pencil_eigs``, ``c = 0`` and the engine's slope 0."""
     p = fit.p
     weights = np.array([0.5 * (s.n - p - 2) for s in fit.summaries])
-    ell_inv, log_det_a = fit.a_factor
+    # the engine's arithmetic for L^-1 and log det A, so that a linear path
+    # compares bit for bit
+    ell = np.linalg.cholesky(fit.lambda0_inv)
+    ell_inv, _ = lapack.dtrtri(ell, lower=1)
+    log_det_a = float(2.0 * np.sum(np.log(np.diag(ell))))
     if fit.pencil_eigs is not None:
         mu = np.asarray(fit.pencil_eigs)
         c2 = np.zeros_like(mu)
@@ -586,8 +605,8 @@ def ips_zero_pattern(mle_cov: np.ndarray, zero_pairs, tol: float = 1e-9, max_swe
 
     conc = symmetrize(conc)
     conc[zero] = 0.0
-    out = inv_spd(conc)
-    if not is_positive_definite(out):  # pragma: no cover - guarded by inv_spd
+    out = symmetrize(np.linalg.inv(conc))
+    if not is_positive_definite(out):  # pragma: no cover - the sweeps keep conc positive definite
         raise NotPositiveDefiniteError("zero-pattern fit is not positive definite")
     return out
 

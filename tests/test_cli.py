@@ -378,6 +378,20 @@ class TestTestCommand:
         assert code == 0
         assert json.loads(out.read_text())["d"] == 5
 
+    @pytest.mark.parametrize("methods", ["lrt,sko1", "dt,lrt"])
+    @pytest.mark.parametrize("where, cell", [("mu0", "nan"), ("mu0", "inf"), ("lambda0", "nan")])
+    def test_case5_non_finite_parameter_exits_one(self, tmp_path, capsys, methods, where, cell):
+        data = tmp_path / "d.csv"
+        write_data_csv(data, np.random.default_rng(93).standard_normal((15, 2)))
+        files = {"mu0": tmp_path / "mu0.csv", "lambda0": tmp_path / "lambda0.csv"}
+        files["mu0"].write_text(f"0.0\n{cell if where == 'mu0' else '0.0'}\n")
+        files["lambda0"].write_text(f"1.0,0.0\n0.0,{cell if where == 'lambda0' else '1.0'}\n")
+        out = tmp_path / "r.json"
+        assert main(["test", "--case", "c5", "--data", str(data), "--mu0", str(files["mu0"]),
+                     "--lambda0", str(files["lambda0"]), "--methods", methods, "--out", str(out)]) == 1
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_format_output(self, tmp_path):
         f, _ = self._write_case6_file(tmp_path)
         out = tmp_path / "r.csv"
@@ -470,6 +484,13 @@ class TestSimulateCommand:
         out = tmp_path / "x"
         assert main(["simulate", *argv, "--reps", "20", "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_group_sizes_for_a_one_sample_case_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["simulate", "--case", "c1", "--n", "40,400", "--p", "3", "--reps", "5",
+                     "--out", str(out)]) == 1
+        assert "single sample size" in capsys.readouterr().err
         assert not out.exists()
 
     def test_local_requires_delta(self, tmp_path, capsys):

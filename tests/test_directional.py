@@ -24,7 +24,7 @@ from dirnormal.hypotheses import (
     constrained_mle,
     fit_hypothesis,
 )
-from dirnormal.linalg import is_positive_definite, log_det_spd
+from dirnormal.linalg import is_positive_definite
 from dirnormal.simulation import ScenarioSpec, generate_scenario, hypothesis_for, ks_uniformity
 
 from _oracles import (
@@ -41,6 +41,12 @@ from _oracles import (
     trapezoid_pvalue,
 )
 from test_hypotheses import make_summary
+
+
+def _log_det(m):
+    sign, log_det = np.linalg.slogdet(m)
+    assert sign > 0
+    return log_det
 
 
 def _sampled_fit(hyp, n, p, seed, scale=1.0, shift=0.0):
@@ -286,7 +292,7 @@ class TestLogGbar:
             fit = _sampled_fit(hyp, n, p, seed=64)
             val = DirectionalEvaluator(fit).log_gbar(1.0)
             expected = sum(
-                0.5 * (s.n - p - 2) * log_det_spd(s.mle_cov) for s in fit.summaries
+                0.5 * (s.n - p - 2) * _log_det(s.mle_cov) for s in fit.summaries
             )
             if isinstance(hyp, SpecifiedMeanCov):
                 s = fit.summaries[0]
@@ -300,9 +306,9 @@ class TestLogGbar:
         ev = DirectionalEvaluator(fit)
         rng = np.random.default_rng(66)
         s = fit.summaries[0]
-        ld0 = log_det_spd(fit.lambda0_inv)
+        ld0 = _log_det(fit.lambda0_inv)
         for t in rng.uniform(0.01, ev.t_sup * 0.999, size=50):
-            direct = log_det_spd(path_estimates(fit, t).lambda_t_inv[0])
+            direct = _log_det(path_estimates(fit, t).lambda_t_inv[0])
             shortcut = ld0 + float(np.sum(np.log(1 - t + t * fit.pencil_eigs[0])))
             assert shortcut == pytest.approx(direct, abs=1e-10)
             expected = (fit.d - 1) * np.log(t) + 0.5 * (s.n - fit.p - 2) * direct
@@ -329,7 +335,7 @@ class TestLogGbar:
         for t in rng.uniform(0.0, ev.t_sup * 0.999, size=50):
             direct = path_estimates(fit, t).lambda_t_inv
             expected = (fit.d - 1) * np.log(t) + slope * t + sum(
-                0.5 * (s.n - p - 2) * log_det_spd(m) for s, m in zip(fit.summaries, direct)
+                0.5 * (s.n - p - 2) * _log_det(m) for s, m in zip(fit.summaries, direct)
             )
             assert ev.log_gbar(t) == pytest.approx(expected, abs=1e-9)
 
@@ -362,7 +368,7 @@ class TestLogGbar:
         # integrand reduces to the jacobian plus a weighted constant term
         ev = DirectionalEvaluator(fit)
         for t in (0.3, 0.8, 1.0, 1.2):
-            per_group = 0.5 * (15 - 3 - 2) * log_det_spd(path_estimates(fit, t).lambda_t_inv[0])
+            per_group = 0.5 * (15 - 3 - 2) * _log_det(path_estimates(fit, t).lambda_t_inv[0])
             expected = (fit.d - 1) * np.log(t) + 3 * per_group
             assert ev.log_gbar(t) == pytest.approx(expected, rel=1e-10)
         assert single.d * 2 == fit.d  # interest dimension scales with group count
@@ -646,6 +652,22 @@ class TestMleBoundary:
                 p_val, diag = directional_pvalue(fit)
                 closed = -math.expm1(-fit.d * math.log(diag.t_sup))
                 assert p_val == pytest.approx(closed, abs=1e-10), (p, rep)
+
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    def test_unbounded_range_is_truncated(self, p):
+        # c5 on data centred exactly at mu0 whose covariance exceeds A in
+        # every direction: every bordered-pencil eigenvalue is at least 1,
+        # so t_sup is infinite and integration_cap truncates the range by
+        # doubling.
+        rng = np.random.default_rng((19, p))
+        z = rng.standard_normal((40, p))
+        z -= z.mean(axis=0)
+        y = math.sqrt(1.5) * z @ np.linalg.inv(np.linalg.cholesky(z.T @ z / 40)).T  # covariance 1.5 I
+        fit = fit_hypothesis(SpecifiedMeanCov(np.zeros(p), np.eye(p)), y)
+        p_val, diag = directional_pvalue(fit)
+        assert diag.t_sup == math.inf
+        assert 0.0 <= p_val <= 1.0
+        assert p_val == pytest.approx(quad_pvalue(fit), abs=1e-8)
 
 
 class TestInvariance:

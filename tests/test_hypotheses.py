@@ -17,7 +17,7 @@ from dirnormal import hypotheses
 from dirnormal.classical import classical_report
 from dirnormal.core import SampleSummary, summarize
 from dirnormal.directional import directional_pvalue
-from dirnormal.exceptions import DimensionError, NoConvergenceError, NotPositiveDefiniteError
+from dirnormal.exceptions import DimensionError, NoConvergenceError, NonFiniteError, NotPositiveDefiniteError
 from dirnormal.hypotheses import (
     BlockIndependence,
     CompleteIndependence,
@@ -185,7 +185,7 @@ class TestConstrainedMle:
             if hyp.free_mean:
                 assert len(fit.pencil_eigs) == fit.k and len(calls) == fit.k
                 for s, nu in zip(fit.summaries, fit.pencil_eigs):
-                    np.testing.assert_array_equal(nu, original(fit.a_factor[0], s.mle_cov))
+                    np.testing.assert_array_equal(nu, original(fit.a_factor.chol_inv, s.mle_cov))
                 assert len(calls) == fit.k  # computed once
             else:
                 assert fit.pencil_eigs is None
@@ -430,8 +430,8 @@ class TestPivotCheck:
 
         s = self._summary(2e-10)
         fit = constrained_mle(hyp, [s])
-        assert "cov_cholesky" in s.__dict__
-        assert s.cov_cholesky[1, 1] ** 2 == pytest.approx(2e-10, rel=1e-5)
+        assert "cov_factor" in s.__dict__
+        assert s.cov_factor.chol[1, 1] ** 2 == pytest.approx(2e-10, rel=1e-5)
         p, _ = directional_pvalue(fit)
         assert 0.0 <= p <= 1.0
 
@@ -444,6 +444,11 @@ class TestPivotCheck:
 
 class TestFactorizationCount:
     """Each covariance is factored once: count the Cholesky factorizations."""
+
+    DRAW_CASES = [
+        (ProportionalIdentity(), 1), (BlockIndependence((2, 3)), 1), (EqualDistributions(), 3),
+        (EqualCovariances(), 3), (SpecifiedMeanCov(np.zeros(5), np.eye(5)), 1), (CompleteIndependence(), 1),
+    ]
 
     @staticmethod
     def _counting(monkeypatch):
@@ -472,24 +477,23 @@ class TestFactorizationCount:
 
     def test_zero_pattern_fit_checks_the_sample_covariance_once(self, monkeypatch):
         # the sample covariance and A once each, plus one inverse per damped
-        # Newton step: fit_zero_pattern's own check is for direct callers
+        # Newton step: fit_zero_pattern's own check is for direct callers.
+        # hypotheses builds the factors of A and of each Newton iterate.
         from dirnormal.classical import classical_report
         from dirnormal.directional import directional_pvalue
 
         y = np.random.default_rng(123).standard_normal((20, 10))
         calls = self._counting(monkeypatch)
-        steps = []
-        inv_spd = hypotheses.inv_spd
-        monkeypatch.setattr(hypotheses, "inv_spd", lambda m: steps.append(1) or inv_spd(m))
+        built = []
+        spd_factor = hypotheses.SpdFactor
+        monkeypatch.setattr(hypotheses, "SpdFactor", lambda m: built.append(1) or spd_factor(m))
         fit = fit_hypothesis(ZeroPattern(((0, 1), (2, 3))), y)
         classical_report(fit, ("lrt", "sko1", "sko2"))
         directional_pvalue(fit)
-        assert len(calls) == 2 + len(steps) == 8
+        steps = len(built) - 1
+        assert len(calls) == 2 + steps == 8
 
-    @pytest.mark.parametrize("hyp, k", [
-        (ProportionalIdentity(), 1), (BlockIndependence((2, 3)), 1), (EqualDistributions(), 3),
-        (EqualCovariances(), 3), (SpecifiedMeanCov(np.zeros(5), np.eye(5)), 1), (CompleteIndependence(), 1),
-    ])
+    @pytest.mark.parametrize("hyp, k", DRAW_CASES)
     def test_bartlett_draw(self, monkeypatch, hyp, k):
         # a calibration draw refits its summaries and reads only W; c5's A
         # is factored once per hypothesis
@@ -498,6 +502,18 @@ class TestFactorizationCount:
         calls = self._counting(monkeypatch)
         hyp.lrt(constrained_mle(hyp, summaries))
         assert len(calls) == k + (not isinstance(hyp, SpecifiedMeanCov))
+
+    @pytest.mark.parametrize("hyp, k", DRAW_CASES)
+    def test_bartlett_bootstrap(self, monkeypatch, hyp, k):
+        # the draws read the fit's factor of A, so the bootstrap adds only
+        # the factorizations of its draws
+        monkeypatch.setenv("DIRNORMAL_THREADS", "1")
+        rng = np.random.default_rng(125)
+        fit = constrained_mle(hyp, [summarize(rng.standard_normal((20, 5))) for _ in range(k)])
+        reps = 7
+        calls = self._counting(monkeypatch)
+        bartlett_bootstrap(fit, reps, seed=3)
+        assert len(calls) == reps * (k + (not isinstance(hyp, SpecifiedMeanCov)))
 
 
 class TestPathEstimates:
@@ -637,3 +653,15 @@ class TestSpecifiedScale:
     def test_lambda0_not_positive_definite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             SpecifiedMeanCov(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("where", ["mu0", "lambda0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, where, value):
+        # a NaN passes the Cholesky factorization, so it is checked itself
+        mu0, lambda0 = np.zeros(3), np.eye(3)
+        if where == "mu0":
+            mu0[1] = value
+        else:
+            lambda0[1, 1] = value
+        with pytest.raises(NonFiniteError, match=where):
+            SpecifiedMeanCov(mu0, lambda0)

@@ -1,16 +1,11 @@
-"""SPD primitives: log-determinants, duplication matrix, pencil eigenvalues."""
+"""SPD primitives: the Cholesky factor and what it gives (log-determinant,
+inverse, ``L^-1``), duplication matrix, pencil eigenvalues."""
 
 import numpy as np
 import pytest
 
 from dirnormal.exceptions import NotPositiveDefiniteError
-from dirnormal.linalg import (
-    eig_pencil,
-    inv_cholesky,
-    inv_spd,
-    log_det_spd,
-    symmetrize,
-)
+from dirnormal.linalg import SpdFactor, eig_pencil, symmetrize
 
 from _oracles import duplication_matrix, naive_det, vech
 
@@ -22,31 +17,40 @@ def random_spd(rng, p, jitter=0.5):
 
 def pencil(a, m):
     """Eigenvalues of the ``(a, m)`` pencil from a fresh factor of ``a``."""
-    return eig_pencil(inv_cholesky(a)[0], m)
+    return eig_pencil(SpdFactor(a).chol_inv, m)
+
+
+def log_det(m):
+    return SpdFactor(m).log_det
 
 
 class TestLogDetSpd:
+    """``SpdFactor.log_det`` and ``SpdFactor.inv``."""
+
     def test_identity(self):
-        assert log_det_spd(np.eye(5)) == 0.0
+        assert log_det(np.eye(5)) == 0.0
 
     def test_diagonal(self):
-        assert log_det_spd(np.diag([2.0, 3.0])) == pytest.approx(np.log(6.0), rel=1e-14)
+        assert log_det(np.diag([2.0, 3.0])) == pytest.approx(np.log(6.0), rel=1e-14)
 
     def test_matches_cofactor_expansion(self):
         # naive determinant oracle on a random SPD 8x8
         rng = np.random.default_rng(31)
         m = random_spd(rng, 8)
-        assert log_det_spd(m) == pytest.approx(np.log(naive_det(m)), rel=1e-10)
+        assert log_det(m) == pytest.approx(np.log(naive_det(m)), rel=1e-10)
 
     def test_inverse_cancels(self):
         rng = np.random.default_rng(32)
         for p in (1, 3, 6):
             m = random_spd(rng, p)
-            assert abs(log_det_spd(m) + log_det_spd(inv_spd(m))) < 1e-9
+            inv = SpdFactor(m).inv
+            np.testing.assert_allclose(inv, np.linalg.inv(m), rtol=1e-9, atol=1e-12)
+            assert np.array_equal(inv, inv.T)
+            assert abs(log_det(m) + log_det(inv)) < 1e-9
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
-            log_det_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            SpdFactor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestDuplicationMatrix:
@@ -71,18 +75,23 @@ class TestDuplicationMatrix:
 
 
 class TestInvCholesky:
+    """``SpdFactor.chol`` and ``SpdFactor.chol_inv``."""
+
     def test_whitens_and_matches_log_det(self):
         rng = np.random.default_rng(39)
         for p in (1, 4, 9):
             a = random_spd(rng, p)
-            ell_inv, log_det = inv_cholesky(a)
+            factor = SpdFactor(a)
+            ell_inv = factor.chol_inv
             np.testing.assert_allclose(ell_inv @ a @ ell_inv.T, np.eye(p), atol=1e-12)
+            np.testing.assert_allclose(factor.chol @ factor.chol.T, a, atol=1e-12)
+            np.testing.assert_allclose(ell_inv, np.linalg.inv(factor.chol), atol=1e-12)
             assert np.all(np.triu(ell_inv, 1) == 0.0)
-            assert log_det == log_det_spd(a)
+            assert factor.log_det == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-12, abs=1e-12)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
-            inv_cholesky(np.diag([1.0, -1.0]))
+            SpdFactor(np.diag([1.0, -1.0]))
 
 
 class TestEigPencil:
@@ -98,7 +107,7 @@ class TestEigPencil:
     def test_product_equals_determinant_ratio(self):
         rng = np.random.default_rng(35)
         a, b = random_spd(rng, 6), random_spd(rng, 6)
-        ratio = np.exp(log_det_spd(b) - log_det_spd(a))
+        ratio = np.exp(log_det(b) - log_det(a))
         assert np.prod(pencil(a, b)) == pytest.approx(ratio, rel=1e-10)
 
     def test_congruence_invariance(self):
@@ -126,4 +135,23 @@ class TestEigPencil:
             b = rng.standard_normal(p)[:, None]
             diag_a_1 = np.block([[a, np.zeros_like(b)], [np.zeros_like(b.T), one]])
             mu = pencil(diag_a_1, np.block([[v + b @ b.T, b], [b.T, one]]))
-            assert np.sum(np.log(mu)) == pytest.approx(log_det_spd(v) - log_det_spd(a), abs=1e-12)
+            assert np.sum(np.log(mu)) == pytest.approx(log_det(v) - log_det(a), abs=1e-12)
+
+
+def test_oracles_do_not_use_the_engine_factor():
+    # the oracles factor with numpy, so a fault in SpdFactor cannot hide in
+    # the checks of what is built on it
+    import ast
+    from pathlib import Path
+
+    source = (Path(__file__).parent / "_oracles.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if name.startswith("dirnormal.linalg")}
+    for attr in ("a_factor", "cov_factor", "SpdFactor"):
+        assert attr not in source

@@ -88,6 +88,12 @@ class TestScenarioParams:
         with pytest.raises(InvalidScenarioError):
             ScenarioSpec(case="c1", n=5, p=4)
 
+    def test_numpy_integer_sample_size_accepted(self):
+        spec = ScenarioSpec(case="c1", n=np.int64(50), p=4)
+        assert spec.group_sizes == (50,)
+        with pytest.raises(InvalidScenarioError, match="single sample size"):
+            ScenarioSpec(case="c1", n=50.0, p=4)
+
     def test_scenario_without_null_or_distribution_rejected(self):
         # checked once, when the cell is built, not in every replication
         with pytest.raises(InvalidScenarioError):
