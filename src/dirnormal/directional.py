@@ -10,8 +10,8 @@ expectation of the sufficient statistic (``t = 0``) and the observed point
 with ``t_sup`` the largest ``t`` for which the tilted covariance estimates
 remain positive definite.  For every null each group's tilted covariance
 has the determinant of a pencil linear in ``t``, so ``gbar``, its
-derivatives and ``t_sup`` follow from that pencil's eigenvalues alone
-(see :class:`DirectionalEvaluator`).  ``gbar`` is evaluated up to an
+derivatives and ``t_sup`` follow from the fit's ``spectrum`` alone: those
+eigenvalues and one linear term.  ``gbar`` is evaluated up to an
 additive constant, which cancels in the ratio, and the integrand is
 rescaled by its maximum so the quadrature never overflows.
 """
@@ -26,7 +26,6 @@ import numpy as np
 
 from .exceptions import NoConvergenceError
 from .hypotheses import ConstrainedFit
-from .linalg import eig_pencil
 
 __all__ = [
     "DirectionalDiagnostics",
@@ -62,50 +61,21 @@ _PEAK_MAX_EVALS = 100
 class DirectionalEvaluator:
     """Single-instance evaluator of the log-integrand and its derivatives.
 
-    Every case shares one representation: each group's tilted covariance
-    has the determinant of a pencil that is linear in ``t``, so with ``mu``
-    that pencil's eigenvalues
+    Every case shares one representation, the fit's spectrum
+    (:attr:`~dirnormal.hypotheses.ConstrainedFit.spectrum`): with ``mu``
+    each group's pencil eigenvalues
 
         ``log det = log det A + sum log f_j``,  ``f_j = 1 - t + t mu_j``,
 
-    each evaluation costs O(k p) and takes whole arrays of ``t``, and the
-    positive definite range ends at ``t_sup = 1 / (1 - min mu)``.  For the
-    nulls whose mean is free the tilted covariance is ``(1 - t) A + t V_g``
-    with ``A`` the constrained covariance and ``V_g`` the group's
-    covariance, and ``mu`` are the fit's ``pencil_eigs``.  For the others
-    (c3, c5) it is ``(1 - t) A + t M_g - t**2 b_g b_g'`` with ``b_g`` the
-    observed group mean minus its constrained mean and
-    ``M_g = V_g + b_g b_g'``.  That is the Schur complement of the unit
-    corner of ``(1 - t) diag(A, 1) + t [[M_g, b_g], [b_g', 1]]``, so the
-    bordered pencil has the same determinant and is positive definite for
-    the same ``t``: construction takes its ``p + 1`` eigenvalues from
-    :func:`~dirnormal.linalg.eig_pencil`, whitening by ``diag(L^-1, 1)``
-    for the fit's one factor ``A = L L'``.  Instances are immutable after
-    construction and safe to share across workers.
+    and the log-integrand adds ``slope * t``: O(k p) per ``t``, on whole
+    arrays of ``t``, up to ``t_sup = 1 / (1 - min mu)``.  Instances are
+    immutable after construction and safe to share across workers.
     """
 
     def __init__(self, fit: ConstrainedFit):
-        self.fit = fit
         self.d = fit.d
-        p = fit.p
-        self._weights = np.array([0.5 * (s.n - p - 2) for s in fit.summaries])
-        # Linear term of the exponent: 0.5 sum_g n_g (p - tr(A^-1 M_g)).  It
-        # vanishes wherever the null estimates the scale (the score equation
-        # of the fit), which every linear-path null does; there it is taken
-        # as exactly 0 rather than as the residual of an iterative fit.
-        self._slope = 0.0
-        if fit.pencil_eigs is not None:
-            self._mu = np.asarray(fit.pencil_eigs)  # (k, p)
-        else:
-            corner = np.ones((1, 1))
-            factor = np.block([[fit.a_factor.chol_inv, np.zeros((p, 1))], [np.zeros((1, p)), corner]])
-            bs = [(s.ybar - mu0)[:, None] for s, mu0 in zip(fit.summaries, fit.mu0)]
-            self._mu = np.array([eig_pencil(factor, np.block([[s.mle_cov + b @ b.T, b], [b.T, corner]]))
-                                 for s, b in zip(fit.summaries, bs)])  # (k, p + 1)
-            # group g's row of mu sums to 1 + tr(A^-1 M_g)
-            self._slope = 0.5 * sum(
-                s.n * (p + 1 - float(np.sum(mu))) for s, mu in zip(fit.summaries, self._mu)
-            )
+        self._mu, self._slope = fit.spectrum  # (k, p) or (k, p + 1)
+        self._weights = np.array([0.5 * (s.n - fit.p - 2) for s in fit.summaries])
         self._mu_minus_one = self._mu - 1.0
         self._offset = float(self._weights.sum()) * fit.a_factor.log_det
         mu_min = float(self._mu.min())

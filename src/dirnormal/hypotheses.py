@@ -24,9 +24,9 @@ constrained estimates are its own ``mu0`` and ``inv(lambda0)``.
 A :class:`ConstrainedFit` bundles the per-group sufficient statistics with
 the constrained estimates and the degrees of freedom ``d``, from which the
 likelihood ratio statistic, the degeneracy flag and the correction factor
-are computed.  For the cases whose tilted path is linear in ``t`` it also
-gives, on first use, the pencil eigenvalues that the directional test
-reads.
+are computed.  For every null it also gives, on first use, the spectrum
+that the directional test reads: each group's pencil eigenvalues and the
+linear term of the log-integrand (:attr:`ConstrainedFit.spectrum`).
 """
 
 from __future__ import annotations
@@ -75,9 +75,8 @@ class Hypothesis:
     """
 
     grouped = False  # compares two or more groups (c3, c4)
-    # The constrained mean of each group is its sample mean, so the tilted
-    # covariance path is linear in t and the fit gives the pencil
-    # eigenvalues (every null but c3 and c5).
+    # Each group's constrained mean is its sample mean (all but c3 and c5),
+    # so its pencil is (A, V_g), unbordered: the fit's pencil_eigs.
     free_mean = True
 
     def degrees_of_freedom(self, p: int, k: int = 1) -> int:
@@ -379,6 +378,36 @@ class ConstrainedFit:
         if not self.hypothesis.free_mean:
             return None
         return tuple(eig_pencil(self.a_factor.chol_inv, s.mle_cov) for s in self.summaries)
+
+    @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, float]:
+        """Each group's pencil eigenvalues ``mu`` (read-only, a row a group)
+        and the directional log-integrand's linear term ``slope``, on first use.
+
+        For the free-mean nulls group ``g``'s tilted covariance is
+        ``(1 - t) A + t V_g``, ``mu`` are the ``pencil_eigs``, shape
+        ``(k, p)``, and ``slope = 0.5 sum_g n_g (p - tr(A^-1 M_g))`` is
+        exactly 0, by the score equation rather than as a fit's residual.
+        For c3 and c5 it is ``(1 - t) A + t M_g - t**2 b_g b_g'``, with
+        ``b_g`` the group mean less its constrained mean and
+        ``M_g = V_g + b_g b_g'``: the Schur complement of the unit corner of
+        ``(1 - t) diag(A, 1) + t [[M_g, b_g], [b_g', 1]]``.  That bordered
+        pencil has the same determinant and is positive definite for the
+        same ``t``: ``mu`` are its ``p + 1`` eigenvalues, shape ``(k, p + 1)``,
+        whitened by ``diag(L^-1, 1)`` for ``A = L L'``, and row ``g`` sums to
+        ``1 + tr(A^-1 M_g)``, which gives the slope.
+        """
+        if self.pencil_eigs is not None:
+            mu, slope = np.asarray(self.pencil_eigs), 0.0
+        else:
+            p, corner = self.p, np.ones((1, 1))
+            factor = np.block([[self.a_factor.chol_inv, np.zeros((p, 1))], [np.zeros((1, p)), corner]])
+            bs = [(s.ybar - mu0)[:, None] for s, mu0 in zip(self.summaries, self.mu0)]
+            mu = np.array([eig_pencil(factor, np.block([[s.mle_cov + b @ b.T, b], [b.T, corner]]))
+                           for s, b in zip(self.summaries, bs)])
+            slope = 0.5 * sum(s.n * (p + 1 - float(np.sum(m))) for s, m in zip(self.summaries, mu))
+        mu.flags.writeable = False  # every evaluator of the fit shares it
+        return mu, slope
 
     @property
     def lambda0_inv(self) -> np.ndarray:

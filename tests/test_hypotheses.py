@@ -182,13 +182,29 @@ class TestConstrainedMle:
         ):
             fit = fit_hypothesis(hyp, data)
             assert not calls  # the fit itself runs no eigensolver
+            mu, slope = fit.spectrum
+            assert len(calls) == fit.k
+            assert fit.spectrum[0] is mu and len(calls) == fit.k  # computed once
             if hyp.free_mean:
-                assert len(fit.pencil_eigs) == fit.k and len(calls) == fit.k
-                for s, nu in zip(fit.summaries, fit.pencil_eigs):
+                assert mu.shape == (fit.k, fit.p)
+                for s, nu, row in zip(fit.summaries, fit.pencil_eigs, mu):
                     np.testing.assert_array_equal(nu, original(fit.a_factor.chol_inv, s.mle_cov))
-                assert len(calls) == fit.k  # computed once
+                    np.testing.assert_array_equal(row, nu)
+                assert len(calls) == fit.k  # pencil_eigs shares the spectrum's solves
+                assert slope == 0.0 and type(slope) is float  # exactly, by the score equation
             else:
+                assert mu.shape == (fit.k, fit.p + 1)  # the bordered pencil
                 assert fit.pencil_eigs is None
+                # c3 estimates the scale too, and its slope, taken from the
+                # eigenvalues, is 0 up to rounding; c5's is not
+                if hyp.grouped:
+                    assert abs(slope) <= 100 * fit.n_total * fit.p * np.finfo(float).eps
+                else:
+                    assert slope != 0.0
+                # a directional p-value of a fresh fit reaches the same k solves
+                calls.clear()
+                directional_pvalue(fit_hypothesis(hyp, data))
+                assert len(calls) == fit.k
             calls.clear()
 
 
