@@ -28,6 +28,7 @@ from .exceptions import DegenerateNullError
 from .hypotheses import ConstrainedFit
 
 __all__ = [
+    "CLASSICAL_METHODS",
     "ClassicalReport",
     "chisq_upper_tail",
     "skovgaard_log_gamma",
@@ -37,18 +38,25 @@ __all__ = [
 ]
 
 
+# The classical methods, keyed as in the reports and the simulation studies.
+CLASSICAL_METHODS = ("lrt", "bc", "sko1", "sko2")
+
+
 @dataclass(frozen=True)
 class ClassicalReport:
-    """Statistics and p-values of the classical tests for one data set."""
+    """Statistics and p-values of the classical tests for one data set.
+
+    ``statistics`` and ``pvalues`` are keyed by the requested methods.  A
+    statistic is ``None`` where it is not computed: for every method but
+    ``lrt`` when the fit is degenerate or ``W`` is not positive.
+    """
 
     w: float  # headline likelihood ratio statistic
     d: int  # degrees of freedom
+    statistics: dict[str, float | None]
+    pvalues: dict[str, float]
     log_gamma: float | None = None
-    w_star: float | None = None
-    w_star2: float | None = None
-    w_bc: float | None = None
     e_w_hat: float | None = None  # bootstrap estimate of E(W)
-    pvalues: dict[str, float] | None = None
     degenerate: bool = False
 
 
@@ -97,20 +105,15 @@ def skovgaard_log_gamma(fit: ConstrainedFit) -> float:
     return 0.5 * d * math.log(quad) - (0.5 * d - 1.0) * math.log(w) - math.log(inner) + logdet_ratio
 
 
-def skovgaard_stats(w: float, log_gamma: float, d: int) -> tuple[float, float, float, float]:
-    """Modified statistics and their chi-square p-values.
+def skovgaard_stats(w: float, log_gamma: float) -> tuple[float, float]:
+    """The modified statistics ``(w_star, w_star2)``.
 
-    Returns ``(w_star, w_star2, p_star, p_star2)``.  ``w_star`` is
-    nonnegative by construction; ``w_star2`` may be negative, in which case
-    its p-value is 1.
+    ``w_star`` is nonnegative by construction; ``w_star2`` may be negative,
+    in which case its p-value is 1.
     """
     if w <= 0.0:
         raise ValueError("w must be positive")
-    w_star = w * (1.0 - log_gamma / w) ** 2
-    w_star2 = w - 2.0 * log_gamma
-    p_star = chisq_upper_tail(w_star, d)
-    p_star2 = chisq_upper_tail(max(w_star2, 0.0), d)
-    return w_star, w_star2, p_star, p_star2
+    return w * (1.0 - log_gamma / w) ** 2, w - 2.0 * log_gamma
 
 
 def bartlett_rescale(w: float, d: int, e_w_hat: float) -> tuple[float, float]:
@@ -129,43 +132,40 @@ def classical_report(
 ) -> ClassicalReport:
     """Evaluate the requested classical tests on one fitted data set.
 
-    ``methods`` is a subset of ``{"lrt", "bc", "sko1", "sko2"}``.  On a
-    degenerate fit (``fit.degenerate``) every requested p-value is reported
-    as 1, and so is every p-value of a statistic that is not positive, which
-    the ``n - 1`` weighting of ``c5`` can give: it sits at the foot of its
-    chi-square reference.  ``bc`` rescales by ``e_w_hat``, the estimate of ``E(W)``
-    that ``bartlett_bootstrap`` computes for one data set and
+    ``methods`` is a subset of :data:`CLASSICAL_METHODS`; another name
+    raises ``ValueError``.  Each p-value is the upper chi-square tail of
+    its statistic, and 1 for a statistic below 0.  On a degenerate fit
+    (``fit.degenerate``) every requested p-value is reported as 1, and so is
+    every p-value when ``W`` is not positive, which the ``n - 1`` weighting
+    of ``c5`` can give: it sits at the foot of its chi-square reference.
+    ``bc`` rescales by ``e_w_hat``, the estimate of ``E(W)`` that
+    ``bartlett_bootstrap`` computes for one data set and
     ``calibrate_bartlett_expectation`` once per simulation cell; it is
     required when ``bc`` is requested on a fit that is not degenerate.
     """
+    unknown = [m for m in methods if m not in CLASSICAL_METHODS]
+    if unknown:
+        raise ValueError(f"unknown classical methods: {', '.join(unknown)}")
     w = fit.hypothesis.lrt(fit)
     if fit.degenerate or w <= 0.0:
-        return ClassicalReport(w=w, d=fit.d, pvalues=dict.fromkeys(methods, 1.0),
-                               degenerate=fit.degenerate)
+        return ClassicalReport(w=w, d=fit.d, statistics={m: w if m == "lrt" else None for m in methods},
+                               pvalues=dict.fromkeys(methods, 1.0), degenerate=fit.degenerate)
     if "bc" in methods and e_w_hat is None:
         raise ValueError("the bc method needs e_w_hat")
 
-    pvalues: dict[str, float] = {}
-    log_gamma = w_star = w_star2 = w_bc = None
-    if "lrt" in methods:
-        pvalues["lrt"] = chisq_upper_tail(w, fit.d)
+    stats = {"lrt": w}
+    log_gamma = None
     if "sko1" in methods or "sko2" in methods:
         log_gamma = skovgaard_log_gamma(fit)
-        w_star, w_star2, p_star, p_star2 = skovgaard_stats(w, log_gamma, fit.d)
-        if "sko1" in methods:
-            pvalues["sko1"] = p_star
-        if "sko2" in methods:
-            pvalues["sko2"] = p_star2
+        stats["sko1"], stats["sko2"] = skovgaard_stats(w, log_gamma)
     if "bc" in methods:
-        w_bc, pvalues["bc"] = bartlett_rescale(w, fit.d, e_w_hat)
-
+        stats["bc"], _ = bartlett_rescale(w, fit.d, e_w_hat)
+    statistics = {m: stats[m] for m in methods}
     return ClassicalReport(
         w=w,
         d=fit.d,
+        statistics=statistics,
+        pvalues={m: chisq_upper_tail(max(s, 0.0), fit.d) for m, s in statistics.items()},
         log_gamma=log_gamma,
-        w_star=w_star,
-        w_star2=w_star2,
-        w_bc=w_bc,
         e_w_hat=e_w_hat,
-        pvalues=pvalues,
     )

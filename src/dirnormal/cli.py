@@ -99,14 +99,8 @@ def run_test_command(args) -> int:
         if len(groups) != 1:
             raise DirnormalError(f"case {args.case} takes a single data file")
         data = groups[0]
-    p = groups[0].shape[1]
     fit = fit_hypothesis(_build_hypothesis(args), data)
-
-    method_entries: dict[str, dict] = {}
-    diagnostics = None
-    if "dt" in methods:
-        p_dir, diagnostics = directional_pvalue(fit)
-        method_entries["dt"] = {"p_value": p_dir, "statistic": None}
+    diagnostics = directional_pvalue(fit)[1] if "dt" in methods else None
     classic = tuple(m for m in methods if m != "dt")
     classical = None
     if classic:
@@ -115,27 +109,8 @@ def run_test_command(args) -> int:
         if "bc" in classic and not fit.degenerate:
             e_w_hat = bartlett_bootstrap(fit, args.bc_reps, args.seed)
         classical = classical_report(fit, classic, e_w_hat=e_w_hat)
-        stats = {
-            "lrt": classical.w,
-            "bc": classical.w_bc,
-            "sko1": classical.w_star,
-            "sko2": classical.w_star2,
-        }
-        for m in classic:
-            method_entries[m] = {"p_value": classical.pvalues[m], "statistic": stats.get(m)}
-
-    report = report_io.build_report(
-        case=args.case,
-        n=[g.shape[0] for g in groups],
-        p=p,
-        d=fit.d,
-        methods=method_entries,
-        diagnostics=diagnostics,
-        classical=classical,
-        degenerate=fit.degenerate,
-        column_names=column_names,
-        seed=args.seed,
-    )
+    report = report_io.build_report(fit, diagnostics=diagnostics, classical=classical,
+                                    column_names=column_names, seed=args.seed)
     text = report_io.report_to_json(report) if args.format == "json" else report_io.report_to_csv(report)
     Path(args.out).write_text(text, encoding="utf-8")
     if args.pretty:

@@ -20,6 +20,7 @@ import numpy as np
 from .classical import ClassicalReport
 from .directional import DirectionalDiagnostics
 from .exceptions import ParseError
+from .hypotheses import ConstrainedFit
 
 __all__ = [
     "SCHEMA_ID",
@@ -208,31 +209,34 @@ def _jsonable(x):
 
 
 def build_report(
+    fit: ConstrainedFit,
     *,
-    case: str,
-    n: list[int],
-    p: int,
-    d: int,
-    methods: dict[str, dict],
     diagnostics: DirectionalDiagnostics | None = None,
     classical: ClassicalReport | None = None,
-    degenerate: bool = False,
     column_names: list[str] | None = None,
     seed: int | None = None,
 ) -> dict:
-    """Assemble the machine-readable test report (schema ``report-v1``)."""
+    """Assemble the machine-readable test report (schema ``report-v1``) of
+    one fit: its case, sizes, degrees of freedom and degeneracy flag, the
+    directional test's entry when ``diagnostics`` is given and one entry
+    per method of ``classical``."""
+    methods = {}
     diag = None
     if diagnostics is not None:
+        methods["dt"] = {"p_value": diagnostics.p_value, "statistic": None}
         diag = dataclasses.asdict(diagnostics)
         del diag["p_value"], diag["degenerate"]  # reported under methods and at the top level
+    if classical is not None:
+        for m, p_value in classical.pvalues.items():
+            methods[m] = {"p_value": p_value, "statistic": classical.statistics[m]}
     report = {
         "schema": SCHEMA_ID,
-        "case": case,
-        "n": list(n),
-        "p": p,
-        "k": len(n),
-        "d": d,
-        "degenerate": degenerate,
+        "case": fit.hypothesis.tag,
+        "n": [s.n for s in fit.summaries],
+        "p": fit.p,
+        "k": fit.k,
+        "d": fit.d,
+        "degenerate": fit.degenerate,
         "methods": methods,
         "diagnostics": diag,
         "column_names": column_names,

@@ -33,7 +33,7 @@ import numpy as np
 import scipy
 from scipy.special import kolmogorov
 
-from .classical import classical_report
+from .classical import CLASSICAL_METHODS, classical_report
 from .core import sample_groups, summarize
 from .directional import directional_pvalue
 from .exceptions import DimensionError, InvalidScenarioError, NotPositiveDefiniteError
@@ -58,7 +58,7 @@ __all__ = [
     "ks_uniformity",
 ]
 
-METHODS = ("dt", "lrt", "bc", "sko1", "sko2")
+METHODS = ("dt", *CLASSICAL_METHODS)
 _CASE_IDS = {"c1": 1, "c2": 2, "c3": 3, "c4": 4, "c5": 5, "c6": 6}
 # Stream ids: 0 main run, 1 cutoff-calibration null run, 2 Bartlett calibration.
 _STREAM_MAIN, _STREAM_NULLCAL, _STREAM_BC = 0, 1, 2
@@ -94,7 +94,10 @@ class ScenarioSpec:
     ``n`` is a single size for the one-sample cases and a tuple of group
     sizes for the group cases.  ``methods`` selects which tests run per
     replication; ``bootstrap_reps`` sizes the Bartlett calibration.  A cell
-    with no null or no sampling distribution raises ``InvalidScenarioError``.
+    with no null or no sampling distribution raises ``InvalidScenarioError``,
+    and so does one on which every replication would fail: ``n``, ``p``,
+    ``reps``, ``seed`` or ``bootstrap_reps`` not an integer (a tuple of
+    integers for the group cases), ``p < 1`` or ``seed < 0``.
     """
 
     case: str
@@ -110,8 +113,18 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.case not in _CASE_IDS:
             raise InvalidScenarioError(f"unknown case {self.case!r}")
+        for name in ("p", "reps", "seed", "bootstrap_reps"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise InvalidScenarioError(f"{name} must be an integer, got {value!r}") from None
+        if self.p < 1:
+            raise InvalidScenarioError("p must be >= 1")
         if self.reps < 1:
             raise InvalidScenarioError("reps must be >= 1")
+        if self.seed < 0:
+            raise InvalidScenarioError("seed must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidScenarioError("alpha must be in (0, 1)")
         object.__setattr__(self, "methods", tuple(self.methods))  # hashable: keys a cache
@@ -122,9 +135,10 @@ class ScenarioSpec:
             raise InvalidScenarioError("bootstrap_reps must be >= 1")
         if HYPOTHESES[self.case].grouped:
             try:
-                object.__setattr__(self, "n", tuple(self.n))
+                object.__setattr__(self, "n", tuple(map(operator.index, self.n)))
             except TypeError:
-                raise InvalidScenarioError(f"case {self.case} takes a sequence of group sizes") from None
+                raise InvalidScenarioError(
+                    f"case {self.case} takes a sequence of integer group sizes") from None
             if len(self.n) < 2:
                 raise InvalidScenarioError(f"case {self.case} needs at least two groups")
             sizes = self.n
@@ -153,12 +167,8 @@ def default_blocks(p: int) -> tuple[int, int, int]:
     """Three block sizes in ratio 2:2:1 (exact when ``p`` divides by 5)."""
     if p < 3:
         raise InvalidScenarioError("block-independence scenarios need p >= 3")
-    a = max(1, 2 * p // 5)
-    third = p - 2 * a
-    if third < 1:
-        a -= 1
-        third = p - 2 * a
-    return (a, a, third)
+    a = 2 * p // 5
+    return (a, a, p - 2 * a)
 
 
 @functools.lru_cache(maxsize=64)
@@ -518,8 +528,11 @@ def bartlett_bootstrap(fit: ConstrainedFit, reps: int, seed: int) -> float:
     from the fitted null (the constrained mean of each group, the shared
     constrained covariance, the observed group sizes).  Deterministic given
     ``seed``: draw ``b`` uses the stream ``(seed, 710, b)``.  Pass the result
-    to ``classical_report(..., e_w_hat=...)``.
+    to ``classical_report(..., e_w_hat=...)``.  Raises ``ValueError`` for
+    ``reps < 1``.
     """
+    if reps < 1:
+        raise ValueError(f"bootstrap reps must be >= 1, got {reps}")
     ell = fit.a_factor.chol  # the groups share the constrained covariance
     return _mean_lrt(fit.hypothesis, [(mu, ell) for mu in fit.mu0],
                      [s.n for s in fit.summaries], (seed, 710), reps)

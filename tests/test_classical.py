@@ -202,21 +202,20 @@ class TestSkovgaardGamma:
 
 class TestSkovgaardStats:
     def test_unit_gamma_collapses(self):
-        w_star, w_star2, p1, p2 = skovgaard_stats(5.0, log_gamma=0.0, d=3)
-        assert w_star == 5.0 and w_star2 == 5.0
-        assert p1 == p2 == pytest.approx(chisq_upper_tail(5.0, 3), rel=1e-14)
+        assert skovgaard_stats(5.0, log_gamma=0.0) == (5.0, 5.0)
 
     def test_plugin_values(self):
-        w_star, w_star2, _, _ = skovgaard_stats(10.0, log_gamma=1.0, d=2)
+        w_star, w_star2 = skovgaard_stats(10.0, log_gamma=1.0)
         assert w_star2 == pytest.approx(8.0, rel=1e-14)
         assert w_star == pytest.approx(8.1, rel=1e-14)
 
     def test_w_star_nonnegative_even_for_large_gamma(self):
-        w_star, w_star2, p1, p2 = skovgaard_stats(2.0, d=4, log_gamma=50.0)
+        w_star, w_star2 = skovgaard_stats(2.0, log_gamma=50.0)
         assert w_star >= 0.0
         assert w_star2 < 0.0
-        assert p2 == 1.0
-        assert 0.0 <= p1 <= 1.0
+        # the report refers a negative statistic to the foot of the chi-square
+        assert chisq_upper_tail(max(w_star2, 0.0), 4) == 1.0
+        assert 0.0 <= chisq_upper_tail(w_star, 4) <= 1.0
 
 
 class TestBartlett:
@@ -243,6 +242,12 @@ class TestBartlett:
         assert e_w_hat / fit.d > 1.05
         assert w_bc < fit.hypothesis.lrt(fit)
 
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_bootstrap_needs_a_draw(self, reps):
+        fit = fit_hypothesis(CompleteIndependence(), np.random.default_rng(48).standard_normal((20, 3)))
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            bartlett_bootstrap(fit, reps, seed=5)
+
     def test_bootstrap_expectation_near_d_when_n_large(self):
         rng = np.random.default_rng(50)
         y = rng.standard_normal((500, 2))
@@ -252,6 +257,11 @@ class TestBartlett:
 
 
 class TestClassicalReport:
+    def test_unknown_methods_raise(self):
+        fit = fit_hypothesis(CompleteIndependence(), np.random.default_rng(52).standard_normal((20, 3)))
+        with pytest.raises(ValueError, match="unknown classical methods: LRT, sko3"):
+            classical_report(fit, ("lrt", "LRT", "sko3"))
+
     def test_bc_requires_e_w_hat(self):
         fit = fit_hypothesis(CompleteIndependence(), np.random.default_rng(52).standard_normal((20, 3)))
         with pytest.raises(ValueError, match="e_w_hat"):
@@ -262,6 +272,7 @@ class TestClassicalReport:
         rep = classical_report(fit, ("lrt", "sko1", "sko2"))
         assert rep.degenerate
         assert rep.pvalues == {"lrt": 1.0, "sko1": 1.0, "sko2": 1.0}
+        assert rep.statistics == {"lrt": rep.w, "sko1": None, "sko2": None}
 
     def test_degenerate_by_the_directional_rule(self):
         # equal sample covariances and unequal sizes: the pooled statistic
@@ -287,5 +298,8 @@ class TestClassicalReport:
         fit = fit_hypothesis(CompleteIndependence(), y)
         rep = classical_report(fit, ("lrt", "sko1", "sko2"))
         assert rep.w >= -1e-9
-        assert rep.w_star == pytest.approx(rep.w * (1 - rep.log_gamma / rep.w) ** 2, rel=1e-12)
-        assert rep.w_star2 == pytest.approx(rep.w - 2 * rep.log_gamma, rel=1e-12)
+        assert rep.statistics["lrt"] == rep.w
+        assert rep.statistics["sko1"] == pytest.approx(rep.w * (1 - rep.log_gamma / rep.w) ** 2, rel=1e-12)
+        assert rep.statistics["sko2"] == pytest.approx(rep.w - 2 * rep.log_gamma, rel=1e-12)
+        for m, stat in rep.statistics.items():
+            assert rep.pvalues[m] == chisq_upper_tail(max(stat, 0.0), fit.d)

@@ -11,13 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirnormal import cli, hypotheses
+from dirnormal import cli, hypotheses, simulation
+from dirnormal.classical import classical_report
 from dirnormal.cli import main
 from dirnormal.core import sample_mvn
 from dirnormal.directional import DirectionalDiagnostics, directional_pvalue
 from dirnormal.exceptions import InvalidScenarioError, ParseError
 from dirnormal.hypotheses import HYPOTHESES, CompleteIndependence, fit_hypothesis
 from dirnormal.report import (
+    build_report,
     read_data_csv,
     read_matrix_csv,
     read_pattern_csv,
@@ -177,6 +179,21 @@ class TestTestCommand:
         assert report["diagnostics"]["quad_error"] == pytest.approx(diag.quad_error, rel=1e-12)
         assert report["d"] == 1
 
+    def test_report_reads_the_fit_and_the_results(self):
+        y = sample_mvn(np.zeros(3), np.eye(3), 20, seed=(44, 0))
+        fit = fit_hypothesis(hypotheses.ProportionalIdentity(), y)
+        p_dir, diag = directional_pvalue(fit)
+        rep = classical_report(fit, ("sko2", "lrt"))
+        report = build_report(fit, diagnostics=diag, classical=rep, seed=7)
+        assert {key: report[key] for key in ("case", "n", "p", "k", "d", "degenerate", "seed")} == {
+            "case": "c1", "n": [20], "p": 3, "k": 1, "d": fit.d, "degenerate": False, "seed": 7}
+        assert report["methods"] == {
+            "dt": {"p_value": p_dir, "statistic": None},
+            "lrt": {"p_value": rep.pvalues["lrt"], "statistic": rep.w},
+            "sko2": {"p_value": rep.pvalues["sko2"], "statistic": rep.statistics["sko2"]},
+        }
+        assert build_report(fit)["methods"] == {}
+
     def test_report_validates_against_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         f, _ = self._write_case6_file(tmp_path)
@@ -266,6 +283,27 @@ class TestTestCommand:
         assert report["degenerate"] is True
         assert {m: e["p_value"] for m, e in report["methods"].items()} == dict.fromkeys(
             ("dt", "lrt", "sko1", "sko2"), 1.0)
+
+    def test_degenerate_pretty_table_says_so(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_data_csv(data, np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]]))
+        assert main(["test", "--case", "c6", "--data", str(data), "--out", str(tmp_path / "r.json"),
+                     "--pretty"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "observed data sit exactly at the null expectation; all p-values are 1"
+
+    def test_block_sizes_for_case2(self, tmp_path, capsys):
+        y = sample_mvn(np.zeros(5), np.eye(5), 30, seed=(43, 0))
+        data, out = tmp_path / "d.csv", tmp_path / "r.json"
+        write_data_csv(data, y)
+        assert main(["test", "--case", "c2", "--data", str(data), "--blocks", "2,3",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        fit = fit_hypothesis(hypotheses.BlockIndependence((2, 3)), y)
+        assert report["d"] == fit.d == 6
+        assert report["methods"]["dt"]["p_value"] == directional_pvalue(fit)[0]
+        assert main(["test", "--case", "c2", "--data", str(data), "--out", str(out)]) == 1
+        assert "--blocks" in capsys.readouterr().err
 
     def test_equal_covariances_under_large_means_exit_two(self, tmp_path):
         # exactly equal covariances far from the origin (see
@@ -493,8 +531,41 @@ class TestSimulateCommand:
         assert "single sample size" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alt", [["--alt", "setting1"], ["--alt", "local", "--delta", "4"]])
+    def test_alternatives_report_power(self, tmp_path, monkeypatch, alt):
+        monkeypatch.setenv("DIRNORMAL_THREADS", "1")
+        out = tmp_path / "run"
+        assert main(["simulate", "--case", "c6", "--n", "20", "--p", "3", "--reps", "10", *alt,
+                     "--seed", "4", "--methods", "dt,lrt", "--out", str(out)]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert {"dt,power", "lrt,corrected_power"} <= {row.rsplit(",", 1)[0] for row in rows}
+
+    def test_bartlett_calibration_in_summary(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DIRNORMAL_THREADS", "1")
+        out = tmp_path / "run"
+        assert main(["simulate", "--case", "c6", "--n", "20", "--p", "3", "--reps", "5",
+                     "--seed", "4", "--methods", "lrt,bc", "--bc-reps", "50", "--out", str(out)]) == 0
+        spec = ScenarioSpec(case="c6", n=20, p=3, reps=5, seed=4, methods=("lrt", "bc"), bootstrap_reps=50)
+        e_w_hat = simulation.calibrate_bartlett_expectation(spec)
+        assert f"bc,e_w_hat,{e_w_hat!r}" in (out / "summary.csv").read_text().splitlines()
+
     def test_local_requires_delta(self, tmp_path, capsys):
         code = main(["simulate", "--case", "c1", "--n", "20", "--p", "3", "--reps", "5",
                      "--alt", "local", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "--delta" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_m_exits_with_the_code_of_main(self, tmp_path):
+        rng = np.random.default_rng(98)
+        wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+        write_data_csv(wide, rng.standard_normal((12, 3)))
+        write_data_csv(narrow, rng.standard_normal((12, 1)))  # p = 1: c1 is degenerate
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        for case, data, code in (("c1", wide, 0), ("c3", wide, 1), ("c1", narrow, 2)):
+            proc = subprocess.run([sys.executable, "-m", "dirnormal", "test", "--case", case,
+                                   "--data", str(data), "--out", str(tmp_path / "r.json")],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == code, proc.stderr

@@ -31,6 +31,11 @@ from dirnormal.simulation import (
 )
 
 
+P, N, N3 = 4, 40, (40, 40, 40)
+ROOT = math.sqrt(P * sum(N3))  # sqrt(p n) of the three-group cells
+BAND = 1.0 / math.sqrt(2 * (3 + 2 + 1))  # unit weight over the 12 band positions at p = 4
+
+
 class TestScenarioParams:
     def test_null_is_standard_normal(self):
         spec = ScenarioSpec(case="c1", n=50, p=4)
@@ -72,6 +77,32 @@ class TestScenarioParams:
         assert cov[0, 3] == 0.1 and cov[0, 4] == 0.0
         np.testing.assert_array_equal(np.diag(cov), np.ones(6))
 
+    @pytest.mark.parametrize("case, alt, group, entry, expected", [
+        ("c1", Local(3.0), 0, ("cov", 0, 0), 1.0 + 3.0 / math.sqrt(N) * math.sqrt(2.0 / P)),
+        ("c2", Setting1(), 0, ("cov", 0, 1), 0.15),
+        ("c3", Setting1(), 2, ("cov", 0, 0), 0.81),
+        ("c3", Local(2.0), 1, ("mu", 3), 2.0 / ROOT),
+        ("c3", Extreme(0.5), 1, ("mu", 0), 10.0 / ROOT),
+        ("c4", Local(2.0), 2, ("cov", 1, 1), 1.0 + 2.0 / ROOT),
+        ("c4", Extreme(0.5), 2, ("cov", 0, 0), 0.5),
+        ("c5", Local(2.0), 0, ("cov", 0, 3), 2.0 * BAND / math.sqrt(N)),
+        ("c5", Extreme(0.3), 0, ("cov", 0, 0), 0.7),
+        ("c6", Setting1(), 0, ("cov", 0, 3), 0.1),
+        ("c6", Local(2.0), 0, ("cov", 2, 3), 2.0 * BAND / math.sqrt(N)),
+        ("c6", Extreme(0.4), 0, ("cov", 0, 1), 0.4),
+    ])
+    def test_alternative_sampling_distribution(self, case, alt, group, entry, expected):
+        grouped = case in ("c3", "c4")
+        params = scenario_params(ScenarioSpec(case=case, n=N3 if grouped else N, p=P, alternative=alt))
+        assert len(params) == (3 if grouped else 1)
+        for mu, cov in params:
+            assert mu.shape == (P,) and cov.shape == (P, P)
+            np.testing.assert_array_equal(cov, cov.T)
+            assert np.all(np.linalg.eigvalsh(cov) > 0.0)
+        mu, cov = params[group]
+        value = mu[entry[1]] if entry[0] == "mu" else cov[entry[1:]]
+        assert value == pytest.approx(expected, rel=1e-14)
+
     def test_invalid_local_strength_rejected(self):
         with pytest.raises(InvalidScenarioError):
             scenario_params(ScenarioSpec(case="c2", n=10, p=4, alternative=Local(1e9)))
@@ -105,6 +136,23 @@ class TestScenarioParams:
         ScenarioSpec(case="c1", n=10, p=3, bootstrap_reps=0)  # no bc, not used
         with pytest.raises(InvalidScenarioError):
             ScenarioSpec(case="c1", n=10, p=3, methods=("bc",), bootstrap_reps=0)
+
+    @pytest.mark.parametrize("name, value", [("p", 0), ("seed", -1), ("reps", 2.5), ("p", 2.5),
+                                             ("seed", 1.0), ("bootstrap_reps", 2.5)])
+    def test_spec_on_which_every_replication_fails_rejected(self, name, value):
+        with pytest.raises(InvalidScenarioError, match=name):
+            ScenarioSpec(**{"case": "c1", "n": 10, "p": 3, name: value})
+
+    def test_group_sizes_must_be_integers(self):
+        with pytest.raises(InvalidScenarioError, match="integer group sizes"):
+            ScenarioSpec(case="c3", n=(20.5, 20, 20), p=3)
+        assert ScenarioSpec(case="c3", n=(np.int64(20), 20, 20), p=3).n == (20, 20, 20)
+
+    def test_numpy_integer_fields_accepted(self):
+        spec = ScenarioSpec(case="c1", n=10, p=np.int64(3), reps=np.int32(5), seed=np.uint8(2),
+                            bootstrap_reps=np.int64(50))
+        assert (spec.p, spec.reps, spec.seed, spec.bootstrap_reps) == (3, 5, 2, 50)
+        assert all(type(v) is int for v in (spec.p, spec.reps, spec.seed, spec.bootstrap_reps))
 
 
 class TestGenerateScenario:
@@ -421,7 +469,8 @@ class TestDefaultBlocks:
         assert default_blocks(90) == (36, 36, 18)
 
     def test_always_valid(self):
-        for p in range(3, 40):
+        for p in range(3, 301):
+            a = 2 * p // 5
             blocks = default_blocks(p)
-            assert sum(blocks) == p
+            assert blocks == (a, a, p - 2 * a)
             assert all(b >= 1 for b in blocks)
