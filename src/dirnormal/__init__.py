@@ -39,6 +39,7 @@ from .exceptions import (
     NonFiniteError,
     NotPositiveDefiniteError,
     ParseError,
+    SettingError,
 )
 from .hypotheses import (
     HYPOTHESES,

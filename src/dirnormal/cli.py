@@ -10,6 +10,7 @@ null expectation (every p-value 1) or a statistic is undefined on them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from .classical import classical_report
 from .directional import directional_pvalue
 from .exceptions import DegenerateNullError, DirnormalError
 from .hypotheses import HYPOTHESES, BlockIndependence, SpecifiedMeanCov, ZeroPattern, fit_hypothesis
-from .simulation import METHODS, Extreme, Local, Null, ScenarioSpec, Setting1, bartlett_bootstrap, run_study
+from .simulation import ALTERNATIVES, METHODS, ScenarioSpec, bartlett_bootstrap, run_study
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
@@ -122,25 +123,15 @@ def run_simulate_command(args) -> int:
     methods = _parse_methods(args.methods)
     sizes = tuple(int(s) for s in args.n.split(","))
     n = sizes if HYPOTHESES[args.case].grouped or len(sizes) > 1 else sizes[0]
-    if args.case == "pattern":
-        raise DirnormalError("simulate supports the six named cases (c1..c6)")
-    if args.alt == "null":
-        alternative = Null()
-    elif args.alt == "setting1":
-        alternative = Setting1()
-    elif args.alt == "local":
-        if args.delta is None:
-            raise DirnormalError("--alt local requires --delta")
-        alternative = Local(args.delta)
-    else:
-        if args.eta is None:
-            raise DirnormalError("--alt extreme requires --eta")
-        alternative = Extreme(args.eta)
+    strength = {field.name: getattr(args, field.name) for field in dataclasses.fields(ALTERNATIVES[args.alt])}
+    for name, value in strength.items():
+        if value is None:
+            raise DirnormalError(f"--alt {args.alt} requires --{name}")
     spec = ScenarioSpec(
         case=args.case,
         n=n,
         p=args.p,
-        alternative=alternative,
+        alternative=ALTERNATIVES[args.alt](**strength),
         reps=args.reps,
         seed=args.seed,
         methods=methods,
@@ -179,9 +170,9 @@ def _add_simulate_parser(sub) -> None:
     q.add_argument("--n", required=True, help="sample size, or comma-separated group sizes")
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--reps", type=int, required=True)
-    q.add_argument("--alt", choices=("null", "setting1", "local", "extreme"), default="null")
-    q.add_argument("--delta", type=float, default=None)
-    q.add_argument("--eta", type=float, default=None)
+    q.add_argument("--alt", choices=tuple(ALTERNATIVES), default="null")
+    q.add_argument("--delta", type=float, default=None, help="strength of --alt local")
+    q.add_argument("--eta", type=float, default=None, help="strength of --alt extreme")
     q.add_argument("--alpha", type=float, default=0.05)
     q.add_argument("--methods", default="dt")
     q.add_argument("--bc-reps", type=int, default=500)

@@ -1,7 +1,7 @@
 """Exception types shared across the package."""
 
 __all__ = ["DirnormalError", "DimensionError", "NonFiniteError", "NotPositiveDefiniteError", "NoConvergenceError",
-           "DegenerateNullError", "InvalidScenarioError", "ParseError"]
+           "DegenerateNullError", "InvalidScenarioError", "ParseError", "SettingError"]
 
 
 class DirnormalError(Exception):
@@ -34,3 +34,7 @@ class InvalidScenarioError(DirnormalError):
 
 class ParseError(DirnormalError):
     """A data file could not be parsed."""
+
+
+class SettingError(DirnormalError):
+    """An environment variable holds a value the package cannot use."""

@@ -199,7 +199,9 @@ def _jsonable(x):
         if math.isnan(x):
             return None
         return x
-    if isinstance(x, (np.floating, np.integer)):
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.floating):
         return _jsonable(float(x))
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}

@@ -1,5 +1,6 @@
 """Monte Carlo harness: scenario generators, parallel replication runner,
-size/power summaries and uniformity diagnostics.
+size/power summaries and uniformity diagnostics.  One table, ``_CASES``,
+says what each study case is (see ``_Case``).
 
 Replications are independent work items.  Every random stream is keyed by
 ``(master seed, case id, stream id, replication index)`` through a
@@ -25,9 +26,9 @@ import operator
 import os
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
-from typing import Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -36,9 +37,10 @@ from scipy.special import kolmogorov
 from .classical import CLASSICAL_METHODS, classical_report
 from .core import sample_groups, summarize
 from .directional import directional_pvalue
-from .exceptions import DimensionError, InvalidScenarioError, NotPositiveDefiniteError
-from .hypotheses import (HYPOTHESES, BlockIndependence, ConstrainedFit, Hypothesis, SpecifiedMeanCov,
-                         constrained_mle, fit_hypothesis)
+from .exceptions import DimensionError, InvalidScenarioError, NotPositiveDefiniteError, SettingError
+from .hypotheses import (HYPOTHESES, BlockIndependence, CompleteIndependence, ConstrainedFit,
+                         EqualCovariances, EqualDistributions, Hypothesis, ProportionalIdentity,
+                         SpecifiedMeanCov, constrained_mle, fit_hypothesis)
 from .linalg import SpdFactor
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "Setting1",
     "Local",
     "Extreme",
+    "ALTERNATIVES",
     "ScenarioSpec",
     "StudyResult",
     "default_blocks",
@@ -59,7 +62,6 @@ __all__ = [
 ]
 
 METHODS = ("dt", *CLASSICAL_METHODS)
-_CASE_IDS = {"c1": 1, "c2": 2, "c3": 3, "c4": 4, "c5": 5, "c6": 6}
 # Stream ids: 0 main run, 1 cutoff-calibration null run, 2 Bartlett calibration.
 _STREAM_MAIN, _STREAM_NULLCAL, _STREAM_BC = 0, 1, 2
 
@@ -84,7 +86,7 @@ class Extreme:
     eta: float
 
 
-Alternative = Union[Null, Setting1, Local, Extreme]
+ALTERNATIVES = {"null": Null, "setting1": Setting1, "local": Local, "extreme": Extreme}
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class ScenarioSpec:
     case: str
     n: int | tuple[int, ...]
     p: int
-    alternative: Alternative = Null()
+    alternative: Null | Setting1 | Local | Extreme = Null()
     reps: int = 1000
     seed: int = 0
     methods: tuple[str, ...] = ("dt",)
@@ -111,8 +113,8 @@ class ScenarioSpec:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.case not in _CASE_IDS:
-            raise InvalidScenarioError(f"unknown case {self.case!r}")
+        if self.case not in _CASES:
+            raise InvalidScenarioError(f"unknown case {self.case!r}; the study cases are {', '.join(_CASES)}")
         for name in ("p", "reps", "seed", "bootstrap_reps"):
             value = getattr(self, name)
             try:
@@ -171,44 +173,112 @@ def default_blocks(p: int) -> tuple[int, int, int]:
     return (a, a, p - 2 * a)
 
 
+def _half(p: int, value: float, rest: float = 0.0) -> np.ndarray:
+    """A p-vector holding ``value`` in its first ``ceil(p / 2)`` entries and ``rest`` after."""
+    v = np.full(p, rest)
+    v[: math.ceil(p / 2)] = value
+    return v
+
+
+def _unit(p: int, i: int, j: int, value: float) -> np.ndarray:
+    """The identity of order ``p`` with ``value`` at ``(i, j)`` and ``(j, i)``."""
+    cov = np.eye(p)
+    cov[i, j] = cov[j, i] = value
+    return cov
+
+
+def _equicorrelated(p: int, rho: float) -> np.ndarray:
+    return rho * np.ones((p, p)) + (1.0 - rho) * np.eye(p)
+
+
+def _banded(p: int, value: float) -> np.ndarray:
+    """The identity of order ``p`` with ``value`` at every ``(i, j)`` with ``0 < |i - j| <= 3``."""
+    offset = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    return np.where(offset == 0, 1.0, np.where(offset <= 3, value, 0.0))
+
+
+def _local_band(p: int, n: int, delta: float) -> np.ndarray:
+    """``_banded`` at ``delta / sqrt(n)`` spread evenly over its band: the local alternative of c5, c6."""
+    u = 1.0 / math.sqrt(np.count_nonzero(_banded(p, 1.0)) - p)
+    return _banded(p, delta * u / math.sqrt(n))
+
+
+def _in_unit_interval(eta: float) -> float:
+    if not 0.0 < eta < 1.0:
+        raise InvalidScenarioError(f"strength eta={eta} outside (0, 1)")
+    return eta
+
+
+def _null(p: int, n: int) -> list:
+    return [(np.zeros(p), np.eye(p))]
+
+
+def _groups_local(p: int, n: int, delta: float, shift_mean: bool) -> list:
+    shift = delta / math.sqrt(p * n)
+    mu2 = np.full(p, shift) if shift_mean else np.zeros(p)
+    cov2 = (1.0 + shift) * np.eye(p)
+    return [(np.zeros(p), np.eye(p)), (mu2, cov2), (mu2, cov2)]
+
+
+def _groups_extreme(p: int, n: int, eta: float) -> list:
+    mu2 = np.r_[10.0 / math.sqrt(p * n), np.zeros(p - 1)]
+    cov2 = _unit(p, 0, 0, eta)
+    return [(np.zeros(p), np.eye(p)), (mu2, cov2), (mu2, cov2)]
+
+
+class _Case(NamedTuple):
+    """One study case: the id of its random streams, its null at ``p`` and, per alternative
+    class but ``Null``, a rule ``(p, total sample size n, *the alternative's fields)`` giving
+    one ``(mean, covariance)`` per group, or one that every group shares."""
+
+    stream: int
+    null: Callable[[int], Hypothesis]
+    rules: dict[type, Callable[..., list]]
+
+
+_CASES = {
+    "c1": _Case(1, lambda p: ProportionalIdentity(), {
+        Setting1: lambda p, n: [(np.zeros(p), np.diag(_half(p, 1.69, 1.0)))],
+        Local: lambda p, n, delta: [
+            (np.zeros(p), np.diag(1.0 + delta / math.sqrt(n) * _half(p, math.sqrt(2.0 / p))))],
+        Extreme: lambda p, n, eta: [(np.zeros(p), np.diag(np.append(np.full(p - 1, 1.0 + eta), 1.0)))],
+    }),
+    "c2": _Case(2, lambda p: BlockIndependence(default_blocks(p)), {
+        Setting1: lambda p, n: [(np.zeros(p), _equicorrelated(p, 0.15))],
+        Local: lambda p, n, delta: [
+            (np.zeros(p), _equicorrelated(p, _in_unit_interval(delta / math.sqrt(p * (p - 1) * n))))],
+        Extreme: lambda p, n, eta: [(np.zeros(p), _unit(p, 0, default_blocks(p)[0], _in_unit_interval(eta)))],
+    }),
+    "c3": _Case(3, lambda p: EqualDistributions(), {
+        Setting1: lambda p, n: [(np.zeros(p), _equicorrelated(p, 0.5)),
+                                (np.full(p, 0.1), _equicorrelated(p, 0.6)),
+                                (np.full(p, 0.1), 0.5 * np.ones((p, p)) + 0.31 * np.eye(p))],
+        Local: functools.partial(_groups_local, shift_mean=True),
+        Extreme: _groups_extreme,
+    }),
+    "c4": _Case(4, lambda p: EqualCovariances(), {
+        Setting1: lambda p, n: [(np.zeros(p), s * np.eye(p)) for s in (1.0, 1.21, 0.81)],
+        Local: functools.partial(_groups_local, shift_mean=False),
+        Extreme: _groups_extreme,
+    }),
+    "c5": _Case(5, lambda p: SpecifiedMeanCov(np.zeros(p), np.eye(p)), {
+        Setting1: lambda p, n: [(_half(p, 0.1), _banded(p, 0.1))],
+        Local: lambda p, n, delta: [(_half(p, delta * math.sqrt(2.0 / (p * n))), _local_band(p, n, delta))],
+        Extreme: lambda p, n, eta: [(_half(p, 0.1), _unit(p, 0, 0, 1.0 - eta))],
+    }),
+    "c6": _Case(6, lambda p: CompleteIndependence(), {
+        Setting1: lambda p, n: [(np.zeros(p), _banded(p, 0.1))],
+        Local: lambda p, n, delta: [(np.zeros(p), _local_band(p, n, delta))],
+        Extreme: lambda p, n, eta: [(np.zeros(p), _unit(p, 0, 1, _in_unit_interval(eta)))],
+    }),
+}
+
+
 @functools.lru_cache(maxsize=64)
 def hypothesis_for(spec: ScenarioSpec) -> Hypothesis:
     """The null hypothesis object a scenario is testing, built once per
     cell."""
-    if spec.case == "c2":
-        return BlockIndependence(default_blocks(spec.p))
-    if spec.case == "c5":
-        return SpecifiedMeanCov(np.zeros(spec.p), np.eye(spec.p))
-    return HYPOTHESES[spec.case]()
-
-
-def _banded(p: int, value: float) -> np.ndarray:
-    cov = np.eye(p)
-    for off in (1, 2, 3):
-        if off < p:
-            idx = np.arange(p - off)
-            cov[idx, idx + off] = value
-            cov[idx + off, idx] = value
-    return cov
-
-
-def _band_count(p: int) -> int:
-    # Ordered (i, j) positions with 0 < |i - j| <= 3.
-    return 2 * sum(p - off for off in (1, 2, 3) if off < p)
-
-
-def _case5_like_cov(p: int, alternative: Alternative, n_total: int) -> np.ndarray:
-    if isinstance(alternative, Setting1):
-        return _banded(p, 0.1)
-    delta = alternative.delta
-    u = 1.0 / math.sqrt(_band_count(p))
-    return _banded(p, delta * u / math.sqrt(n_total))
-
-
-def _half_ones(p: int, value: float) -> np.ndarray:
-    mu = np.zeros(p)
-    mu[: math.ceil(p / 2)] = value
-    return mu
+    return _CASES[spec.case].null(spec.p)
 
 
 def scenario_params(spec: ScenarioSpec) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -216,102 +286,30 @@ def scenario_params(spec: ScenarioSpec) -> list[tuple[np.ndarray, np.ndarray]]:
 
     Raises ``InvalidScenarioError`` when a requested alternative is not
     defined for this ``(p, k, delta, eta)``; :func:`_scenario_factors`
-    checks that each covariance is positive definite.
+    checks that each covariance is finite and positive definite.
     """
-    p = spec.p
     alt = spec.alternative
+    rule = {Null: _null, **_CASES[spec.case].rules}[type(alt)]
+    pairs = rule(spec.p, spec.n_total, *astuple(alt))
     k = len(spec.group_sizes)
-    n_total = spec.n_total
-    zero = np.zeros(p)
-    eye = np.eye(p)
-
-    if isinstance(alt, Null):
-        params = [(zero, eye) for _ in range(k)]
-    elif spec.case == "c1":
-        if isinstance(alt, Setting1):
-            diag = np.ones(p)
-            diag[: math.ceil(p / 2)] = 1.69
-        elif isinstance(alt, Local):
-            u = np.zeros(p)
-            u[: math.ceil(p / 2)] = math.sqrt(2.0 / p)
-            diag = 1.0 + alt.delta / math.sqrt(n_total) * u
-        else:
-            diag = np.full(p, 1.0 + alt.eta)
-            diag[-1] = 1.0
-        params = [(zero, np.diag(diag))]
-    elif spec.case == "c2":
-        ones = np.ones((p, p))
-        if isinstance(alt, Setting1):
-            cov = 0.15 * ones + 0.85 * eye
-        elif isinstance(alt, Local):
-            eta = alt.delta / math.sqrt(p * (p - 1) * n_total)
-            if not 0.0 < eta < 1.0:
-                raise InvalidScenarioError(f"local strength eta={eta} outside (0, 1)")
-            cov = eta * ones + (1.0 - eta) * eye
-        else:
-            if not 0.0 < alt.eta < 1.0:
-                raise InvalidScenarioError("extreme eta must lie in (0, 1)")
-            cov = eye.copy()
-            p1 = default_blocks(p)[0]
-            cov[0, p1] = cov[p1, 0] = alt.eta
-        params = [(zero, cov)]
-    elif spec.case in ("c3", "c4"):
-        if k != 3:
-            raise InvalidScenarioError("non-null group scenarios are defined for k = 3")
-        ones = np.ones((p, p))
-        if spec.case == "c3" and isinstance(alt, Setting1):
-            mu2 = np.full(p, 0.1)
-            params = [
-                (zero, 0.5 * ones + 0.5 * eye),
-                (mu2, 0.6 * ones + 0.4 * eye),
-                (mu2, 0.5 * ones + 0.31 * eye),
-            ]
-        elif spec.case == "c4" and isinstance(alt, Setting1):
-            params = [(zero, eye), (zero, 1.21 * eye), (zero, 0.81 * eye)]
-        elif isinstance(alt, Local):
-            shift = alt.delta / math.sqrt(p * n_total)
-            mu2 = np.full(p, shift) if spec.case == "c3" else zero
-            cov2 = (1.0 + shift) * eye
-            params = [(zero, eye), (mu2, cov2), (mu2, cov2)]
-        else:
-            mu2 = np.zeros(p)
-            mu2[0] = 10.0 / math.sqrt(p * n_total)
-            diag = np.ones(p)
-            diag[0] = alt.eta
-            cov2 = np.diag(diag)
-            params = [(zero, eye), (mu2, cov2), (mu2, cov2)]
-    elif spec.case == "c5":
-        if isinstance(alt, Extreme):
-            mu = _half_ones(p, 0.1)
-            diag = np.ones(p)
-            diag[0] = 1.0 - alt.eta
-            cov = np.diag(diag)
-        else:
-            cov = _case5_like_cov(p, alt, n_total)
-            if isinstance(alt, Setting1):
-                mu = _half_ones(p, 0.1)
-            else:
-                mu = _half_ones(p, alt.delta * math.sqrt(2.0 / (p * n_total)))
-        params = [(mu, cov)]
-    else:  # c6
-        if isinstance(alt, Extreme):
-            if not 0.0 < alt.eta < 1.0:
-                raise InvalidScenarioError("extreme eta must lie in (0, 1)")
-            cov = eye.copy()
-            cov[0, 1] = cov[1, 0] = alt.eta
-        else:
-            cov = _case5_like_cov(p, alt, n_total)
-        params = [(zero, cov)]
-    return params
+    if len(pairs) == 1:
+        return pairs * k
+    if len(pairs) != k:
+        raise InvalidScenarioError(f"non-null group scenarios are defined for k = {len(pairs)}")
+    return pairs
 
 
 @functools.lru_cache(maxsize=64)
 def _scenario_factors(spec: ScenarioSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per-group ``(mean, Cholesky factor)`` of the sampling distribution,
     computed once per cell and read-only.  Raises ``InvalidScenarioError``
-    for a covariance that is not positive definite."""
+    for an entry that is not finite (from a NaN, infinite or overflowing
+    strength) and for a covariance that is not positive definite."""
+    params = scenario_params(spec)
+    if not all(np.isfinite(mu).all() and np.isfinite(cov).all() for mu, cov in params):
+        raise InvalidScenarioError(f"scenario parameters are not finite under {spec.alternative}")
     try:
-        factors = tuple((mu, SpdFactor(cov).chol) for mu, cov in scenario_params(spec))
+        factors = tuple((mu, SpdFactor(cov).chol) for mu, cov in params)
     except NotPositiveDefiniteError as exc:
         raise InvalidScenarioError(f"scenario covariance is not positive definite: {exc}") from exc
     for mu, ell in factors:
@@ -326,7 +324,7 @@ def generate_scenario(spec: ScenarioSpec, rep_index: int, stream: int = _STREAM_
     matrices for the group cases.
     """
     groups = sample_groups(_scenario_factors(spec), spec.group_sizes,
-                           (spec.seed, _CASE_IDS[spec.case], stream, rep_index))
+                           (spec.seed, _CASES[spec.case].stream, stream, rep_index))
     return groups if HYPOTHESES[spec.case].grouped else groups[0]
 
 
@@ -355,7 +353,10 @@ def _worker_cap() -> int:
     cap = os.environ.get("DIRNORMAL_THREADS")
     workers = os.cpu_count() or 1
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise SettingError(f"DIRNORMAL_THREADS must be an integer, got {cap!r}") from None
     return workers
 
 
@@ -518,7 +519,7 @@ def calibrate_bartlett_expectation(spec: ScenarioSpec) -> float:
     """
     null_spec = replace(spec, alternative=Null())
     return _mean_lrt(hypothesis_for(null_spec), _scenario_factors(null_spec), spec.group_sizes,
-                     (spec.seed, _CASE_IDS[spec.case], _STREAM_BC), spec.bootstrap_reps)
+                     (spec.seed, _CASES[spec.case].stream, _STREAM_BC), spec.bootstrap_reps)
 
 
 def bartlett_bootstrap(fit: ConstrainedFit, reps: int, seed: int) -> float:

@@ -193,6 +193,8 @@ class TestTestCommand:
             "sko2": {"p_value": rep.pvalues["sko2"], "statistic": rep.statistics["sko2"]},
         }
         assert build_report(fit)["methods"] == {}
+        seed = build_report(fit, seed=np.int64(3))["seed"]
+        assert seed == 3 and type(seed) is int
 
     def test_report_validates_against_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
@@ -517,6 +519,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("argv, message", [
         (["--case", "c6", "--n", "20", "--p", "3", "--alt", "extreme", "--eta", "1.5"], "eta"),
         (["--case", "c2", "--n", "20", "--p", "2"], "p >= 3"),
+        (["--case", "c1", "--n", "20", "--p", "3", "--alt", "local", "--delta", "nan"], "not finite"),
+        (["--case", "pattern", "--n", "20", "--p", "3"], "unknown case"),
     ])
     def test_invalid_scenario_exits_one(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x"
@@ -531,11 +535,13 @@ class TestSimulateCommand:
         assert "single sample size" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("alt", [["--alt", "setting1"], ["--alt", "local", "--delta", "4"]])
+    @pytest.mark.parametrize("alt", [["--case", "c6", "--alt", "setting1"],
+                                     ["--case", "c6", "--alt", "local", "--delta", "4"],
+                                     ["--case", "c1", "--alt", "extreme", "--eta", "1.0"]])
     def test_alternatives_report_power(self, tmp_path, monkeypatch, alt):
         monkeypatch.setenv("DIRNORMAL_THREADS", "1")
         out = tmp_path / "run"
-        assert main(["simulate", "--case", "c6", "--n", "20", "--p", "3", "--reps", "10", *alt,
+        assert main(["simulate", "--n", "20", "--p", "3", "--reps", "10", *alt,
                      "--seed", "4", "--methods", "dt,lrt", "--out", str(out)]) == 0
         rows = (out / "summary.csv").read_text().splitlines()
         assert {"dt,power", "lrt,corrected_power"} <= {row.rsplit(",", 1)[0] for row in rows}
@@ -550,10 +556,17 @@ class TestSimulateCommand:
         assert f"bc,e_w_hat,{e_w_hat!r}" in (out / "summary.csv").read_text().splitlines()
 
     def test_local_requires_delta(self, tmp_path, capsys):
-        code = main(["simulate", "--case", "c1", "--n", "20", "--p", "3", "--reps", "5",
-                     "--alt", "local", "--out", str(tmp_path / "x")])
-        assert code == 1
-        assert "--delta" in capsys.readouterr().err
+        for alt, option in (("local", "--delta"), ("extreme", "--eta")):
+            code = main(["simulate", "--case", "c1", "--n", "20", "--p", "3", "--reps", "5",
+                         "--alt", alt, "--out", str(tmp_path / "x")])
+            assert code == 1
+            assert f"--alt {alt} requires {option}" in capsys.readouterr().err
+
+    def test_unreadable_thread_cap_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DIRNORMAL_THREADS", "two")
+        assert main(["simulate", "--case", "c1", "--n", "20", "--p", "3", "--reps", "5",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "DIRNORMAL_THREADS" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

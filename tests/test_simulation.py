@@ -16,7 +16,7 @@ import pytest
 import dirnormal.simulation as sim
 from dirnormal import hypotheses
 from dirnormal.core import sample_groups
-from dirnormal.exceptions import InvalidScenarioError
+from dirnormal.exceptions import InvalidScenarioError, SettingError
 from dirnormal.simulation import (
     Extreme,
     Local,
@@ -90,6 +90,8 @@ class TestScenarioParams:
         ("c6", Setting1(), 0, ("cov", 0, 3), 0.1),
         ("c6", Local(2.0), 0, ("cov", 2, 3), 2.0 * BAND / math.sqrt(N)),
         ("c6", Extreme(0.4), 0, ("cov", 0, 1), 0.4),
+        ("c1", Extreme(0.5), 0, ("cov", 0, 0), 1.5),
+        ("c1", Extreme(0.5), 0, ("cov", -1, -1), 1.0),
     ])
     def test_alternative_sampling_distribution(self, case, alt, group, entry, expected):
         grouped = case in ("c3", "c4")
@@ -110,6 +112,19 @@ class TestScenarioParams:
     def test_non_pd_extreme_rejected(self):
         with pytest.raises(InvalidScenarioError):
             scenario_params(ScenarioSpec(case="c6", n=20, p=3, alternative=Extreme(1.5)))
+
+    @pytest.mark.parametrize("case, n, alt", [
+        ("c1", 50, Local(math.nan)),
+        ("c1", 50, Extreme(math.inf)),
+        ("c3", N3, Local(math.nan)),
+        ("c4", N3, Extreme(math.nan)),
+        ("c5", 50, Local(-math.inf)),
+        ("c6", 50, Local(math.nan)),
+    ])
+    def test_non_finite_strength_rejected(self, case, n, alt):
+        # checked when the cell is built, not left to fail every replication
+        with pytest.raises(InvalidScenarioError, match="not finite"):
+            ScenarioSpec(case=case, n=n, p=P, alternative=alt)
 
     def test_group_case_requires_three_groups_for_alternatives(self):
         with pytest.raises(InvalidScenarioError):
@@ -182,8 +197,9 @@ class TestGenerateScenario:
         for spec in (ScenarioSpec(case="c5", n=30, p=6, seed=3, alternative=Setting1()),
                      ScenarioSpec(case="c4", n=(10, 12, 14), p=3, seed=4, alternative=Setting1())):
             factors = [(mu, np.linalg.cholesky(cov)) for mu, cov in scenario_params(spec)]
+            stream = sim._CASES[spec.case].stream
             for rep in (0, 5):
-                expected = sample_groups(factors, spec.group_sizes, (spec.seed, sim._CASE_IDS[spec.case], 0, rep))
+                expected = sample_groups(factors, spec.group_sizes, (spec.seed, stream, 0, rep))
                 got = generate_scenario(spec, rep)
                 for x, y in zip(expected, got if isinstance(got, list) else [got]):
                     np.testing.assert_array_equal(x, y)
@@ -396,6 +412,15 @@ class TestSharedPool:
         monkeypatch.setenv("DIRNORMAL_THREADS", "2")
         assert set(sim._map(_blas_threads, range(8))) == {(1, 1)}
         assert _blas_threads() == before  # the calling process is left alone
+
+    def test_worker_cap_reads_dirnormal_threads(self, monkeypatch):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        for value, workers in (("", 4), ("0", 1), ("-2", 1), ("3", 3), ("9", 4)):
+            monkeypatch.setenv("DIRNORMAL_THREADS", value)
+            assert sim._worker_cap() == workers
+        monkeypatch.setenv("DIRNORMAL_THREADS", "two")
+        with pytest.raises(SettingError, match="DIRNORMAL_THREADS .*'two'"):
+            sim._worker_cap()
 
     def test_missing_blas_library_or_symbol_is_skipped(self, monkeypatch):
         monkeypatch.setattr(sim, "_OPENBLAS", ((np, "no-such-library-*.so", "set_threads"),
