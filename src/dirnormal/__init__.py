@@ -20,7 +20,6 @@ from .classical import (
 from .core import (
     SampleSummary,
     check_estimate_exists,
-    info_log_det,
     sample_mvn,
     summarize,
 )

@@ -48,16 +48,15 @@ class ClassicalReport:
 
     ``statistics`` and ``pvalues`` are keyed by the requested methods.  A
     statistic is ``None`` where it is not computed: for every method but
-    ``lrt`` when the fit is degenerate or ``W`` is not positive.
+    ``lrt`` when the fit is degenerate or ``W`` is not positive.  Read
+    ``d`` and the degeneracy flag from the fit (``fit.d``, ``fit.degenerate``).
     """
 
     w: float  # headline likelihood ratio statistic
-    d: int  # degrees of freedom
     statistics: dict[str, float | None]
     pvalues: dict[str, float]
     log_gamma: float | None = None
     e_w_hat: float | None = None  # bootstrap estimate of E(W)
-    degenerate: bool = False
 
 
 def chisq_upper_tail(x: float, d: int) -> float:
@@ -148,8 +147,8 @@ def classical_report(
         raise ValueError(f"unknown classical methods: {', '.join(unknown)}")
     w = fit.hypothesis.lrt(fit)
     if fit.degenerate or w <= 0.0:
-        return ClassicalReport(w=w, d=fit.d, statistics={m: w if m == "lrt" else None for m in methods},
-                               pvalues=dict.fromkeys(methods, 1.0), degenerate=fit.degenerate)
+        return ClassicalReport(w=w, statistics={m: w if m == "lrt" else None for m in methods},
+                               pvalues=dict.fromkeys(methods, 1.0))
     if "bc" in methods and e_w_hat is None:
         raise ValueError("the bc method needs e_w_hat")
 
@@ -163,7 +162,6 @@ def classical_report(
     statistics = {m: stats[m] for m in methods}
     return ClassicalReport(
         w=w,
-        d=fit.d,
         statistics=statistics,
         pvalues={m: chisq_upper_tail(max(s, 0.0), fit.d) for m, s in statistics.items()},
         log_gamma=log_gamma,

@@ -22,7 +22,7 @@ from .classical import classical_report
 from .directional import directional_pvalue
 from .exceptions import DegenerateNullError, DirnormalError
 from .hypotheses import HYPOTHESES, BlockIndependence, SpecifiedMeanCov, ZeroPattern, fit_hypothesis
-from .simulation import ALTERNATIVES, METHODS, ScenarioSpec, bartlett_bootstrap, run_study
+from .simulation import ALTERNATIVES, CASES, METHODS, ScenarioSpec, bartlett_bootstrap, run_study
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
@@ -166,7 +166,7 @@ def _add_test_parser(sub) -> None:
 
 def _add_simulate_parser(sub) -> None:
     q = sub.add_parser("simulate", help="run a Monte Carlo study")
-    q.add_argument("--case", required=True, choices=tuple(HYPOTHESES))
+    q.add_argument("--case", required=True, choices=tuple(CASES))
     q.add_argument("--n", required=True, help="sample size, or comma-separated group sizes")
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--reps", type=int, required=True)

@@ -1,4 +1,4 @@
-"""Multivariate-normal sufficient statistics, canonical quantities, samplers.
+"""Multivariate-normal sufficient statistics and samplers.
 
 The model is ``y_1, ..., y_n`` i.i.d. ``N_p(mu, inv(Lambda))`` with
 concentration matrix ``Lambda``.  The canonical parameterization pairs
@@ -21,7 +21,6 @@ __all__ = [
     "SampleSummary",
     "check_estimate_exists",
     "summarize",
-    "info_log_det",
     "sample_groups",
     "sample_mvn",
 ]
@@ -97,20 +96,6 @@ def summarize(data: np.ndarray) -> SampleSummary:
     ybar = y.mean(axis=0)
     centered = y - ybar
     return SampleSummary(n=n, p=p, ybar=ybar, mle_cov=symmetrize(centered.T @ centered / n))
-
-
-def info_log_det(concentration: np.ndarray, n: int) -> float:
-    """Log-determinant of the observed information in the canonical scale.
-
-    For ``n`` observations in ``p`` dimensions the determinant equals
-    ``n**(p(p+3)/2) * 2**-p * det(Lambda)**-(p+2)``, independent of ``xi``;
-    this returns its logarithm using a Cholesky log-determinant.
-    """
-    lam = np.asarray(concentration, dtype=float)
-    p = lam.shape[0]
-    return float(
-        0.5 * p * (p + 3) * np.log(n) - p * np.log(2.0) - (p + 2) * SpdFactor(lam).log_det
-    )
 
 
 def sample_groups(factors, sizes, seed) -> list[np.ndarray]:

@@ -68,8 +68,9 @@ class DirectionalEvaluator:
         ``log det = log det A + sum log f_j``,  ``f_j = 1 - t + t mu_j``,
 
     and the log-integrand adds ``slope * t``: O(k p) per ``t``, on whole
-    arrays of ``t``, up to ``t_sup = 1 / (1 - min mu)``.  Instances are
-    immutable after construction and safe to share across workers.
+    arrays of ``t``, up to ``t_sup = 1 / (1 - min mu)``.  The constant
+    ``log det A`` terms are left out.  Instances are immutable after
+    construction and safe to share across workers.
     """
 
     def __init__(self, fit: ConstrainedFit):
@@ -77,14 +78,14 @@ class DirectionalEvaluator:
         self._mu, self._slope = fit.spectrum  # (k, p) or (k, p + 1)
         self._weights = np.array([0.5 * (s.n - fit.p - 2) for s in fit.summaries])
         self._mu_minus_one = self._mu - 1.0
-        self._offset = float(self._weights.sum()) * fit.a_factor.log_det
         mu_min = float(self._mu.min())
         self.t_sup = 1.0 / (1.0 - mu_min) if mu_min < 1.0 - 1e-12 else math.inf
 
     # -- log-integrand and its derivatives -----------------------------------
 
     def log_gbar(self, t):
-        """Log radial integrand up to an additive constant.
+        """Log radial integrand less the constant ``sum_g w_g log det A``, with
+        ``w_g = (n_g - p - 2) / 2``.
 
         Accepts a scalar or an array of ``t`` values; returns ``-inf``
         outside the positive definite range.
@@ -95,7 +96,7 @@ class DirectionalEvaluator:
         ok = tv >= 0.0 if self.d == 1 else tv > 0.0
         ok &= np.all(f > 0.0, axis=(1, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.sum(np.log(f), axis=2) @ self._weights + self._offset + self._slope * tv
+            vals = np.sum(np.log(f), axis=2) @ self._weights + self._slope * tv
             if self.d > 1:
                 vals += (self.d - 1) * np.log(tv)
         out = np.where(ok, vals, -math.inf)
@@ -223,7 +224,6 @@ class DirectionalDiagnostics:
     numerator: float
     denominator: float
     p_value: float
-    degenerate: bool = False
     n_evals: int = 0  # integrand points of the quadrature, refinements included
     quad_escalations: int = 0  # sides of t = 1 refined past the base pair (0-2)
     peak_evals: int = 0  # slope_and_curvature calls of the peak search
@@ -318,16 +318,13 @@ def directional_pvalue(fit: ConstrainedFit) -> tuple[float, DirectionalDiagnosti
 
     Returns ``(p_value, diagnostics)``.  A degenerate fit (observed data
     exactly at the null expectation, ``fit.degenerate``) reports ``p = 1``
-    with the flag set.
+    and NaN for the other diagnostics but ``t_sup``.
     """
     if fit.degenerate:
         nan = math.nan
-        diag = DirectionalDiagnostics(
+        return 1.0, DirectionalDiagnostics(
             t_sup=math.inf, t_cap=nan, t_hat=nan, curvature_at_t_hat=nan,
-            t_min=nan, t_max=nan, numerator=nan, denominator=nan,
-            p_value=1.0, degenerate=True,
-        )
-        return 1.0, diag
+            t_min=nan, t_max=nan, numerator=nan, denominator=nan, p_value=1.0)
 
     ev = DirectionalEvaluator(fit)
     t_cap = ev.integration_cap()

@@ -1,7 +1,7 @@
 """Exception types shared across the package."""
 
-__all__ = ["DirnormalError", "DimensionError", "NonFiniteError", "NotPositiveDefiniteError", "NoConvergenceError",
-           "DegenerateNullError", "InvalidScenarioError", "ParseError", "SettingError"]
+__all__ = ["DirnormalError", "DimensionError", "NonFiniteError", "NotPositiveDefiniteError",
+           "NoConvergenceError", "DegenerateNullError", "InvalidScenarioError", "ParseError", "SettingError"]
 
 
 class DirnormalError(Exception):

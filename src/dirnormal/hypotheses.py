@@ -45,7 +45,7 @@ from .exceptions import (
     NonFiniteError,
     NotPositiveDefiniteError,
 )
-from .linalg import SpdFactor, eig_pencil, is_positive_definite, symmetrize
+from .linalg import SpdFactor, eig_pencil, symmetrize
 
 __all__ = [
     "ProportionalIdentity",
@@ -178,8 +178,8 @@ class EqualCovariances(Hypothesis):
         return p * (p + 1) * (k - 1) // 2
 
     def estimates(self, summaries):
-        n = sum(s.n for s in summaries)
-        return SpdFactor(symmetrize(sum(s.n * s.mle_cov for s in summaries) / n)), tuple(s.ybar for s in summaries)
+        pooled = sum(s.n * s.mle_cov for s in summaries) / sum(s.n for s in summaries)
+        return SpdFactor(symmetrize(pooled)), tuple(s.ybar for s in summaries)
 
     def lrt(self, fit: ConstrainedFit) -> float:
         """Pooled variant with divisors ``n_g - 1`` and ``n - k``, the form
@@ -372,21 +372,13 @@ class ConstrainedFit:
         return self.plain_w <= DEGENERATE_ROUNDING * self.n_total * self.p * _EPS
 
     @functools.cached_property
-    def pencil_eigs(self) -> tuple[np.ndarray, ...] | None:
-        """Per-group eigenvalues of the ``(A, V_g)`` pencil, computed on first
-        use, for the nulls whose mean is free; ``None`` for the others."""
-        if not self.hypothesis.free_mean:
-            return None
-        return tuple(eig_pencil(self.a_factor.chol_inv, s.mle_cov) for s in self.summaries)
-
-    @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, float]:
         """Each group's pencil eigenvalues ``mu`` (read-only, a row a group)
         and the directional log-integrand's linear term ``slope``, on first use.
 
         For the free-mean nulls group ``g``'s tilted covariance is
-        ``(1 - t) A + t V_g``, ``mu`` are the ``pencil_eigs``, shape
-        ``(k, p)``, and ``slope = 0.5 sum_g n_g (p - tr(A^-1 M_g))`` is
+        ``(1 - t) A + t V_g``, ``mu`` are the ``(A, V_g)`` pencil eigenvalues,
+        shape ``(k, p)``, and ``slope = 0.5 sum_g n_g (p - tr(A^-1 M_g))`` is
         exactly 0, by the score equation rather than as a fit's residual.
         For c3 and c5 it is ``(1 - t) A + t M_g - t**2 b_g b_g'``, with
         ``b_g`` the group mean less its constrained mean and
@@ -397,8 +389,8 @@ class ConstrainedFit:
         whitened by ``diag(L^-1, 1)`` for ``A = L L'``, and row ``g`` sums to
         ``1 + tr(A^-1 M_g)``, which gives the slope.
         """
-        if self.pencil_eigs is not None:
-            mu, slope = np.asarray(self.pencil_eigs), 0.0
+        if self.hypothesis.free_mean:
+            mu, slope = np.array([eig_pencil(self.a_factor.chol_inv, s.mle_cov) for s in self.summaries]), 0.0
         else:
             p, corner = self.p, np.ones((1, 1))
             factor = np.block([[self.a_factor.chol_inv, np.zeros((p, 1))], [np.zeros((1, p)), corner]])
@@ -408,6 +400,12 @@ class ConstrainedFit:
             slope = 0.5 * sum(s.n * (p + 1 - float(np.sum(m))) for s, m in zip(self.summaries, mu))
         mu.flags.writeable = False  # every evaluator of the fit shares it
         return mu, slope
+
+    @property
+    def pencil_eigs(self) -> np.ndarray | None:
+        """The rows of :attr:`spectrum` for the nulls whose mean is free,
+        each group's ``(A, V_g)`` pencil eigenvalues; ``None`` for the others."""
+        return self.spectrum[0] if self.hypothesis.free_mean else None
 
     @property
     def lambda0_inv(self) -> np.ndarray:
@@ -459,8 +457,11 @@ def fit_zero_pattern(
     """
     s = symmetrize(np.asarray(mle_cov, dtype=float))
     p = s.shape[0]
-    if check and not is_positive_definite(s):
-        raise NotPositiveDefiniteError("sample covariance is not positive definite")
+    if check:
+        try:
+            SpdFactor(s)
+        except NotPositiveDefiniteError:
+            raise NotPositiveDefiniteError("sample covariance is not positive definite") from None
     zero = ZeroPattern(tuple((i, j) for i, j in zero_pairs)).mask(p) if zero_pairs else np.zeros((p, p), bool)
     if not zero.any():
         return s.copy()
@@ -553,7 +554,8 @@ def constrained_mle(hypothesis: Hypothesis, summaries: Sequence[SampleSummary]) 
         except NotPositiveDefiniteError:  # no factor at all
             singular = True
         if singular:
-            raise NotPositiveDefiniteError("sample covariance is singular: the unconstrained MLE does not exist")
+            raise NotPositiveDefiniteError(
+                "sample covariance is singular: the unconstrained MLE does not exist")
     try:
         a_factor, mu0 = hypothesis.estimates(summaries)
     except NotPositiveDefiniteError:

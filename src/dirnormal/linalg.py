@@ -17,7 +17,6 @@ from .exceptions import NotPositiveDefiniteError
 
 __all__ = [
     "symmetrize",
-    "is_positive_definite",
     "SpdFactor",
     "eig_pencil",
 ]
@@ -26,15 +25,6 @@ __all__ = [
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Return ``(m + m.T) / 2``."""
     return 0.5 * (m + m.T)
-
-
-def is_positive_definite(m: np.ndarray) -> bool:
-    """Whether the Cholesky factorization of ``m`` succeeds."""
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 class SpdFactor:

@@ -227,7 +227,7 @@ def build_report(
     if diagnostics is not None:
         methods["dt"] = {"p_value": diagnostics.p_value, "statistic": None}
         diag = dataclasses.asdict(diagnostics)
-        del diag["p_value"], diag["degenerate"]  # reported under methods and at the top level
+        del diag["p_value"]  # reported under methods
     if classical is not None:
         for m, p_value in classical.pvalues.items():
             methods[m] = {"p_value": p_value, "statistic": classical.statistics[m]}
@@ -294,7 +294,8 @@ def render_pretty(report: dict) -> str:
         lines.append(f"{name:<8}{stat_s}{entry['p_value']:12.4g}")
     diag = report.get("diagnostics")
     if diag:
-        parts = [f"{k}={diag[k]:.6g}" for k in ("t_sup", "t_hat", "t_min", "t_max") if isinstance(diag.get(k), (int, float))]
+        parts = [f"{k}={diag[k]:.6g}" for k in ("t_sup", "t_hat", "t_min", "t_max")
+                 if isinstance(diag.get(k), (int, float))]
         lines.append("directional: " + "  ".join(parts))
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,5 @@
 """Monte Carlo harness: scenario generators, parallel replication runner,
-size/power summaries and uniformity diagnostics.  One table, ``_CASES``,
+size/power summaries and uniformity diagnostics.  One table, ``CASES``,
 says what each study case is (see ``_Case``).
 
 Replications are independent work items.  Every random stream is keyed by
@@ -49,6 +49,7 @@ __all__ = [
     "Local",
     "Extreme",
     "ALTERNATIVES",
+    "CASES",
     "ScenarioSpec",
     "StudyResult",
     "default_blocks",
@@ -113,8 +114,8 @@ class ScenarioSpec:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.case not in _CASES:
-            raise InvalidScenarioError(f"unknown case {self.case!r}; the study cases are {', '.join(_CASES)}")
+        if self.case not in CASES:
+            raise InvalidScenarioError(f"unknown case {self.case!r}; the study cases are {', '.join(CASES)}")
         for name in ("p", "reps", "seed", "bootstrap_reps"):
             value = getattr(self, name)
             try:
@@ -180,6 +181,13 @@ def _half(p: int, value: float, rest: float = 0.0) -> np.ndarray:
     return v
 
 
+def _correlated(p: int) -> int:
+    """``p``, checked to leave an off-diagonal entry for a correlation alternative to move."""
+    if p < 2:
+        raise InvalidScenarioError("correlation alternatives need p >= 2")
+    return p
+
+
 def _unit(p: int, i: int, j: int, value: float) -> np.ndarray:
     """The identity of order ``p`` with ``value`` at ``(i, j)`` and ``(j, i)``."""
     cov = np.eye(p)
@@ -199,7 +207,7 @@ def _banded(p: int, value: float) -> np.ndarray:
 
 def _local_band(p: int, n: int, delta: float) -> np.ndarray:
     """``_banded`` at ``delta / sqrt(n)`` spread evenly over its band: the local alternative of c5, c6."""
-    u = 1.0 / math.sqrt(np.count_nonzero(_banded(p, 1.0)) - p)
+    u = 1.0 / math.sqrt(np.count_nonzero(_banded(_correlated(p), 1.0)) - p)
     return _banded(p, delta * u / math.sqrt(n))
 
 
@@ -236,7 +244,7 @@ class _Case(NamedTuple):
     rules: dict[type, Callable[..., list]]
 
 
-_CASES = {
+CASES = {
     "c1": _Case(1, lambda p: ProportionalIdentity(), {
         Setting1: lambda p, n: [(np.zeros(p), np.diag(_half(p, 1.69, 1.0)))],
         Local: lambda p, n, delta: [
@@ -245,8 +253,8 @@ _CASES = {
     }),
     "c2": _Case(2, lambda p: BlockIndependence(default_blocks(p)), {
         Setting1: lambda p, n: [(np.zeros(p), _equicorrelated(p, 0.15))],
-        Local: lambda p, n, delta: [
-            (np.zeros(p), _equicorrelated(p, _in_unit_interval(delta / math.sqrt(p * (p - 1) * n))))],
+        Local: lambda p, n, delta: [(np.zeros(p), _equicorrelated(
+            _correlated(p), _in_unit_interval(delta / math.sqrt(p * (p - 1) * n))))],
         Extreme: lambda p, n, eta: [(np.zeros(p), _unit(p, 0, default_blocks(p)[0], _in_unit_interval(eta)))],
     }),
     "c3": _Case(3, lambda p: EqualDistributions(), {
@@ -269,7 +277,7 @@ _CASES = {
     "c6": _Case(6, lambda p: CompleteIndependence(), {
         Setting1: lambda p, n: [(np.zeros(p), _banded(p, 0.1))],
         Local: lambda p, n, delta: [(np.zeros(p), _local_band(p, n, delta))],
-        Extreme: lambda p, n, eta: [(np.zeros(p), _unit(p, 0, 1, _in_unit_interval(eta)))],
+        Extreme: lambda p, n, eta: [(np.zeros(p), _unit(_correlated(p), 0, 1, _in_unit_interval(eta)))],
     }),
 }
 
@@ -278,7 +286,7 @@ _CASES = {
 def hypothesis_for(spec: ScenarioSpec) -> Hypothesis:
     """The null hypothesis object a scenario is testing, built once per
     cell."""
-    return _CASES[spec.case].null(spec.p)
+    return CASES[spec.case].null(spec.p)
 
 
 def scenario_params(spec: ScenarioSpec) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -289,7 +297,7 @@ def scenario_params(spec: ScenarioSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     checks that each covariance is finite and positive definite.
     """
     alt = spec.alternative
-    rule = {Null: _null, **_CASES[spec.case].rules}[type(alt)]
+    rule = {Null: _null, **CASES[spec.case].rules}[type(alt)]
     pairs = rule(spec.p, spec.n_total, *astuple(alt))
     k = len(spec.group_sizes)
     if len(pairs) == 1:
@@ -324,7 +332,7 @@ def generate_scenario(spec: ScenarioSpec, rep_index: int, stream: int = _STREAM_
     matrices for the group cases.
     """
     groups = sample_groups(_scenario_factors(spec), spec.group_sizes,
-                           (spec.seed, _CASES[spec.case].stream, stream, rep_index))
+                           (spec.seed, CASES[spec.case].stream, stream, rep_index))
     return groups if HYPOTHESES[spec.case].grouped else groups[0]
 
 
@@ -519,7 +527,7 @@ def calibrate_bartlett_expectation(spec: ScenarioSpec) -> float:
     """
     null_spec = replace(spec, alternative=Null())
     return _mean_lrt(hypothesis_for(null_spec), _scenario_factors(null_spec), spec.group_sizes,
-                     (spec.seed, _CASES[spec.case].stream, _STREAM_BC), spec.bootstrap_reps)
+                     (spec.seed, CASES[spec.case].stream, _STREAM_BC), spec.bootstrap_reps)
 
 
 def bartlett_bootstrap(fit: ConstrainedFit, reps: int, seed: int) -> float:

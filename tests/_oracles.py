@@ -108,6 +108,19 @@ def info_matrix(xi: np.ndarray, lam_inv: np.ndarray, n: int) -> np.ndarray:
     return np.vstack([np.hstack([j11, j12]), np.hstack([j12.T, j22])])
 
 
+def info_log_det(concentration: np.ndarray, n: int) -> float:
+    """Log-determinant of the observed information in the canonical scale.
+
+    For ``n`` observations in ``p`` dimensions the determinant equals
+    ``n**(p(p+3)/2) * 2**-p * det(Lambda)**-(p+2)``, independent of ``xi``;
+    this returns its logarithm using a Cholesky log-determinant.
+    """
+    lam = np.asarray(concentration, dtype=float)
+    p = lam.shape[0]
+    log_det = float(2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(lam)))))
+    return float(0.5 * p * (p + 3) * np.log(n) - p * np.log(2.0) - (p + 2) * log_det)
+
+
 def second_moment(summary) -> np.ndarray:
     """``y.T @ y / n`` of the summarized sample: its covariance plus the
     mean's outer product."""
@@ -393,12 +406,11 @@ class RankOneForm:
     mu: np.ndarray
     c2: np.ndarray
     weights: np.ndarray
-    offset: float
     slope: float
     d: int
 
     def log_gbar(self, t):
-        """Log radial integrand up to the engine's additive constant, with
+        """Log radial integrand less the engine's constant, with
         the rank-one factor computed whatever ``c``; ``-inf`` outside the
         positive definite range."""
         t_arr = np.asarray(t, dtype=float)
@@ -407,7 +419,7 @@ class RankOneForm:
         with np.errstate(divide="ignore", invalid="ignore"):
             r = 1.0 - tv[:, None] ** 2 * np.sum(self.c2 / f, axis=2)
             logs = np.sum(np.log(f), axis=2) + np.log(r)
-            vals = logs @ self.weights + self.offset + self.slope * tv
+            vals = logs @ self.weights + self.slope * tv
             if self.d > 1:
                 vals += (self.d - 1) * np.log(tv)
         ok = tv >= 0.0 if self.d == 1 else tv > 0.0
@@ -430,11 +442,7 @@ def rank_one_form(fit) -> RankOneForm:
     gets the fit's ``pencil_eigs``, ``c = 0`` and the engine's slope 0."""
     p = fit.p
     weights = np.array([0.5 * (s.n - p - 2) for s in fit.summaries])
-    # the engine's arithmetic for L^-1 and log det A, so that a linear path
-    # compares bit for bit
-    ell = np.linalg.cholesky(fit.lambda0_inv)
-    ell_inv, _ = lapack.dtrtri(ell, lower=1)
-    log_det_a = float(2.0 * np.sum(np.log(np.diag(ell))))
+    ell_inv, _ = lapack.dtrtri(np.linalg.cholesky(fit.lambda0_inv), lower=1)
     if fit.pencil_eigs is not None:
         mu = np.asarray(fit.pencil_eigs)
         c2 = np.zeros_like(mu)
@@ -448,8 +456,7 @@ def rank_one_form(fit) -> RankOneForm:
             cs.append(q.T @ (ell_inv @ b))
         mu, c2 = np.array(mus), np.array(cs) ** 2
         slope = 0.5 * sum(s.n * (p - float(np.sum(m))) for s, m in zip(fit.summaries, mu))
-    return RankOneForm(mu=mu, c2=c2, weights=weights, offset=float(weights.sum()) * log_det_a,
-                       slope=slope, d=fit.d)
+    return RankOneForm(mu=mu, c2=c2, weights=weights, slope=slope, d=fit.d)
 
 
 def brentq_peak(fit, t_cap: float) -> float:

@@ -14,7 +14,6 @@ import math
 import numpy as np
 import pytest
 
-from dirnormal.core import info_log_det
 from dirnormal.directional import DirectionalEvaluator, directional_pvalue
 from dirnormal.hypotheses import (
     BlockIndependence,
@@ -26,10 +25,10 @@ from dirnormal.hypotheses import (
     ZeroPattern,
     fit_hypothesis,
 )
-from dirnormal.linalg import is_positive_definite, symmetrize
+from dirnormal.linalg import symmetrize
 from dirnormal.simulation import Extreme, Null, ScenarioSpec, run_study
 
-from _oracles import info_matrix, path_estimates, trapezoid_pvalue
+from _oracles import info_log_det, info_matrix, is_positive_definite, path_estimates, trapezoid_pvalue
 
 MASTER_SEED = 20260811
 REPS = 2000

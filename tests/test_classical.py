@@ -270,7 +270,7 @@ class TestClassicalReport:
     def test_degenerate_reports_unit_pvalues(self):
         fit = constrained_mle(ProportionalIdentity(), [make_summary(2.0 * np.eye(3))])
         rep = classical_report(fit, ("lrt", "sko1", "sko2"))
-        assert rep.degenerate
+        assert fit.degenerate
         assert rep.pvalues == {"lrt": 1.0, "sko1": 1.0, "sko2": 1.0}
         assert rep.statistics == {"lrt": rep.w, "sko1": None, "sko2": None}
 
@@ -281,7 +281,7 @@ class TestClassicalReport:
         fit = fit_hypothesis(EqualCovariances(), [y, np.vstack([y, y])])
         assert fit.hypothesis.lrt(fit) > 1e-10
         rep = classical_report(fit, ("lrt", "sko1", "sko2"))
-        assert rep.degenerate
+        assert fit.degenerate
         assert rep.pvalues == {"lrt": 1.0, "sko1": 1.0, "sko2": 1.0}
 
     def test_negative_statistic_reports_unit_pvalues(self):
@@ -289,7 +289,7 @@ class TestClassicalReport:
         fit = fit_hypothesis(SpecifiedMeanCov(np.zeros(1), np.eye(1)), np.array([[1.0], [0.0], [-1.0]]))
         rep = classical_report(fit, ("lrt", "bc", "sko1", "sko2"), e_w_hat=2.0)
         assert rep.w < 0.0
-        assert not rep.degenerate
+        assert not fit.degenerate
         assert rep.pvalues == dict.fromkeys(("lrt", "bc", "sko1", "sko2"), 1.0)
 
     def test_statistics_recomputable_from_stored_fields(self):

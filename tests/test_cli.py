@@ -207,10 +207,10 @@ class TestTestCommand:
         jsonschema.validate(json.loads(out.read_text()), schema)
 
     def test_schema_lists_every_diagnostics_field(self):
-        # the report copies every field of the diagnostics but the p-value
-        # and the degeneracy flag, which it reports under methods and at the top
+        # the report copies every field of the diagnostics but the p-value,
+        # which it reports under methods
         schema = json.loads(SCHEMA.read_text())
-        fields = {f.name for f in dataclasses.fields(DirectionalDiagnostics)} - {"p_value", "degenerate"}
+        fields = {f.name for f in dataclasses.fields(DirectionalDiagnostics)} - {"p_value"}
         assert set(schema["properties"]["diagnostics"]["properties"]) == fields
 
     def test_bootstrap_report_same_at_any_worker_count(self, tmp_path, monkeypatch):
@@ -472,14 +472,16 @@ class TestParserState:
 
 class TestCaseTable:
     def test_one_set_of_tags(self, capsys):
+        # test takes every null, simulate the nulls of the study case table
         tags = set(HYPOTHESES)
         assert {cls.tag for cls in HYPOTHESES.values()} == tags
         assert set(json.loads(SCHEMA.read_text())["properties"]["case"]["enum"]) == tags
-        for command in ("test", "simulate"):
+        assert set(simulation.CASES) == tags - {"pattern"}
+        for command, offered in (("test", tags), ("simulate", set(simulation.CASES))):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             choices = re.search(r"--case \{([^}]*)\}", capsys.readouterr().out).group(1)
-            assert set(choices.split(",")) == tags
+            assert set(choices.split(",")) == offered
 
     @pytest.mark.parametrize("tag", ["c1", "c2", "c3", "c4", "c5", "c6"])
     def test_grouped_tags_take_group_sizes(self, tag):
@@ -520,12 +522,27 @@ class TestSimulateCommand:
         (["--case", "c6", "--n", "20", "--p", "3", "--alt", "extreme", "--eta", "1.5"], "eta"),
         (["--case", "c2", "--n", "20", "--p", "2"], "p >= 3"),
         (["--case", "c1", "--n", "20", "--p", "3", "--alt", "local", "--delta", "nan"], "not finite"),
-        (["--case", "pattern", "--n", "20", "--p", "3"], "unknown case"),
     ])
     def test_invalid_scenario_exits_one(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x"
         assert main(["simulate", *argv, "--reps", "20", "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pattern_is_not_a_study_case(self, tmp_path, capsys):
+        # the zero-pattern null has no study scenario, so the parser refuses it
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--case", "pattern", "--n", "20", "--p", "3", "--reps", "20", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'pattern'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_correlation_alternative_at_p1_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["simulate", "--case", "c6", "--n", "20", "--p", "1", "--reps", "2",
+                     "--alt", "local", "--delta", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: correlation alternatives need p >= 2\n"
         assert not out.exists()
 
     def test_group_sizes_for_a_one_sample_case_exit_one(self, tmp_path, capsys):

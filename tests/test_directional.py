@@ -24,7 +24,6 @@ from dirnormal.hypotheses import (
     constrained_mle,
     fit_hypothesis,
 )
-from dirnormal.linalg import is_positive_definite
 from dirnormal.simulation import ScenarioSpec, generate_scenario, hypothesis_for, ks_uniformity
 
 from _oracles import (
@@ -33,6 +32,7 @@ from _oracles import (
     brentq_peak,
     doubling_interval,
     feasible_sup_scan,
+    is_positive_definite,
     path_estimates,
     quad_integral,
     quad_pvalue,
@@ -47,6 +47,13 @@ def _log_det(m):
     sign, log_det = np.linalg.slogdet(m)
     assert sign > 0
     return log_det
+
+
+def _left_out(fit):
+    """``sum_g (n_g - p - 2) / 2 log det A``, the constant that
+    ``log_gbar`` leaves out; added back to compare with a direct
+    determinant."""
+    return sum(0.5 * (s.n - fit.p - 2) for s in fit.summaries) * _log_det(fit.lambda0_inv)
 
 
 def _sampled_fit(hyp, n, p, seed, scale=1.0, shift=0.0):
@@ -290,7 +297,7 @@ class TestLogGbar:
     def test_finite_at_observed_point(self):
         for hyp, n, p in ALL_CASES:
             fit = _sampled_fit(hyp, n, p, seed=64)
-            val = DirectionalEvaluator(fit).log_gbar(1.0)
+            val = DirectionalEvaluator(fit).log_gbar(1.0) + _left_out(fit)
             expected = sum(
                 0.5 * (s.n - p - 2) * _log_det(s.mle_cov) for s in fit.summaries
             )
@@ -312,7 +319,7 @@ class TestLogGbar:
             shortcut = ld0 + float(np.sum(np.log(1 - t + t * fit.pencil_eigs[0])))
             assert shortcut == pytest.approx(direct, abs=1e-10)
             expected = (fit.d - 1) * np.log(t) + 0.5 * (s.n - fit.p - 2) * direct
-            assert ev.log_gbar(t) == pytest.approx(expected, abs=1e-9)
+            assert ev.log_gbar(t) + _left_out(fit) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("hyp, n, p", [
         (SpecifiedMeanCov(np.zeros(5), np.eye(5)), 25, 5),
@@ -337,7 +344,7 @@ class TestLogGbar:
             expected = (fit.d - 1) * np.log(t) + slope * t + sum(
                 0.5 * (s.n - p - 2) * _log_det(m) for s, m in zip(fit.summaries, direct)
             )
-            assert ev.log_gbar(t) == pytest.approx(expected, abs=1e-9)
+            assert ev.log_gbar(t) + _left_out(fit) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("hyp, n, p", [
         (EqualDistributions(), (15, 18), 3),
@@ -372,7 +379,7 @@ class TestLogGbar:
         for t in (0.3, 0.8, 1.0, 1.2):
             per_group = 0.5 * (15 - 3 - 2) * _log_det(path_estimates(fit, t).lambda_t_inv[0])
             expected = (fit.d - 1) * np.log(t) + 3 * per_group
-            assert ev.log_gbar(t) == pytest.approx(expected, rel=1e-10)
+            assert ev.log_gbar(t) + _left_out(fit) == pytest.approx(expected, rel=1e-10)
         assert single.d * 2 == fit.d  # interest dimension scales with group count
 
     def test_returns_neg_inf_outside_range(self):
@@ -522,7 +529,7 @@ class TestDirectionalPvalue:
         fit = constrained_mle(ProportionalIdentity(), [make_summary(2.0 * np.eye(3))])
         p, diag = directional_pvalue(fit)
         assert p == 1.0
-        assert diag.degenerate
+        assert fit.degenerate and math.isnan(diag.t_hat)
 
     def test_fixed_grid_matches_adaptive(self):
         fit = _sampled_fit(EqualDistributions(), (15, 18), 3, seed=78)

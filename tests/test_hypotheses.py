@@ -8,6 +8,7 @@ from _oracles import (
     expected_s_psi,
     ips_zero_pattern,
     is_degenerate,
+    is_positive_definite,
     path_estimates,
     second_moment,
     vech,
@@ -31,7 +32,6 @@ from dirnormal.hypotheses import (
     fit_zero_pattern,
 )
 from dirnormal.simulation import bartlett_bootstrap
-from dirnormal.linalg import is_positive_definite
 
 
 def make_summary(mle_cov, n=30, ybar=None):

@@ -8,7 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from _oracles import csv_reader_read_data, zero_pattern_kkt_residuals  # noqa: E402
+from _oracles import csv_reader_read_data, is_positive_definite, zero_pattern_kkt_residuals  # noqa: E402
 from dirnormal.core import summarize  # noqa: E402
 from dirnormal.directional import DirectionalEvaluator, directional_pvalue  # noqa: E402
 from dirnormal.exceptions import ParseError  # noqa: E402
@@ -23,7 +23,6 @@ from dirnormal.hypotheses import (  # noqa: E402
     fit_hypothesis,
     fit_zero_pattern,
 )
-from dirnormal.linalg import is_positive_definite  # noqa: E402
 from dirnormal.report import read_data_csv  # noqa: E402
 
 TAGS = ("c1", "c2", "c3", "c4", "c5", "c6", "pattern")

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import types
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -105,6 +106,33 @@ class TestScenarioParams:
         value = mu[entry[1]] if entry[0] == "mu" else cov[entry[1:]]
         assert value == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("alt", [sim.Null(), Setting1(), Local(1.0), Extreme(0.5)], ids=repr)
+    @pytest.mark.parametrize("case", list(sim.CASES))
+    def test_every_cell_at_p1_builds_or_is_invalid(self, case, alt):
+        # scenario_params is also called without a spec, on a stand-in with
+        # the fields it reads, since c2's spec is refused at p = 1 before it
+        n = N3 if case in ("c3", "c4") else 20
+        sizes = n if isinstance(n, tuple) else (n,)
+        cell = types.SimpleNamespace(case=case, p=1, alternative=alt, group_sizes=sizes, n_total=sum(sizes))
+        for build in (lambda: ScenarioSpec(case=case, n=n, p=1, alternative=alt),
+                      lambda: scenario_params(cell)):
+            try:
+                build()
+            except InvalidScenarioError:
+                pass
+
+    def test_p1_correlation_alternatives_are_invalid(self):
+        for case, alt in (("c5", Local(1.0)), ("c6", Local(1.0)), ("c6", Extreme(0.5))):
+            with pytest.raises(InvalidScenarioError, match="p >= 2"):
+                ScenarioSpec(case=case, n=20, p=1, alternative=alt)
+        cell = types.SimpleNamespace(case="c2", p=1, alternative=Local(1.0), group_sizes=(20,), n_total=20)
+        with pytest.raises(InvalidScenarioError, match="p >= 2"):
+            scenario_params(cell)
+
+    def test_pattern_has_no_study_scenario(self):
+        with pytest.raises(InvalidScenarioError, match="unknown case 'pattern'"):
+            ScenarioSpec(case="pattern", n=20, p=3)
+
     def test_invalid_local_strength_rejected(self):
         with pytest.raises(InvalidScenarioError):
             scenario_params(ScenarioSpec(case="c2", n=10, p=4, alternative=Local(1e9)))
@@ -197,7 +225,7 @@ class TestGenerateScenario:
         for spec in (ScenarioSpec(case="c5", n=30, p=6, seed=3, alternative=Setting1()),
                      ScenarioSpec(case="c4", n=(10, 12, 14), p=3, seed=4, alternative=Setting1())):
             factors = [(mu, np.linalg.cholesky(cov)) for mu, cov in scenario_params(spec)]
-            stream = sim._CASES[spec.case].stream
+            stream = sim.CASES[spec.case].stream
             for rep in (0, 5):
                 expected = sample_groups(factors, spec.group_sizes, (spec.seed, stream, 0, rep))
                 got = generate_scenario(spec, rep)
@@ -267,6 +295,10 @@ class TestRunStudy:
             # large enough for OpenBLAS to thread its calls: the workers run
             # one BLAS thread, the calling process its default
             ScenarioSpec(case="c3", n=(100, 100, 100), p=90, reps=24, seed=9, methods=("dt",)),
+            # every classical statistic but bc, on the n - 1 weighted c5
+            # statistic and on a free-mean null
+            ScenarioSpec(case="c5", n=20, p=3, reps=30, seed=9, methods=("lrt", "sko1", "sko2")),
+            ScenarioSpec(case="c6", n=20, p=3, reps=30, seed=9, methods=("lrt", "sko1", "sko2")),
         ]
         for spec in specs:
             monkeypatch.setenv("DIRNORMAL_THREADS", "1")
