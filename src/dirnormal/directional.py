@@ -62,21 +62,22 @@ class DirectionalEvaluator:
     """Single-instance evaluator of the log-integrand and its derivatives.
 
     Every case shares one representation, the fit's spectrum
-    (:attr:`~dirnormal.hypotheses.ConstrainedFit.spectrum`): with ``mu``
-    each group's pencil eigenvalues
+    (:attr:`~dirnormal.hypotheses.ConstrainedFit.spectrum`), read as one
+    vector of the ``K = k p'`` pencil eigenvalues ``mu_j``, each with its
+    group's weight ``w_j = (n_g - p - 2) / 2``:
 
-        ``log det = log det A + sum log f_j``,  ``f_j = 1 - t + t mu_j``,
+        ``gbar = sum w_j log f_j + slope t + (d - 1) log t``,  ``f_j = 1 - t + t mu_j``,
 
-    and the log-integrand adds ``slope * t``: O(k p) per ``t``, on whole
-    arrays of ``t``, up to ``t_sup = 1 / (1 - min mu)``.  The constant
-    ``log det A`` terms are left out.  Instances are immutable after
-    construction and safe to share across workers.
+    O(K) per ``t``, on whole arrays of ``t``, up to ``t_sup = 1 / (1 - min mu)``.
+    The constant ``log det A`` terms are left out.  Instances are immutable
+    after construction and safe to share across workers.
     """
 
     def __init__(self, fit: ConstrainedFit):
         self.d = fit.d
-        self._mu, self._slope = fit.spectrum  # (k, p) or (k, p + 1)
-        self._weights = np.array([0.5 * (s.n - fit.p - 2) for s in fit.summaries])
+        mu, self._slope = fit.spectrum  # (k, p) or (k, p + 1)
+        self._mu = mu.ravel()
+        self._weights = np.repeat([0.5 * (s.n - fit.p - 2) for s in fit.summaries], mu.shape[1])
         self._mu_minus_one = self._mu - 1.0
         mu_min = float(self._mu.min())
         self.t_sup = 1.0 / (1.0 - mu_min) if mu_min < 1.0 - 1e-12 else math.inf
@@ -84,19 +85,18 @@ class DirectionalEvaluator:
     # -- log-integrand and its derivatives -----------------------------------
 
     def log_gbar(self, t):
-        """Log radial integrand less the constant ``sum_g w_g log det A``, with
-        ``w_g = (n_g - p - 2) / 2``.
+        """Log radial integrand less the constant ``sum_g w_g log det A``.
 
         Accepts a scalar or an array of ``t`` values; returns ``-inf``
         outside the positive definite range.
         """
         t_arr = np.asarray(t, dtype=float)
         tv = t_arr.reshape(-1)
-        f = 1.0 - tv[:, None, None] + tv[:, None, None] * self._mu  # (m, k, p) or (m, k, p + 1)
+        f = 1.0 - tv[:, None] + tv[:, None] * self._mu  # (m, K)
         ok = tv >= 0.0 if self.d == 1 else tv > 0.0
-        ok &= np.all(f > 0.0, axis=(1, 2))
+        ok &= np.all(f > 0.0, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.sum(np.log(f), axis=2) @ self._weights + self._slope * tv
+            vals = np.log(f) @ self._weights + self._slope * tv
             if self.d > 1:
                 vals += (self.d - 1) * np.log(tv)
         out = np.where(ok, vals, -math.inf)
@@ -105,16 +105,13 @@ class DirectionalEvaluator:
     def slope_and_curvature(self, t: float) -> tuple[float, float]:
         """Closed-form first and second derivatives of ``log_gbar`` at ``t``.
 
-        With ``x_j = (mu_j - 1) / f_j`` each group's factors add ``sum x_j``
-        and ``-sum x_j**2``.
+        With ``x_j = (mu_j - 1) / f_j`` the factors add ``sum w_j x_j`` and
+        ``-sum w_j x_j**2``.
         """
         t = float(t)
-        f = 1.0 - t + t * self._mu
-        x = self._mu_minus_one / f
-        slope = np.sum(x, axis=1)
-        curv = np.sum(x * x, axis=1)
-        return (float((self.d - 1) / t + self._slope + self._weights @ slope),
-                float(-(self.d - 1) / (t * t) - self._weights @ curv))
+        x = self._mu_minus_one / (1.0 - t + t * self._mu)
+        return (float((self.d - 1) / t + self._slope + x @ self._weights),
+                float(-(self.d - 1) / (t * t) - (x * x) @ self._weights))
 
     def curvature(self, t: float) -> float:
         """Closed-form second derivative of ``log_gbar`` at ``t`` (see
@@ -243,13 +240,12 @@ def integration_interval(
     t_hat: float,
     g_hat: float,
     curvature_at_t_hat: float,
-    halfwidth: float,
     t_cap: float,
 ) -> tuple[float, float]:
     """Narrowed integration interval around the integrand peak ``(t_hat,
     g_hat)``.
 
-    The base interval is ``t_hat +- halfwidth * sigma`` with
+    The base interval is ``t_hat +- INTERVAL_HALFWIDTH * sigma`` with
     ``sigma = (-curvature)**-0.5`` (Laplace scaling), widened by doubling
     until the log-integrand at each free endpoint sits at least
     ``ENDPOINT_DROP`` units below the peak, then adjusted so the point
@@ -261,7 +257,7 @@ def integration_interval(
     """
     if not (curvature_at_t_hat < 0.0) or not math.isfinite(curvature_at_t_hat):
         return 0.0, t_cap
-    halves = halfwidth * (-curvature_at_t_hat) ** -0.5 * _DOUBLINGS
+    halves = INTERVAL_HALFWIDTH * (-curvature_at_t_hat) ** -0.5 * _DOUBLINGS
     lower = t_hat - halves
     upper = t_hat + halves
     lower = lower[:np.argmax(lower <= 0.0)] if lower[-1] <= 0.0 else lower
@@ -331,7 +327,7 @@ def directional_pvalue(fit: ConstrainedFit) -> tuple[float, DirectionalDiagnosti
     t_hat, peak_evals = ev.maximize(t_cap)
     g_hat = ev.log_gbar(t_hat)
     curv = ev.curvature(t_hat)
-    t_min, t_max = integration_interval(ev, t_hat, g_hat, curv, INTERVAL_HALFWIDTH, t_cap)
+    t_min, t_max = integration_interval(ev, t_hat, g_hat, curv, t_cap)
 
     sides = np.array([[t_min, 1.0], [1.0, t_max]])
     end_sup = ev.t_sup if t_max == ev.t_sup else None  # the interval ends at t_sup

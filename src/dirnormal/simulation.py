@@ -100,7 +100,9 @@ class ScenarioSpec:
     with no null or no sampling distribution raises ``InvalidScenarioError``,
     and so does one on which every replication would fail: ``n``, ``p``,
     ``reps``, ``seed`` or ``bootstrap_reps`` not an integer (a tuple of
-    integers for the group cases), ``p < 1`` or ``seed < 0``.
+    integers for the group cases), ``p < 1`` or ``seed < 0``, and a null
+    with no degrees of freedom (c1 and c6 at ``p = 1``), whose every
+    p-value would be 1.
     """
 
     case: str
@@ -154,8 +156,10 @@ class ScenarioSpec:
         for n_i in sizes:
             if n_i < self.p + 2:
                 raise InvalidScenarioError(f"need n >= p + 2 per group (got n={n_i}, p={self.p})")
-        hypothesis_for(self)
+        d = hypothesis_for(self).degrees_of_freedom(self.p, len(sizes))
         _scenario_factors(self)
+        if d < 1:
+            raise InvalidScenarioError(f"case {self.case} at p={self.p} tests nothing: its null has d = {d}")
 
     @property
     def group_sizes(self) -> tuple[int, ...]:

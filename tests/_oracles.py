@@ -412,14 +412,16 @@ class RankOneForm:
     def log_gbar(self, t):
         """Log radial integrand less the engine's constant, with
         the rank-one factor computed whatever ``c``; ``-inf`` outside the
-        positive definite range."""
+        positive definite range.  The ``log f_j`` terms are summed in the
+        engine's flat (group, eigenvalue) order, each weighted by its
+        group's weight."""
         t_arr = np.asarray(t, dtype=float)
         tv = t_arr.reshape(-1)
         f = 1.0 - tv[:, None, None] + tv[:, None, None] * self.mu
         with np.errstate(divide="ignore", invalid="ignore"):
             r = 1.0 - tv[:, None] ** 2 * np.sum(self.c2 / f, axis=2)
-            logs = np.sum(np.log(f), axis=2) + np.log(r)
-            vals = logs @ self.weights + self.slope * tv
+            linear = np.log(f).reshape(tv.size, -1) @ np.repeat(self.weights, self.mu.shape[1])
+            vals = linear + np.log(r) @ self.weights + self.slope * tv
             if self.d > 1:
                 vals += (self.d - 1) * np.log(tv)
         ok = tv >= 0.0 if self.d == 1 else tv > 0.0

@@ -240,6 +240,13 @@ class TestTestCommand:
         f, _ = self._write_case6_file(tmp_path)
         assert main(["test", "--case", "c6", "--data", str(f), "--methods", "lrt,sko1,sko2",
                      "--out", str(tmp_path / "r.json")]) == 0
+        # c5 takes the bordered pencil, which the classical tests must not solve either
+        mu0, lambda0 = tmp_path / "mu0.csv", tmp_path / "lambda0.csv"
+        mu0.write_text("0.0\n0.0\n")
+        lambda0.write_text("1.0,0.0\n0.0,1.0\n")
+        assert main(["test", "--case", "c5", "--data", str(f), "--mu0", str(mu0), "--lambda0", str(lambda0),
+                     "--methods", "lrt,bc,sko1,sko2", "--bc-reps", "50",
+                     "--out", str(tmp_path / "r5.json")]) == 0
 
     def test_collinear_data_exit_one(self, tmp_path, capsys):
         y = np.random.default_rng(0).standard_normal((12, 5))
@@ -264,12 +271,15 @@ class TestTestCommand:
         assert code == 1
         assert "p + 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["c6", "c4"])
+    @pytest.mark.parametrize("case", ["c6", "c4", "c1"])
     def test_degenerate_exits_two(self, tmp_path, case):
         if case == "c6":
             # data whose covariance is exactly diagonal: the null fit equals
             # the unconstrained fit
             groups = [np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])]
+        elif case == "c1":
+            # p = 1: the null constrains nothing (d = 0)
+            groups = [sample_mvn(np.zeros(1), np.eye(1), 20, seed=(44, 0))]
         else:
             # equal sample covariances and unequal sizes
             y = np.random.default_rng(93).standard_normal((10, 2))
@@ -522,6 +532,8 @@ class TestSimulateCommand:
         (["--case", "c6", "--n", "20", "--p", "3", "--alt", "extreme", "--eta", "1.5"], "eta"),
         (["--case", "c2", "--n", "20", "--p", "2"], "p >= 3"),
         (["--case", "c1", "--n", "20", "--p", "3", "--alt", "local", "--delta", "nan"], "not finite"),
+        # a null with d = 0 tests nothing; `test` on such data exits 2 (test_degenerate_exits_two)
+        (["--case", "c1", "--n", "20", "--p", "1"], "error: case c1 at p=1 tests nothing"),
     ])
     def test_invalid_scenario_exits_one(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dirnormal import directional
 from dirnormal.core import sample_mvn
 from dirnormal.exceptions import NotPositiveDefiniteError
 from dirnormal.directional import DirectionalEvaluator, directional_pvalue, integration_interval
@@ -134,7 +135,7 @@ class TestAgainstReplacedSearches:
             assert t_hat == pytest.approx(brentq_peak(fit, cap), rel=1e-12), label
             assert 1 <= evals <= 10, label
 
-    def test_one_call_interval_equals_doubling_loop(self):
+    def test_one_call_interval_equals_doubling_loop(self, monkeypatch):
         for label, fit in _edge_fits():
             ev = DirectionalEvaluator(fit)
             cap = ev.integration_cap()
@@ -143,7 +144,8 @@ class TestAgainstReplacedSearches:
             curv = ev.curvature(t_hat)
             # narrow, default and wide starts reach free endpoints and both bounds
             for halfwidth in (1e-3, 5.0, 1e3):
-                got = integration_interval(ev, t_hat, g_hat, curv, halfwidth, cap)
+                monkeypatch.setattr(directional, "INTERVAL_HALFWIDTH", halfwidth)
+                got = integration_interval(ev, t_hat, g_hat, curv, cap)
                 assert got == doubling_interval(ev, t_hat, curv, halfwidth, cap), (label, halfwidth)
 
     def test_linear_path_skips_rank_one_bitwise(self):
@@ -456,8 +458,7 @@ class TestIntegrationInterval:
         fit = _sampled_fit(ProportionalIdentity(), 20, 3, seed=73)
         ev = DirectionalEvaluator(fit)
         ev.log_gbar = lambda t: np.asarray(t) * 0.0 - 0.0  # flat: no widening exit
-        lo, hi = integration_interval(ev, t_hat=1.0, g_hat=0.0, curvature_at_t_hat=-1.0,
-                                      halfwidth=5.0, t_cap=10.0)
+        lo, hi = integration_interval(ev, t_hat=1.0, g_hat=0.0, curvature_at_t_hat=-1.0, t_cap=10.0)
         assert lo == 0.0
         assert hi == 10.0  # widening runs to the cap on a flat integrand
 
@@ -465,8 +466,7 @@ class TestIntegrationInterval:
         fit = _sampled_fit(ProportionalIdentity(), 20, 3, seed=73)
         ev = DirectionalEvaluator(fit)
         ev.log_gbar = lambda t: -1e6 * (np.asarray(t) - 1.0) ** 2
-        lo, hi = integration_interval(ev, t_hat=1.0, g_hat=0.0, curvature_at_t_hat=-2e6,
-                                      halfwidth=5.0, t_cap=10.0)
+        lo, hi = integration_interval(ev, t_hat=1.0, g_hat=0.0, curvature_at_t_hat=-2e6, t_cap=10.0)
         width = hi - lo
         assert width < 2e-2
         assert lo <= 1.0 <= hi
@@ -478,7 +478,7 @@ class TestIntegrationInterval:
             cap = ev.integration_cap()
             t_hat, _ = ev.maximize(cap)
             g_hat = ev.log_gbar(t_hat)
-            lo, hi = integration_interval(ev, t_hat, g_hat, ev.curvature(t_hat), 5.0, cap)
+            lo, hi = integration_interval(ev, t_hat, g_hat, ev.curvature(t_hat), cap)
             assert 0.0 <= lo <= 1.0 <= hi <= cap
             # the drop requirement applies to endpoints that were neither
             # clipped at the range boundary nor pulled to the observed point

@@ -129,6 +129,12 @@ class TestScenarioParams:
         with pytest.raises(InvalidScenarioError, match="p >= 2"):
             scenario_params(cell)
 
+    @pytest.mark.parametrize("case", ["c1", "c6"])
+    def test_null_with_no_degrees_of_freedom_is_invalid(self, case):
+        # at p = 1 the null constrains nothing: every p-value would be 1
+        with pytest.raises(InvalidScenarioError, match=f"case {case} at p=1 tests nothing"):
+            ScenarioSpec(case=case, n=20, p=1)
+
     def test_pattern_has_no_study_scenario(self):
         with pytest.raises(InvalidScenarioError, match="unknown case 'pattern'"):
             ScenarioSpec(case="pattern", n=20, p=3)
@@ -397,7 +403,8 @@ class TestRunStudy:
             raise AssertionError("hypotheses.eig_pencil called")
 
         monkeypatch.setattr(hypotheses, "eig_pencil", forbidden)
-        for case, n in (("c1", 20), ("c2", 20), ("c4", (12, 12, 12)), ("c6", 20)):
+        for case, n in (("c1", 20), ("c2", 20), ("c3", (12, 12, 12)), ("c4", (12, 12, 12)),
+                        ("c5", 20), ("c6", 20)):
             res = run_study(ScenarioSpec(case=case, n=n, p=3, reps=5, seed=10,
                                          methods=("lrt", "bc", "sko1", "sko2"), bootstrap_reps=20))
             assert res.failures == 0, res.failure_messages
