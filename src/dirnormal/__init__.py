@@ -20,7 +20,6 @@ from .classical import (
 from .core import (
     SampleSummary,
     check_estimate_exists,
-    sample_mvn,
     summarize,
 )
 from .directional import (

@@ -140,8 +140,9 @@ def run_simulate_command(args) -> int:
     )
     result = run_study(spec)
     report_io.write_study_outputs(result, args.out)
+    by_class = "".join(f" {name}={count}" for name, count in result.failure_counts.items())
     sys.stdout.write(
-        f"case {spec.case} p={spec.p} reps={spec.reps} failures={result.failures} "
+        f"case {spec.case} p={spec.p} reps={spec.reps} failures={result.failures}{by_class} "
         f"elapsed={result.elapsed_seconds:.1f}s -> {args.out}\n"
     )
     return 0

@@ -22,7 +22,6 @@ __all__ = [
     "check_estimate_exists",
     "summarize",
     "sample_groups",
-    "sample_mvn",
 ]
 
 # Fewest observations a sample may have (a mean and a covariance need two).
@@ -108,11 +107,3 @@ def sample_groups(factors, sizes, seed) -> list[np.ndarray]:
     """
     rng = np.random.Generator(np.random.Philox(seed))
     return [mu + rng.standard_normal((n, mu.shape[0])) @ ell.T for (mu, ell), n in zip(factors, sizes)]
-
-
-def sample_mvn(mu: np.ndarray, cov: np.ndarray, n: int, seed) -> np.ndarray:
-    """Draw ``n`` i.i.d. ``N_p(mu, cov)`` rows, deterministic given ``seed``
-    (see :func:`sample_groups`)."""
-    mu = np.asarray(mu, dtype=float)
-    (y,) = sample_groups([(mu, SpdFactor(np.asarray(cov, dtype=float)).chol)], [n], seed)
-    return y

@@ -303,8 +303,9 @@ def render_pretty(report: dict) -> str:
 def write_study_outputs(result, out_dir) -> None:
     """Write the study summary table and per-method ECDF files.
 
-    ``summary.csv`` holds ``(method, metric, value)`` rows; each
-    ``ecdf_<method>.csv`` holds the sorted p-values against the empirical
+    ``summary.csv`` holds ``(method, metric, value)`` rows, with a
+    ``failures.<exception class>`` row per class of failed replication;
+    each ``ecdf_<method>.csv`` holds the sorted p-values against the empirical
     CDF.  Output is a pure function of the study result (no timestamps), so
     repeated runs are byte-identical.
     """
@@ -314,6 +315,8 @@ def write_study_outputs(result, out_dir) -> None:
     rows.append(("study", "case", result.spec.case))
     rows.append(("study", "reps", str(result.spec.reps)))
     rows.append(("study", "failures", str(result.failures)))
+    for name, count in result.failure_counts.items():
+        rows.append(("study", f"failures.{name}", str(count)))
     rows.append(("study", "alpha", _float_repr(result.spec.alpha)))
     if result.e_w_hat is not None:
         rows.append(("bc", "e_w_hat", _float_repr(result.e_w_hat)))

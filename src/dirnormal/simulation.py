@@ -9,17 +9,23 @@ order or degree of parallelism.  The worker count is capped by the
 ``DIRNORMAL_THREADS`` environment variable (default: ``os.cpu_count()``).
 
 At a cap of one, every replication and Bartlett calibration draw runs in
-the calling process.  Above one, they run on one process pool shared by
-the whole process: it is forked the first time a study needs it, reused
-by every later pass and study, replaced when the cap changes or a worker
-has died, and shut down at interpreter exit.  Workers are forked once, so
-they do not see functions patched in the parent after that.  Each worker
-runs one OpenBLAS thread; the calling process keeps its own setting.
+the calling process, with its own OpenBLAS thread count, and neither
+``multiprocessing`` nor ``concurrent.futures.process`` is imported.
+Above one, the calling process is one of the cap processes: each pass is
+cut into one contiguous block of items per process, the caller runs the
+first and a process pool of ``cap - 1`` workers runs one other block
+each.  Every block runs one OpenBLAS thread; the caller's own count is
+restored when its block ends.  The pool is shared by the whole process:
+it is forked the first time a pass needs it, reused by every later pass
+and study, replaced when the cap changes or a worker has died, and shut
+down at interpreter exit.  Workers are forked once, so they do not see
+functions patched in the parent after that; the caller's block does.
 """
 
 from __future__ import annotations
 
 import atexit
+import collections
 import functools
 import math
 import operator
@@ -358,7 +364,7 @@ def _worker(args):
     try:
         return rep_index, _replicate(spec, rep_index, stream, e_w_hat), None
     except Exception as exc:  # one bad replication is recorded, never fatal to the study
-        return rep_index, None, f"rep {rep_index}: {type(exc).__name__}: {exc}"
+        return rep_index, None, (type(exc).__name__, f"rep {rep_index}: {type(exc).__name__}: {exc}")
 
 
 def _worker_cap() -> int:
@@ -373,34 +379,52 @@ def _worker_cap() -> int:
 
 
 # The process pool (concurrent.futures.process, which loads multiprocessing)
-# and ctypes are imported when the pool is first made: a study at one
-# worker, or a process that only runs tests, never needs them.
+# and ctypes are imported the first time a pass runs above one worker: a
+# study at one worker, or a process that only runs tests, never needs them.
 _pool: ProcessPoolExecutor | None = None
 _pool_lock = threading.Lock()
 # The OpenBLAS copies that numpy and scipy bundle, as (package, library glob
-# in the package's ``.libs`` directory, thread-count setter).
+# in the package's ``.libs`` directory, thread-count setter); the getter's
+# name has ``_get_`` for ``_set_``.
 _OPENBLAS = (
     (np, "libscipy_openblas64_-*.so", "scipy_openblas_set_num_threads64_"),
     (scipy, "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
 )
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: one OpenBLAS thread per worker, so the workers do
-    not share the cores with each other's BLAS threads.  A library or
-    symbol that is not there is skipped."""
+@functools.cache
+def _blas_controls(openblas) -> tuple:
+    """``(getter, setter)`` of the thread count of each library that
+    ``openblas`` (an ``_OPENBLAS`` table) names.  A library or symbol that
+    is not there is skipped."""
     import ctypes
 
-    for package, pattern, symbol in _OPENBLAS:
+    controls = []
+    for package, pattern, symbol in openblas:
         libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
         for path in libs.glob(pattern):
             try:
-                setter = getattr(ctypes.CDLL(str(path)), symbol)
+                lib = ctypes.CDLL(str(path))
+                setter, getter = getattr(lib, symbol), getattr(lib, symbol.replace("_set_", "_get_"))
             except (OSError, AttributeError):
                 continue
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = None
-            setter(1)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            controls.append((getter, setter))
+    return tuple(controls)
+
+
+def _one_blas_thread() -> list:
+    """Set one OpenBLAS thread in this process, so that the processes of a
+    pass do not share the cores with each other's BLAS threads.  Returns
+    ``(setter, previous count)`` pairs that undo it.  Runs once in each
+    pool worker, as its initializer, and around the calling process's
+    block of every pass."""
+    undo = []
+    for getter, setter in _blas_controls(_OPENBLAS):
+        undo.append((setter, getter()))
+        setter(1)
+    return undo
 
 
 def _drop_pool() -> None:
@@ -415,30 +439,59 @@ def _drop_pool() -> None:
 atexit.register(_drop_pool)
 
 
-def _map(fn, items: list):
-    """``map(fn, items)``, in order: in this process at one worker, else on
-    the process-wide pool.  The pool is replaced when the worker cap has
-    changed or one of its workers has died."""
+def _run_block(fn, block) -> list:
+    """One process's block of a pass."""
+    return [fn(item) for item in block]
+
+
+def _map(fn, items):
+    """``map(fn, items)``, in order.
+
+    At one worker, or with one item, this is the builtin ``map`` in this
+    process.  Otherwise the items are cut into ``min(cap, len(items))``
+    contiguous blocks, one per process.  This process runs the first block
+    under one OpenBLAS thread and then restores its own count; each other
+    block is one task on the process-wide pool of ``cap - 1`` workers.  A
+    block that raises is re-raised once every other block has finished or
+    been cancelled.  The pool is replaced when the worker cap has changed
+    or one of its workers has died.
+    """
     global _pool
     cap = _worker_cap()
     workers = min(cap, len(items))
     if workers <= 1:
         return map(fn, items)
+    bounds = [len(items) * b // workers for b in range(workers + 1)]
+    blocks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     with _pool_lock:
         # The executor sets _broken once one of its workers has died.
-        if _pool is not None and (_pool._max_workers != cap or _pool._broken):
+        if _pool is not None and (_pool._max_workers != cap - 1 or _pool._broken):
             _pool.shutdown(wait=True, cancel_futures=True)
             _pool = None
-        if _pool is None:
-            from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, wait
 
-            _pool = ProcessPoolExecutor(max_workers=cap, initializer=_one_blas_thread)
-        return _pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8)))
+        if _pool is None:
+            _pool = ProcessPoolExecutor(max_workers=cap - 1, initializer=_one_blas_thread)
+        futures = [_pool.submit(_run_block, fn, block) for block in blocks[1:]]
+    try:
+        undo = _one_blas_thread()
+        try:
+            out = _run_block(fn, blocks[0])
+        finally:
+            for setter, count in undo:
+                setter(count)
+        for future in futures:
+            out.extend(future.result())
+        return out
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)  # for the blocks that were already running
 
 
 def _run_pass(spec: ScenarioSpec, stream: int, e_w_hat: float | None):
     pvals = {m: np.full(spec.reps, np.nan) for m in spec.methods}
-    errors: list[str] = []
+    errors: list[tuple[str, str]] = []  # (exception class, message) per failed replication
     for idx, row, err in _map(_worker, [(spec, i, stream, e_w_hat) for i in range(spec.reps)]):
         if err is not None:
             errors.append(err)
@@ -487,7 +540,8 @@ class StudyResult:
     spec: ScenarioSpec
     pvalues: dict[str, np.ndarray]  # per-method, NaN at failed replications
     failures: int
-    failure_messages: tuple[str, ...]
+    failure_messages: tuple[str, ...]  # the first 20
+    failure_counts: dict[str, int]  # failed replications per exception class name
     elapsed_seconds: float
     e_w_hat: float | None = None  # shared Bartlett calibration, when BC ran
     estimated_type1: dict[str, float] | None = None
@@ -508,7 +562,7 @@ def _mean_lrt(hyp: Hypothesis, factors, sizes, prefix: tuple[int, ...], reps: in
     draws run through the worker pool and are summed in draw order, so the
     estimate is the same at any worker count.
     """
-    # The partial carries the parameters to a worker once per chunk of draws.
+    # The partial carries the parameters to a worker once per block of draws.
     draw = functools.partial(_lrt_draw, hyp, factors, sizes, prefix)
     total = 0.0
     for w in _map(draw, range(reps)):
@@ -596,7 +650,8 @@ def run_study(spec: ScenarioSpec) -> StudyResult:
         spec=spec,
         pvalues=pvals,
         failures=len(errors),
-        failure_messages=tuple(errors[:20]),
+        failure_messages=tuple(message for _, message in errors[:20]),
+        failure_counts=dict(sorted(collections.Counter(name for name, _ in errors).items())),
         elapsed_seconds=time.perf_counter() - start,
         e_w_hat=e_w_hat,
         estimated_type1=estimated_type1,

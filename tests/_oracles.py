@@ -19,6 +19,7 @@ from scipy.integrate import quad
 from scipy.linalg import lapack
 from scipy.optimize import brentq, minimize
 
+from dirnormal.core import sample_groups
 from dirnormal.directional import ENDPOINT_DROP, DirectionalEvaluator
 from dirnormal.exceptions import NoConvergenceError, NotPositiveDefiniteError, ParseError
 from dirnormal.hypotheses import ZeroPattern
@@ -41,6 +42,14 @@ def is_positive_definite(m: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def sample_mvn(mu, cov, n: int, seed) -> np.ndarray:
+    """Draw ``n`` i.i.d. ``N_p(mu, cov)`` rows with the package's sampler,
+    ``core.sample_groups``, deterministic given ``seed``."""
+    mu = np.asarray(mu, dtype=float)
+    (y,) = sample_groups([(mu, np.linalg.cholesky(np.asarray(cov, dtype=float)))], [n], seed)
+    return y
 
 
 @functools.lru_cache(maxsize=64)

@@ -14,7 +14,6 @@ import pytest
 from dirnormal import cli, hypotheses, simulation
 from dirnormal.classical import classical_report
 from dirnormal.cli import main
-from dirnormal.core import sample_mvn
 from dirnormal.directional import DirectionalDiagnostics, directional_pvalue
 from dirnormal.exceptions import InvalidScenarioError, ParseError
 from dirnormal.hypotheses import HYPOTHESES, CompleteIndependence, fit_hypothesis
@@ -28,7 +27,7 @@ from dirnormal.report import (
 )
 from dirnormal.simulation import ScenarioSpec
 
-from _oracles import trapezoid_pvalue
+from _oracles import sample_mvn, trapezoid_pvalue
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCHEMA = SRC / "dirnormal" / "schemas" / "report-v1.json"
@@ -583,6 +582,25 @@ class TestSimulateCommand:
         spec = ScenarioSpec(case="c6", n=20, p=3, reps=5, seed=4, methods=("lrt", "bc"), bootstrap_reps=50)
         e_w_hat = simulation.calibrate_bartlett_expectation(spec)
         assert f"bc,e_w_hat,{e_w_hat!r}" in (out / "summary.csv").read_text().splitlines()
+
+    def test_failures_counted_by_class(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DIRNORMAL_THREADS", "1")
+        original = simulation._replicate
+
+        def broken(spec, rep_index, stream, e_w_hat):
+            if rep_index in (1, 3):
+                raise ValueError("synthetic value error")
+            if rep_index == 2:
+                raise np.linalg.LinAlgError("synthetic linalg error")
+            return original(spec, rep_index, stream, e_w_hat)
+
+        monkeypatch.setattr(simulation, "_replicate", broken)
+        out = tmp_path / "run"
+        assert main(["simulate", "--case", "c6", "--n", "20", "--p", "3", "--reps", "6",
+                     "--seed", "4", "--methods", "dt", "--out", str(out)]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert rows[3:6] == ["study,failures,3", "study,failures.LinAlgError,1", "study,failures.ValueError,2"]
+        assert " failures=3 LinAlgError=1 ValueError=2 elapsed=" in capsys.readouterr().out
 
     def test_local_requires_delta(self, tmp_path, capsys):
         for alt, option in (("local", "--delta"), ("extreme", "--eta")):

@@ -5,13 +5,12 @@ import pytest
 
 from dirnormal.core import (
     check_estimate_exists,
-    sample_mvn,
     summarize,
 )
 from dirnormal.exceptions import DimensionError, NonFiniteError
 from dirnormal.linalg import symmetrize
 
-from _oracles import info_log_det, info_matrix, is_positive_definite
+from _oracles import info_log_det, info_matrix, is_positive_definite, sample_mvn
 
 
 class TestSummarize:

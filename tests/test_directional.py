@@ -10,7 +10,6 @@ import pytest
 from scipy.integrate import quad
 
 from dirnormal import directional
-from dirnormal.core import sample_mvn
 from dirnormal.exceptions import NotPositiveDefiniteError
 from dirnormal.directional import DirectionalEvaluator, directional_pvalue, integration_interval
 from dirnormal.hypotheses import (
@@ -38,6 +37,7 @@ from _oracles import (
     quad_integral,
     quad_pvalue,
     rank_one_form,
+    sample_mvn,
     second_moment,
     trapezoid_pvalue,
 )

@@ -9,6 +9,7 @@ import textwrap
 import time
 import types
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import dirnormal.simulation as sim
 from dirnormal import hypotheses
 from dirnormal.core import sample_groups
 from dirnormal.exceptions import InvalidScenarioError, SettingError
+from dirnormal.hypotheses import CompleteIndependence
 from dirnormal.simulation import (
     Extreme,
     Local,
@@ -290,16 +292,23 @@ class TestRunStudy:
         assert 0.0 < res.corrected_cutoffs["dt"] < 0.2
 
     def test_worker_partition_independence(self, monkeypatch):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
         specs = [
             ScenarioSpec(case="c1", n=20, p=3, reps=60, seed=9, methods=("dt",)),
-            # the Bartlett calibration runs on the workers too
+            # a pass shorter than the cap runs one block per item
+            ScenarioSpec(case="c1", n=20, p=3, reps=2, seed=9, methods=("dt",)),
+            # the Bartlett calibration runs on the workers too, here in
+            # blocks of unequal length at caps 2 and 3
             ScenarioSpec(case="c4", n=(12, 12, 12), p=3, reps=30, seed=9, methods=("bc",),
                          bootstrap_reps=40),
+            ScenarioSpec(case="c6", n=20, p=3, reps=10, seed=9, methods=("lrt", "bc"),
+                         bootstrap_reps=41),
             # a power cell adds the null-calibration pass
             ScenarioSpec(case="c1", n=20, p=3, reps=30, seed=9, methods=("dt",),
                          alternative=Extreme(1.0)),
-            # large enough for OpenBLAS to thread its calls: the workers run
-            # one BLAS thread, the calling process its default
+            # large enough for OpenBLAS to thread its calls: at cap 1 the
+            # calling process runs its own thread count, above one every
+            # block runs one BLAS thread
             ScenarioSpec(case="c3", n=(100, 100, 100), p=90, reps=24, seed=9, methods=("dt",)),
             # every classical statistic but bc, on the n - 1 weighted c5
             # statistic and on a free-mean null
@@ -309,9 +318,9 @@ class TestRunStudy:
         for spec in specs:
             monkeypatch.setenv("DIRNORMAL_THREADS", "1")
             serial = run_study(spec)
-            monkeypatch.setenv("DIRNORMAL_THREADS", "2")
-            parallel = run_study(spec)
-            _assert_same_numbers(serial, parallel)
+            for cap in ("2", "3"):
+                monkeypatch.setenv("DIRNORMAL_THREADS", cap)
+                _assert_same_numbers(serial, run_study(spec))
 
     def test_corrected_type1_matches_alpha_by_construction(self):
         spec = ScenarioSpec(case="c1", n=25, p=3, reps=150, seed=4, methods=("lrt",))
@@ -375,6 +384,7 @@ class TestRunStudy:
         assert res.failures == 2
         assert res.failure_messages == ("rep 2: ValueError: synthetic value error",
                                         "rep 5: LinAlgError: synthetic linalg error")
+        assert res.failure_counts == {"ValueError": 1, "LinAlgError": 1}
         np.testing.assert_array_equal(np.flatnonzero(np.isnan(res.pvalues["dt"])), [2, 5])
 
     def test_every_replication_failing_reports_nan(self, monkeypatch):
@@ -419,6 +429,7 @@ class TestRunStudy:
 
 def _assert_same_numbers(a, b):
     assert a.failures == b.failures
+    assert a.failure_counts == b.failure_counts
     assert a.e_w_hat == b.e_w_hat
     for m in a.spec.methods:
         np.testing.assert_array_equal(a.pvalues[m], b.pvalues[m])
@@ -438,6 +449,22 @@ def _blas_threads(_=None):
         getter.restype = ctypes.c_int
         counts.append(getter())
     return tuple(counts)
+
+
+_CALLER = os.getpid()
+
+
+@dataclass(frozen=True)
+class _FailingDraws(CompleteIndependence):
+    """Complete independence whose likelihood ratio statistic raises in the
+    calling process (``where="caller"``) or in a pool worker (``"worker"``)."""
+
+    where: str
+
+    def lrt(self, fit):
+        if (os.getpid() == _CALLER) == (self.where == "caller"):
+            raise FloatingPointError(f"synthetic draw failure in the {self.where}")
+        return super().lrt(fit)
 
 
 class TestSharedPool:
@@ -471,7 +498,7 @@ class TestSharedPool:
         first = run_study(self.SPEC)
         pool = sim._pool
         pids = set(pool._processes)
-        assert len(pids) == 2
+        assert len(pids) == 1  # the calling process is the other
         second = run_study(self.SPEC)
         assert sim._pool is pool
         assert set(pool._processes) == pids
@@ -485,7 +512,7 @@ class TestSharedPool:
         monkeypatch.setenv("DIRNORMAL_THREADS", "3")
         three = run_study(self.SPEC)
         assert sim._pool is not pool
-        assert len(sim._pool._processes) == 3
+        assert len(sim._pool._processes) == 2
         _assert_same_numbers(two, three)
 
     def test_broken_pool_replaced_on_next_study(self, monkeypatch):
@@ -497,6 +524,57 @@ class TestSharedPool:
         after = run_study(self.SPEC)
         assert sim._pool is not pool
         _assert_same_numbers(before, after)
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_failing_draw_raises_and_leaves_the_pool_usable(self, monkeypatch, where):
+        monkeypatch.setenv("DIRNORMAL_THREADS", "1")
+        serial = run_study(self.SPEC)
+        monkeypatch.setenv("DIRNORMAL_THREADS", "2")
+        hyp = _FailingDraws(where)
+        fit = hypotheses.fit_hypothesis(hyp, generate_scenario(self.SPEC, 0))
+        with pytest.raises(FloatingPointError, match=f"in the {where}"):
+            sim.bartlett_bootstrap(fit, 24, seed=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "hypothesis_for", lambda spec: hyp)
+            with pytest.raises(FloatingPointError, match=f"in the {where}"):
+                sim.calibrate_bartlett_expectation(self.SPEC)
+        pool = sim._pool
+        _assert_same_numbers(serial, run_study(self.SPEC))
+        assert sim._pool is pool
+
+    def test_failure_counts_equal_at_one_and_two_workers(self):
+        # Workers are forked once, so the failing replication is patched in
+        # before a fresh interpreter makes its pool: at cap 2, rep 2 fails in
+        # the calling process's block and rep 5 in the worker's.
+        code = textwrap.dedent("""
+            import os
+            import numpy as np
+            import dirnormal.simulation as sim
+
+            original = sim._replicate
+
+            def broken(spec, rep_index, stream, e_w_hat):
+                if rep_index == 2:
+                    raise ValueError("synthetic value error")
+                if rep_index == 5:
+                    raise np.linalg.LinAlgError("synthetic linalg error")
+                return original(spec, rep_index, stream, e_w_hat)
+
+            sim._replicate = broken
+            spec = sim.ScenarioSpec(case="c1", n=20, p=3, reps=8, seed=7, methods=("dt",))
+            for cap in ("1", "2"):
+                os.environ["DIRNORMAL_THREADS"] = cap
+                res = sim.run_study(spec)
+                print(res.failure_counts, res.failure_messages, res.pvalues["dt"].tolist())
+        """)
+        src = str(Path(sim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        one, two = out.stdout.splitlines()
+        assert one == two
+        assert one.startswith("{'LinAlgError': 1, 'ValueError': 1} ")
 
     def test_no_worker_outlives_the_interpreter(self):
         code = textwrap.dedent("""
@@ -512,7 +590,7 @@ class TestSharedPool:
                              text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         pids = [int(pid) for pid in out.stdout.split()]
-        assert len(pids) == 2
+        assert len(pids) == 1
         deadline = time.monotonic() + 10.0
         alive = set(pids)
         while alive and time.monotonic() < deadline:
